@@ -15,9 +15,8 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import ingest, ppm, rollout, scorer, synth, tsp
 from .core import StopSequence, ValidationError, ZoneSequence
@@ -32,7 +31,6 @@ EXIT_CONFIG = 3
 DEFAULTS = {
     "order": ppm.DEFAULT_ORDER,
     "weights": "0.25,0.25,0.25,0.25",
-    "threads": 1,
     "seed": 42,
     "external_solver": None,
     "log_level": "WARNING",
@@ -93,11 +91,8 @@ def _load_settings(args) -> dict:
     for name in DEFAULTS:
         settings[name] = resolve_setting(name, getattr(args, name, None), config_file)
     settings["order"] = int(settings["order"])
-    settings["threads"] = int(settings["threads"])
     settings["seed"] = int(settings["seed"])
     settings["weights"] = _parse_weights(settings["weights"])
-    if settings["threads"] < 1:
-        raise ConfigError("--threads must be >= 1")
     logging.basicConfig(level=str(settings["log_level"]).upper())
     return settings
 
@@ -119,43 +114,49 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _sequence_route(route, model, settings) -> tuple:
-    t0 = time.perf_counter()
-    zones = route.zones()
-    zorder = rollout.rollout_sequence(model, route.route_id, zones)
-    t1 = time.perf_counter()
-    seq = tsp.sequence_stops(
-        route,
-        zorder,
-        seed=settings["seed"],
-        external_solver=settings["external_solver"],
-    )
-    t2 = time.perf_counter()
-    return seq, (t1 - t0) * 1000.0, (t2 - t1) * 1000.0
+def _rollout_zone_order(model):
+    return lambda route: rollout.rollout_sequence(model, route.route_id, route.zones())
+
+
+def _alphabetical_zone_order(route) -> ZoneSequence:
+    return ZoneSequence(route_id=route.route_id, zones=tuple(sorted(route.zones())))
+
+
+def _sequence_routes(dataset, zone_order, external_solver) -> tuple:
+    """Order the stops of every route, in route-id order.
+
+    `zone_order(route)` supplies each route's zone order. Returns the
+    submission {route_id: StopSequence} and {route_id: (zone_ms, stop_ms)}.
+    """
+    submission: Dict[str, StopSequence] = {}
+    timings: Dict[str, Tuple[float, float]] = {}
+    for rid in sorted(dataset.routes):
+        route = dataset.routes[rid]
+        t0 = time.perf_counter()
+        zorder = zone_order(route)
+        t1 = time.perf_counter()
+        submission[rid] = tsp.sequence_stops(route, zorder, external_solver=external_solver)
+        t2 = time.perf_counter()
+        timings[rid] = ((t1 - t0) * 1000.0, (t2 - t1) * 1000.0)
+    return submission, timings
+
+
+def _submission_json(submission: Dict[str, StopSequence]) -> dict:
+    return {rid: list(seq.ids) for rid, seq in submission.items()}
 
 
 def cmd_sequence(args) -> int:
     settings = _load_settings(args)
     dataset = ingest.load_dataset(args.dataset, ingest.Split.EVAL)
     model = ppm.PpmModel.load(args.model)
-    route_ids = sorted(dataset.routes)
-
-    def work(rid):
-        return rid, _sequence_route(dataset.routes[rid], model, settings)
-
-    if settings["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=settings["threads"]) as pool:
-            results = dict(pool.map(work, route_ids))
-    else:
-        results = dict(map(work, route_ids))
-
-    submission = {rid: list(results[rid][0].ids) for rid in route_ids}
-    _atomic_write_json(Path(args.out), submission)
+    submission, timings = _sequence_routes(
+        dataset, _rollout_zone_order(model), settings["external_solver"]
+    )
+    _atomic_write_json(Path(args.out), _submission_json(submission))
     if args.per_route_timing:
-        for rid in route_ids:
-            _, zone_ms, stop_ms = results[rid]
+        for rid, (zone_ms, stop_ms) in timings.items():
             print(f"{rid} zone_sequencing_ms={zone_ms:.1f} stop_sorting_ms={stop_ms:.1f}")
-    print(f"sequenced {len(route_ids)} routes -> {args.out}")
+    print(f"sequenced {len(submission)} routes -> {args.out}")
     return EXIT_OK
 
 
@@ -201,10 +202,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _alphabetical_zone_order(route) -> ZoneSequence:
-    return ZoneSequence(route_id=route.route_id, zones=tuple(sorted(route.zones())))
-
-
 def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, float]:
     """Train + sequence + evaluate the method against two reference baselines.
 
@@ -221,34 +218,15 @@ def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, fl
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save(model_path)
 
-    def zone_order(route, kind):
-        if kind == "method":
-            return rollout.rollout_sequence(model, route.route_id, route.zones())
-        if kind == "alphabetical":
-            return _alphabetical_zone_order(route)
-        return ingest.zsgt(route)  # zsgt_oracle
-
-    def sequence_one(rid, kind):
-        route = eval_ds.routes[rid]
-        return rid, tsp.sequence_stops(
-            route,
-            zone_order(route, kind),
-            seed=settings["seed"],
-            external_solver=settings["external_solver"],
-        )
-
+    zone_orders = {
+        "method": _rollout_zone_order(model),
+        "alphabetical": _alphabetical_zone_order,
+        "zsgt_oracle": ingest.zsgt,
+    }
     scores = {}
-    route_ids = sorted(eval_ds.routes)
-    for kind in ("method", "alphabetical", "zsgt_oracle"):
-        if settings["threads"] > 1:
-            with ThreadPoolExecutor(max_workers=settings["threads"]) as pool:
-                submission = dict(pool.map(lambda rid: sequence_one(rid, kind), route_ids))
-        else:
-            submission = dict(sequence_one(rid, kind) for rid in route_ids)
-        _atomic_write_json(
-            out_dir / f"submission_{kind}.json",
-            {rid: list(s.ids) for rid, s in submission.items()},
-        )
+    for kind, zone_order in zone_orders.items():
+        submission, _ = _sequence_routes(eval_ds, zone_order, settings["external_solver"])
+        _atomic_write_json(out_dir / f"submission_{kind}.json", _submission_json(submission))
         report = scorer.dataset_score(eval_ds, submission)
         _atomic_write_json(out_dir / f"report_{kind}.json", report.to_json_dict())
         scores[kind] = report.mean_score
@@ -271,7 +249,6 @@ def _add_common(p):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--order", type=int, help="PPM max context order K")
     p.add_argument("--weights", help="four component weights, comma separated")
-    p.add_argument("--threads", type=int, help="route-level parallelism")
     p.add_argument("--seed", type=int, help="global random seed")
     p.add_argument("--external-solver", dest="external_solver", help="LKH-style binary")
     p.add_argument("--log-level", dest="log_level", help="logging level")

@@ -116,6 +116,15 @@ def load_dataset(dir_path, split: Split = Split.TRAIN) -> Dataset:
     return Dataset(routes=routes, split=split)
 
 
+def _coordinate(route_id, stop_id, raw, name) -> float:
+    try:
+        return float(raw[name])
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError(
+            f"route {route_id}: stop {stop_id!r} has a missing or non-numeric {name!r}"
+        ) from None
+
+
 def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
     depot_raw = body.get("depot")
     if depot_raw is None:
@@ -123,8 +132,8 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
     stops: Dict[str, Stop] = {
         DEPOT_STOP_ID: Stop(
             id=DEPOT_STOP_ID,
-            lat=float(depot_raw["lat"]),
-            lng=float(depot_raw["lng"]),
+            lat=_coordinate(route_id, DEPOT_STOP_ID, depot_raw, "lat"),
+            lng=_coordinate(route_id, DEPOT_STOP_ID, depot_raw, "lng"),
             kind=StopKind.DEPOT,
         )
     }
@@ -133,8 +142,8 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
             raise ValidationError(f"route {route_id}: stop id {DEPOT_STOP_ID!r} is reserved")
         stops[sid] = Stop(
             id=sid,
-            lat=float(s["lat"]),
-            lng=float(s["lng"]),
+            lat=_coordinate(route_id, sid, s, "lat"),
+            lng=_coordinate(route_id, sid, s, "lng"),
             zone_id=s.get("zone_id") or None,
         )
 

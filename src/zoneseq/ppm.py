@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import DEPOT_ZONE, ValidationError, ZoneSequence
@@ -32,18 +32,7 @@ _TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
 Context = Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ZoneComponents:
-    c0: str
-    c1: str
-    c2: str
-    c3: str
-
-    def __iter__(self):
-        return iter((self.c0, self.c1, self.c2, self.c3))
-
-
-def tokenize_zone(zone_id: str) -> ZoneComponents:
+def tokenize_zone(zone_id: str) -> Tuple[str, str, str, str]:
     """Split a zone id into its four component tokens.
 
     Component 0 is the full id; components 1-3 are the first three maximal
@@ -54,7 +43,7 @@ def tokenize_zone(zone_id: str) -> ZoneComponents:
         raise ValidationError("cannot tokenize an empty zone id")
     runs = _TOKEN_RE.findall(zone_id)[:3]
     runs += [EMPTY_TOKEN] * (3 - len(runs))
-    return ZoneComponents(zone_id, runs[0], runs[1], runs[2])
+    return (zone_id, runs[0], runs[1], runs[2])
 
 
 @dataclass
@@ -118,8 +107,8 @@ class PpmModel:
             hit = cache.get(key)
             if hit is not None:
                 return hit
-        ctx_comp = [tuple(tokenize_zone(z)) for z in context[-self.max_order:]]
-        cand_comp = tuple(tokenize_zone(candidate))
+        ctx_comp = [tokenize_zone(z) for z in context[-self.max_order:]]
+        cand_comp = tokenize_zone(candidate)
         p = 0.0
         for k, w in enumerate(self.weights):
             if w == 0.0:
@@ -175,36 +164,41 @@ class PpmModel:
             buf = f.read()
         if buf[:4] != cls.MAGIC:
             raise ValidationError(f"{path}: not a ZPPM model file")
-        off = 4
-        version, max_order = struct.unpack_from("<HH", buf, off)
-        off += 4
-        if version != cls.VERSION:
-            raise ValidationError(f"{path}: unsupported model version {version}")
-        weights = struct.unpack_from("<4d", buf, off)
-        off += 32
-        counts: List[Dict[Context, Dict[str, int]]] = []
-        vocab: List[set] = []
-        for _ in range(N_COMPONENTS):
-            (n_triples,) = struct.unpack_from("<I", buf, off)
+        try:
+            off = 4
+            version, max_order = struct.unpack_from("<HH", buf, off)
             off += 4
-            tables: Dict[Context, Dict[str, int]] = {}
-            voc = set()
-            for _ in range(n_triples):
-                (ctx_len,) = struct.unpack_from("<H", buf, off)
-                off += 2
-                toks = []
-                for _ in range(ctx_len + 1):
-                    (tlen,) = struct.unpack_from("<H", buf, off)
+            if version != cls.VERSION:
+                raise ValidationError(f"{path}: unsupported model version {version}")
+            weights = struct.unpack_from("<4d", buf, off)
+            off += 32
+            counts: List[Dict[Context, Dict[str, int]]] = []
+            vocab: List[set] = []
+            for _ in range(N_COMPONENTS):
+                (n_triples,) = struct.unpack_from("<I", buf, off)
+                off += 4
+                tables: Dict[Context, Dict[str, int]] = {}
+                voc = set()
+                for _ in range(n_triples):
+                    (ctx_len,) = struct.unpack_from("<H", buf, off)
                     off += 2
-                    toks.append(buf[off:off + tlen].decode("utf-8"))
-                    off += tlen
-                (count,) = struct.unpack_from("<Q", buf, off)
-                off += 8
-                ctx, token = tuple(toks[:-1]), toks[-1]
-                tables.setdefault(ctx, {})[token] = count
-                voc.update(toks)
-            counts.append(tables)
-            vocab.append(voc)
+                    toks = []
+                    for _ in range(ctx_len + 1):
+                        (tlen,) = struct.unpack_from("<H", buf, off)
+                        (raw,) = struct.unpack_from(f"<{tlen}s", buf, off + 2)
+                        toks.append(raw.decode("utf-8"))
+                        off += 2 + tlen
+                    (count,) = struct.unpack_from("<Q", buf, off)
+                    off += 8
+                    ctx, token = tuple(toks[:-1]), toks[-1]
+                    tables.setdefault(ctx, {})[token] = count
+                    voc.update(toks)
+                counts.append(tables)
+                vocab.append(voc)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: truncated or corrupt model file ({exc})") from exc
+        if off != len(buf):
+            raise ValidationError(f"{path}: {len(buf) - off} trailing bytes after the model")
         return cls(max_order=max_order, weights=weights, counts=counts, vocab=vocab)
 
 
@@ -231,7 +225,7 @@ def train(
         # training streams may legitimately repeat a zone).
         items = list(zseq.zones) if isinstance(zseq, ZoneSequence) else list(zseq)
         zones = ([sentinel] if sentinel else []) + items
-        streams = [tuple(tokenize_zone(z)) for z in zones]
+        streams = [tokenize_zone(z) for z in zones]
         start = 1 if sentinel else 0
         for k in range(N_COMPONENTS):
             stream = [comp[k] for comp in streams]

@@ -141,10 +141,6 @@ def route_score(route: Route, submitted: StopSequence) -> RouteScore:
     """SD * ERP cost / ERP edits for one route (0 when there are no edits)."""
     if route.actual is None:
         raise ValidationError(f"route {route.route_id}: no actual sequence to score against")
-    if route.travel_times is None:
-        # normalized_dist supplies the haversine fallback matrix the erp
-        # contract asks for; keep going rather than refusing the route.
-        pass
     depot_id = route.depot.id
     actual_ids = [sid for sid in route.actual.ids if sid != depot_id]
     submitted_ids = [sid for sid in submitted.ids if sid != depot_id]

