@@ -77,9 +77,12 @@ def impute_zone(route: Route, stop: Stop) -> str:
 def _load_json(path: Path):
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            raw = json.load(f)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path.name}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path.name} must hold a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def load_dataset(dir_path, split: Split = Split.TRAIN) -> Dataset:
@@ -125,7 +128,37 @@ def _coordinate(route_id, stop_id, raw, name) -> float:
         ) from None
 
 
+def _object(route_id, raw, what) -> dict:
+    if not isinstance(raw, dict):
+        raise ValidationError(
+            f"route {route_id}: {what} must be a JSON object, got {type(raw).__name__}"
+        )
+    return raw
+
+
+def _zone_id(route_id, stop_id, raw) -> Optional[str]:
+    zone = raw.get("zone_id")
+    if zone is not None and not isinstance(zone, str):
+        raise ValidationError(
+            f"route {route_id}: stop {stop_id!r} has a non-string 'zone_id' {zone!r}"
+        )
+    return zone or None
+
+
+def _quality(route_id, raw) -> Optional[Quality]:
+    if raw is None:
+        return None
+    try:
+        return Quality(raw)
+    except (ValueError, TypeError):
+        allowed = ", ".join(repr(q.value) for q in Quality)
+        raise ValidationError(
+            f"route {route_id}: quality {raw!r} is not one of {allowed}"
+        ) from None
+
+
 def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
+    body = _object(route_id, body, "route body")
     depot_raw = body.get("depot")
     if depot_raw is None:
         raise ValidationError(f"route {route_id}: missing depot entry")
@@ -137,21 +170,25 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
             kind=StopKind.DEPOT,
         )
     }
-    for sid, s in body.get("stops", {}).items():
+    for sid, s in _object(route_id, body.get("stops", {}), "'stops'").items():
         if sid == DEPOT_STOP_ID:
             raise ValidationError(f"route {route_id}: stop id {DEPOT_STOP_ID!r} is reserved")
         stops[sid] = Stop(
             id=sid,
             lat=_coordinate(route_id, sid, s, "lat"),
             lng=_coordinate(route_id, sid, s, "lng"),
-            zone_id=s.get("zone_id") or None,
+            zone_id=_zone_id(route_id, sid, s),
         )
 
     actual = None
     if actual_raw is not None:
-        positions = sorted(actual_raw.items(), key=lambda kv: kv[1])
-        ids = tuple(sid for sid, _ in positions)
-        if sorted(p for _, p in positions) != list(range(len(positions))):
+        positions = _object(route_id, actual_raw, "actual sequence")
+        try:
+            ids = tuple(sorted(positions, key=positions.__getitem__))
+            valid = sorted(positions.values()) == list(range(len(positions)))
+        except TypeError:  # a position that does not compare with integers
+            valid = False
+        if not valid:
             raise ValidationError(
                 f"route {route_id}: actual sequence positions are not 0..n-1"
             )
@@ -159,7 +196,7 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
 
     matrix = None
     if matrix_raw is not None:
-        ids = tuple(sorted(matrix_raw))
+        ids = tuple(sorted(_object(route_id, matrix_raw, "travel time matrix")))
         try:
             t = tuple(
                 tuple(float(matrix_raw[a][b]) for b in ids) for a in ids
@@ -169,9 +206,13 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
                 f"route {route_id}: travel time matrix is not square, "
                 f"missing entry for {exc.args[0]!r}"
             )
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"route {route_id}: travel time matrix has a malformed or non-numeric entry"
+            ) from None
         matrix = TravelTimeMatrix(ids=ids, t=t)
 
-    quality = Quality(quality_raw) if quality_raw is not None else None
+    quality = _quality(route_id, quality_raw)
 
     # Build once without imputation to get a valid Route for distance calls,
     # then repair any missing zone ids.

@@ -118,6 +118,10 @@ class PpmModel:
             cache[key] = p
         return p
 
+    def compile_route(self, zones: Sequence[str], sentinel: str = DEPOT_ZONE) -> "CompiledRoute":
+        """Per-route view answering `prob` for all of a route's zones at once."""
+        return CompiledRoute(self, zones, sentinel)
+
     def seq_reward(
         self,
         zones: Sequence[str],
@@ -200,6 +204,100 @@ class PpmModel:
         if off != len(buf):
             raise ValidationError(f"{path}: {len(buf) - off} trailing bytes after the model")
         return cls(max_order=max_order, weights=weights, counts=counts, vocab=vocab)
+
+
+class CompiledRoute:
+    """The blended probabilities of one route's zones, one list per context.
+
+    The route's distinct zones, sorted by id, become indices 0..n-1 and the
+    sentinel becomes index n. ``probs(seq)`` takes a sequence of indices and
+    returns a list ``p`` with ``p[j] == model.prob(ctx, zones[j])`` bit for
+    bit, where ``ctx`` is the zone ids of the last ``max_order`` entries of
+    ``seq``. The float operations are those of ``component_prob`` and
+    ``prob``, in the same order.
+
+    Each list is computed once per context. Below that, component k's list
+    depends only on the longest suffix of its token context that has a
+    recorded table (longer ones are skipped without an escape), so it is
+    memoised on that suffix, and the blend on the four suffixes.
+    """
+
+    def __init__(self, model: PpmModel, zones: Sequence[str], sentinel: str):
+        self.zones: Tuple[str, ...] = tuple(sorted(set(zones)))
+        self.sentinel = len(self.zones)
+        self.reads = 0  # calls of probs()
+        self._model = model
+        self._order = model.max_order
+        self._active = [k for k, w in enumerate(model.weights) if w != 0.0]
+        # _tokens[i][k]: component k token of zone index i (sentinel last)
+        self._tokens = [tokenize_zone(z) for z in self.zones + (sentinel,)]
+        self._lists: Dict[Tuple[int, ...], List[float]] = {}
+        self._blends: Dict[Tuple[Context, ...], List[float]] = {}
+        self._component_lists: List[Dict[Context, List[float]]] = [{} for _ in range(N_COMPONENTS)]
+
+    @property
+    def contexts(self) -> int:
+        """Number of distinct contexts whose probability list was looked up."""
+        return len(self._lists)
+
+    def probs(self, seq: Sequence[int]) -> List[float]:
+        self.reads += 1
+        key = tuple(seq[-self._order:]) if self._order else ()
+        vec = self._lists.get(key)
+        if vec is None:
+            tokens = [self._tokens[i] for i in key]
+            suffixes = tuple(self._suffix(k, tuple(t[k] for t in tokens)) for k in self._active)
+            vec = self._blends.get(suffixes)
+            if vec is None:
+                vec = [0.0] * len(self.zones)
+                for k, ctx in zip(self._active, suffixes):
+                    w = self._model.weights[k]
+                    vec = [p + w * c for p, c in zip(vec, self._component_list(k, ctx))]
+                self._blends[suffixes] = vec
+            self._lists[key] = vec
+        return vec
+
+    def _suffix(self, k: int, ctx: Context) -> Context:
+        """Longest suffix of `ctx` with a non-empty component-k table, else ()."""
+        tables = self._model.counts[k]
+        for start in range(len(ctx)):
+            if tables.get(ctx[start:]):
+                return ctx[start:]
+        return ()
+
+    def _component_list(self, k: int, ctx: Context) -> List[float]:
+        """`component_prob(k, ctx, token)` for every zone's component-k token."""
+        memo = self._component_lists[k]
+        out = memo.get(ctx)
+        if out is not None:
+            return out
+        tables = self._model.counts[k]
+        chain = []  # (table, total, escape product before it), longest context first
+        acc = 1.0
+        for start in range(len(ctx) + 1):
+            table = tables.get(ctx[start:])
+            if not table:
+                continue
+            t = sum(table.values())
+            chain.append((table, t, acc))
+            acc *= len(table) / (2 * t)
+        floor = acc / (len(self._model.vocab[k]) + 1)
+        by_token: Dict[str, float] = {}
+        out = []
+        for toks in self._tokens[:-1]:
+            token = toks[k]
+            p = by_token.get(token)
+            if p is None:
+                p = floor
+                for table, t, a in chain:
+                    c = table.get(token, 0)
+                    if c > 0:
+                        p = a * (2 * c - 1) / (2 * t)
+                        break
+                by_token[token] = p
+            out.append(p)
+        memo[ctx] = out
+        return out
 
 
 def train(

@@ -6,6 +6,11 @@ windows cross the prefix/completion boundary, so the objective stays
 additive over one whole sequence and the classic rollout improvement
 guarantee applies. Ties break lexicographically on zone id everywhere,
 which makes runs reproducible.
+
+The search runs on zone indices of a route compiled once by
+``PpmModel.compile_route``: zones are numbered in id order, so the first
+maximum of a probability list over a sorted index list is also the
+lexicographically smallest zone.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import DEPOT_ZONE, ValidationError, ZoneSequence
-from .ppm import PpmModel
+from .ppm import CompiledRoute, PpmModel
 
 
 @dataclass(frozen=True)
@@ -43,77 +48,79 @@ def apply_action(state: RolloutState, zone: str) -> RolloutState:
     )
 
 
-class _ProbCounter:
-    """Wraps a model's prob with memoization and a call counter."""
+def _greedy(
+    route: CompiledRoute, seq: List[int], remaining: List[int], total: float = 0.0
+) -> Tuple[List[int], float]:
+    """Greedy completion of index sequence `seq` over sorted `remaining`.
 
-    def __init__(self, model: PpmModel):
-        self.model = model
-        self.cache: dict = {}
-        self.calls = 0
+    Returns the appended indices and `total` plus their sliding-window
+    probabilities, added in sequence order.
+    """
+    seq, remaining = list(seq), list(remaining)
+    out: List[int] = []
+    while remaining:
+        vec = route.probs(seq)
+        best = max(remaining, key=vec.__getitem__)
+        total += vec[best]
+        out.append(best)
+        seq.append(best)
+        remaining.remove(best)
+    return out, total
 
-    def __call__(self, context: Sequence[str], candidate: str) -> float:
-        self.calls += 1
-        return self.model.prob(context, candidate, cache=self.cache)
+
+def _lookahead(
+    route: CompiledRoute,
+    seq: List[int],
+    remaining: List[int],
+    diagnostics: Optional[Dict[int, float]] = None,
+) -> int:
+    """Index in sorted `remaining` maximising immediate reward + greedy reward-to-go."""
+    vec = route.probs(seq)
+    best_zone, best_score = None, None
+    for zone in remaining:
+        rest = [z for z in remaining if z != zone]
+        _, score = _greedy(route, seq + [zone], rest, vec[zone])
+        if diagnostics is not None:
+            diagnostics[zone] = score
+        if best_score is None or score > best_score:
+            best_zone, best_score = zone, score
+    return best_zone
+
+
+def _compile_state(model: PpmModel, state: RolloutState, sentinel: str):
+    route = model.compile_route(state.prefix + tuple(state.remaining), sentinel)
+    index = {z: i for i, z in enumerate(route.zones)}
+    seq = [route.sentinel] + [index[z] for z in state.prefix]
+    return route, seq, sorted(index[z] for z in state.remaining)
 
 
 def greedy_completion(
-    model: PpmModel,
-    state: RolloutState,
-    sentinel: str = DEPOT_ZONE,
-    _prob=None,
+    model: PpmModel, state: RolloutState, sentinel: str = DEPOT_ZONE
 ) -> List[str]:
     """Greedy baseline policy: repeatedly take the most probable next zone.
 
     Returns only the appended zones, not the prefix.
     """
-    prob = _prob or _ProbCounter(model)
-    seq = [sentinel] + list(state.prefix)
-    remaining = set(state.remaining)
-    out: List[str] = []
-    K = model.max_order
-    while remaining:
-        ctx = seq[-K:]
-        best = min(remaining, key=lambda z: (-prob(ctx, z), z))
-        out.append(best)
-        seq.append(best)
-        remaining.remove(best)
-    return out
-
-
-def _suffix_reward(prob, prefix_ctx: List[str], suffix: Sequence[str], K: int) -> float:
-    """Summed sliding-window probabilities of `suffix` continuing `prefix_ctx`."""
-    seq = list(prefix_ctx)
-    total = 0.0
-    for z in suffix:
-        total += prob(seq[-K:], z)
-        seq.append(z)
-    return total
+    route, seq, remaining = _compile_state(model, state, sentinel)
+    out, _ = _greedy(route, seq, remaining)
+    return [route.zones[i] for i in out]
 
 
 def next_zone(
     model: PpmModel,
     state: RolloutState,
     sentinel: str = DEPOT_ZONE,
-    _prob=None,
     diagnostics: Optional[Dict[str, float]] = None,
 ) -> str:
     """One-step lookahead: argmax of immediate reward + greedy reward-to-go."""
     if not state.remaining:
         raise ValidationError("no zones remaining")
-    prob = _prob or _ProbCounter(model)
-    K = model.max_order
-    base_ctx = [sentinel] + list(state.prefix)
-    best_zone, best_score = None, None
-    for zone in sorted(state.remaining):
-        completion = greedy_completion(
-            model, apply_action(state, zone), sentinel=sentinel, _prob=prob
-        )
-        score = _suffix_reward(prob, base_ctx, [zone] + completion, K)
-        if diagnostics is not None:
-            diagnostics[zone] = score
-        if best_score is None or score > best_score:
-            best_zone, best_score = zone, score
-    return best_zone
+    route, seq, remaining = _compile_state(model, state, sentinel)
+    scores: Dict[int, float] = {}
+    best = _lookahead(route, seq, remaining, scores)
+    if diagnostics is not None:
+        diagnostics.update((route.zones[i], s) for i, s in scores.items())
+    return route.zones[best]
 
 
 def rollout_sequence(
@@ -125,16 +132,21 @@ def rollout_sequence(
 ) -> ZoneSequence:
     """Sequence a full zone set by repeated one-step lookahead.
 
-    Pure function of (model, zones); the optional `stats` dict receives the
-    number of probability evaluations under "prob_calls".
+    Pure function of (model, zones). The optional `stats` dict receives
+    "prob_calls", the number of probability-list reads (one per context a
+    greedy or lookahead step looks up), and "contexts", the number of
+    distinct contexts whose list was computed, which is the PPM work done.
     """
     if not zones:
         raise ValidationError(f"route {route_id}: empty zone set")
-    prob = _ProbCounter(model)
-    state = RolloutState(prefix=(), remaining=frozenset(zones))
-    while state.remaining:
-        zone = next_zone(model, state, sentinel=sentinel, _prob=prob)
-        state = apply_action(state, zone)
+    route = model.compile_route(zones, sentinel)
+    seq = [route.sentinel]
+    remaining = list(range(len(route.zones)))
+    while remaining:
+        zone = _lookahead(route, seq, remaining)
+        seq.append(zone)
+        remaining.remove(zone)
     if stats is not None:
-        stats["prob_calls"] = prob.calls
-    return ZoneSequence(route_id=route_id, zones=state.prefix)
+        stats["prob_calls"] = route.reads
+        stats["contexts"] = route.contexts
+    return ZoneSequence(route_id=route_id, zones=tuple(route.zones[i] for i in seq[1:]))

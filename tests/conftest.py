@@ -80,6 +80,51 @@ def exhaustive_best_reward(model, zones, sentinel="stz"):
     return best[0]
 
 
+def oracle_greedy_completion(model, prefix, remaining, sentinel="stz", cache=None):
+    """Reference greedy base policy built only on `model.prob`."""
+    cache = {} if cache is None else cache
+    seq = [sentinel] + list(prefix)
+    remaining = set(remaining)
+    out = []
+    K = model.max_order
+    while remaining:
+        ctx = seq[-K:]
+        best = min(remaining, key=lambda z: (-model.prob(ctx, z, cache=cache), z))
+        out.append(best)
+        seq.append(best)
+        remaining.remove(best)
+    return out
+
+
+def oracle_next_zone(model, prefix, remaining, sentinel="stz", cache=None):
+    """Reference one-step lookahead built only on `model.prob`."""
+    cache = {} if cache is None else cache
+    K = model.max_order
+    best_zone, best_score = None, None
+    for zone in sorted(remaining):
+        completion = oracle_greedy_completion(
+            model, list(prefix) + [zone], set(remaining) - {zone}, sentinel, cache)
+        seq = [sentinel] + list(prefix)
+        score = 0.0
+        for z in [zone] + completion:
+            score += model.prob(seq[-K:], z, cache=cache)
+            seq.append(z)
+        if best_score is None or score > best_score:
+            best_zone, best_score = zone, score
+    return best_zone
+
+
+def oracle_rollout_sequence(model, zones, sentinel="stz"):
+    """Reference rollout zone order (a tuple) built only on `model.prob`."""
+    cache = {}
+    prefix, remaining = [], set(zones)
+    while remaining:
+        zone = oracle_next_zone(model, prefix, remaining, sentinel, cache)
+        prefix.append(zone)
+        remaining.remove(zone)
+    return tuple(prefix)
+
+
 def brute_force_atsp(cost, start=0):
     """Optimal closed-tour cost by enumerating all (n-1)! tours."""
     n = len(cost)

@@ -118,6 +118,48 @@ def test_evaluate_stop_without_lng_exits_1(synth_dirs, capsys):
     assert "validation error:" in err and rid in err and sid in err
 
 
+def test_evaluate_stops_list_exits_1(synth_dirs, capsys):
+    tmp_path, data = synth_dirs
+    routes_path = data / "eval" / "routes.json"
+    routes = json.loads(routes_path.read_text())
+    rid = sorted(routes)[0]
+    routes[rid]["stops"] = []
+    routes_path.write_text(json.dumps(routes))
+    code = main(["evaluate", "--dataset", str(data / "eval"),
+                 "--submission", str(tmp_path / "unused.json"),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and rid in err
+
+
+def test_train_integer_zone_id_exits_1(synth_dirs, capsys):
+    tmp_path, data = synth_dirs
+    routes_path = data / "train" / "routes.json"
+    routes = json.loads(routes_path.read_text())
+    rid = sorted(routes)[0]
+    sid = sorted(routes[rid]["stops"])[0]
+    routes[rid]["stops"][sid]["zone_id"] = 5
+    routes_path.write_text(json.dumps(routes))
+    code = main(["train", "--dataset", str(data / "train"),
+                 "--model", str(tmp_path / "m.zppm")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and rid in err and sid in err
+
+
+def test_train_lowercase_quality_exits_1(synth_dirs, capsys):
+    tmp_path, data = synth_dirs
+    routes = json.loads((data / "train" / "routes.json").read_text())
+    rid = sorted(routes)[0]
+    (data / "train" / "quality.json").write_text(json.dumps({rid: "high"}))
+    code = main(["train", "--dataset", str(data / "train"),
+                 "--model", str(tmp_path / "m.zppm")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and rid in err and "'High'" in err
+
+
 def test_threads_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["sequence", "--dataset", "d", "--model", "m.zppm",

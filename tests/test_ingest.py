@@ -96,6 +96,63 @@ def test_bad_coordinate_names_route_stop_and_field(tmp_path, stop_id, field, val
     assert repr(field) in message
 
 
+@pytest.mark.parametrize("routes", [
+    [{"r1": {}}],
+    {"r1": []},
+    {"r1": "route"},
+    {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": []}},
+    {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": "a"}},
+], ids=["top-list", "body-list", "body-text", "stops-list", "stops-text"])
+def test_non_object_route_or_stops_names_route(tmp_path, routes):
+    write_fixture(tmp_path, routes)
+    match = "routes.json" if isinstance(routes, list) else "route r1: .*JSON object"
+    with pytest.raises(ValidationError, match=match):
+        ingest.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("actuals, travel, match", [
+    (["r1"], None, "actual_sequences.json"),
+    ({"r1": ["depot", "a", "b"]}, None, "route r1: actual sequence"),
+    ({"r1": {"depot": "0", "a": 1, "b": 2}}, None, "route r1: actual sequence"),
+    (None, [], "travel_times.json"),
+    (None, {"r1": [1, 2]}, "route r1: travel time matrix"),
+    (None, {"r2": {"depot": [0, 5], "c": {"depot": 5, "c": 0}}},
+     "route r2: travel time matrix"),
+    (None, {"r2": {"depot": {"depot": 0, "c": "far"}, "c": {"depot": 5, "c": 0}}},
+     "route r2: travel time matrix"),
+], ids=["actuals-top-list", "actual-list", "actual-text-position",
+        "travel-top-list", "matrix-list", "matrix-row-list", "matrix-text-entry"])
+def test_malformed_actuals_or_travel_times_name_route(tmp_path, actuals, travel, match):
+    write_fixture(tmp_path, TWO_ROUTES, actuals=actuals, travel=travel)
+    with pytest.raises(ValidationError, match=match):
+        ingest.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("zone", [5, 0, ["Z1"]], ids=["int", "zero", "list"])
+def test_non_string_zone_id_names_route_stop_and_field(tmp_path, zone):
+    routes = json.loads(json.dumps(TWO_ROUTES))
+    routes["r1"]["stops"]["a"]["zone_id"] = zone
+    write_fixture(tmp_path, routes)
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    message = str(excinfo.value)
+    assert "route r1" in message and "'a'" in message and "'zone_id'" in message
+
+
+@pytest.mark.parametrize("quality", ["high", "HIGH", "", 1, None],
+                         ids=["lower", "upper", "empty", "int", "null"])
+def test_unknown_quality_names_route_and_allowed_values(tmp_path, quality):
+    write_fixture(tmp_path, TWO_ROUTES, quality={"r1": "High", "r2": quality})
+    if quality is None:
+        assert ingest.load_dataset(tmp_path).routes["r2"].quality is None
+        return
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    message = str(excinfo.value)
+    assert "route r2" in message
+    assert "'High', 'Medium', 'Low'" in message
+
+
 def test_zone_imputation_on_load(tmp_path):
     routes = {
         "r1": {

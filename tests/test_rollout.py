@@ -5,7 +5,7 @@ import pytest
 
 from zoneseq import ppm, rollout
 from zoneseq.core import ValidationError
-from zoneseq.ppm import train
+from zoneseq.ppm import CompiledRoute, train
 from zoneseq.rollout import (
     RolloutState,
     apply_action,
@@ -13,7 +13,12 @@ from zoneseq.rollout import (
     next_zone,
     rollout_sequence,
 )
-from conftest import exhaustive_best_reward, patterned_instance, random_corpus
+from conftest import (
+    exhaustive_best_reward,
+    oracle_rollout_sequence,
+    patterned_instance,
+    random_corpus,
+)
 
 
 def state(prefix=(), remaining=()):
@@ -183,6 +188,7 @@ def test_prob_call_counter_bounded():
         rollout_sequence(m, "r", zones, stats=stats)
         n = len(zones)
         assert stats["prob_calls"] <= 3 * n ** 3 + 10
+        assert 1 <= stats["contexts"] <= stats["prob_calls"]
 
 
 def test_rollout_deterministic():
@@ -191,3 +197,39 @@ def test_rollout_deterministic():
     zones = {"A-1.1X", "B-2.2Y", "C-0.0Z", "D-1.0W", "E-3.3V"}
     outs = {rollout_sequence(m, "r", zones).zones for _ in range(20)}
     assert len(outs) == 1
+
+
+def test_rollout_matches_prob_oracle_fuzz(monkeypatch):
+    # orders 1-6, weights with zero components, zone ids partly or wholly
+    # unseen in training, 1-15 zones; the oracle and the exactness check use
+    # only PpmModel.prob
+    read = {}  # zone-id context -> (route zones, list rollout read for it)
+    compiled_probs = CompiledRoute.probs
+
+    def recording_probs(route, seq):
+        probs = compiled_probs(route, seq)
+        ids = route.zones + ("stz",)
+        read[tuple(ids[i] for i in seq)[-order:]] = (route.zones, probs)
+        return probs
+
+    monkeypatch.setattr(CompiledRoute, "probs", recording_probs)
+    rng = random.Random(9)
+    for _ in range(200):
+        raw = [rng.choice([0, 0, 1, 2, 3]) for _ in range(4)]
+        raw[rng.randrange(4)] = rng.randint(1, 3)
+        weights = tuple(w / sum(raw) for w in raw)
+        if abs(sum(weights) - 1.0) > 1e-12:
+            continue
+        order = rng.randint(1, 6)
+        m = train(random_corpus(rng, n_seqs=rng.randint(2, 8)),
+                  max_order=order, weights=weights)
+        n = rng.randint(1, 15)
+        zones = {f"{c}-{rng.randint(0, 3)}.{rng.randint(0, 3)}{rng.choice('XYQ')}"
+                 for c in "ABCDEFGHIJKLMNO"[:n]}
+        read.clear()
+        assert rollout_sequence(m, "r", zones).zones == \
+            oracle_rollout_sequence(m, zones)
+        assert read
+        for ctx, (route_zones, probs) in read.items():
+            assert route_zones == tuple(sorted(zones))
+            assert [m.prob(list(ctx), z) for z in route_zones] == probs
