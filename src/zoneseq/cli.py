@@ -161,8 +161,19 @@ def cmd_sequence(args) -> int:
 
 
 def load_submission(path) -> Dict[str, StopSequence]:
+    """Read {route_id: [stop ids]}; any other JSON shape is a ValidationError."""
     with open(path, "r", encoding="utf-8") as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValidationError(
+            f"submission {path}: expected a JSON object of route id -> stop ids, "
+            f"got {type(raw).__name__}"
+        )
+    for rid, ids in raw.items():
+        if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
+            raise ValidationError(
+                f"submission {path}: route {rid}: expected a list of stop id strings"
+            )
     return {
         rid: StopSequence(route_id=rid, ids=tuple(ids)) for rid, ids in raw.items()
     }

@@ -142,9 +142,16 @@ def route_score(route: Route, submitted: StopSequence) -> RouteScore:
     if route.actual is None:
         raise ValidationError(f"route {route.route_id}: no actual sequence to score against")
     depot_id = route.depot.id
+    if not submitted.ids or submitted.ids[0] != depot_id:
+        raise ValidationError(
+            f"route {route.route_id}: submission must start at the depot {depot_id!r}"
+        )
     actual_ids = [sid for sid in route.actual.ids if sid != depot_id]
-    submitted_ids = [sid for sid in submitted.ids if sid != depot_id]
-    sd = sequence_deviation(actual_ids, submitted_ids)
+    submitted_ids = list(submitted.ids[1:])
+    try:
+        sd = sequence_deviation(actual_ids, submitted_ids)
+    except ValidationError as exc:
+        raise ValidationError(f"route {route.route_id}: {exc}") from None
     dist = normalized_dist(route)
     cost, edits = erp(actual_ids, submitted_ids, dist, depot_id)
     score = 0.0 if edits == 0 else sd * cost / edits
@@ -157,6 +164,9 @@ def dataset_score(
     dataset: Dataset, submissions: Dict[str, StopSequence]
 ) -> ScoreReport:
     """Unweighted mean route score over every route that has an actual."""
+    unknown = sorted(set(submissions) - set(dataset.routes))
+    if unknown:
+        raise ValidationError(f"submission has routes not in the dataset: {unknown}")
     per_route: List[RouteScore] = []
     for route_id in sorted(dataset.routes):
         route = dataset.routes[route_id]

@@ -6,6 +6,12 @@ Tours come from nearest-neighbour construction improved by Or-opt segment
 relocation and direction-preserving 3-opt segment exchange; plain 2-opt is
 avoided because segment reversal changes cost under asymmetric matrices.
 
+Each local-search scan scores all of its candidate moves in one numpy
+evaluation and then applies the move a first-improvement loop would: the
+first segment start i (Or-opt) or cut pair (i, j), by i then j (3-opt),
+whose best gain exceeds the epsilon, at the first slot p or third cut k
+with that gain. After each move the scan restarts from the beginning.
+
 An external TSPLIB solver (e.g. a Lin-Kernighan binary) can be plugged in;
 its tours flow through the same rotation/filter post-processing.
 """
@@ -164,34 +170,50 @@ def nearest_neighbor_tour(cost, start: int) -> List[int]:
 
 _GAIN_EPS = 1e-9
 
+# Most 3-opt gains scored in one numpy evaluation: (n - 2)^3 for a tour of
+# n nodes, so tours up to 66 nodes take one block (2 MB of float64).
+_BLOCK_ELEMENTS = 1 << 18
+
 
 def _or_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> bool:
-    """Relocate segments of length 1-3 without reversal (asymmetric-safe)."""
+    """Relocate segments of length 1-3 without reversal (asymmetric-safe).
+
+    For each length, a scan scores moving the segment that starts at tour
+    position i to after slot p of the rest of the tour, for every (i, p) in
+    one numpy evaluation. It applies the first i whose best gain exceeds
+    _GAIN_EPS, at the first p with that gain, and restarts from i = 0.
+    """
     n = len(tour)
     improved = False
     for seg_len in (1, 2, 3):
         if seg_len >= n - 1:
             break
-        i = 0
-        while i + seg_len <= n and budget[0] > 0:
+        m = n - seg_len  # nodes left outside the segment
+        starts = np.arange(m + 1)
+        slots = np.arange(m)
+        # Slot p of the rest is tour position p, or p + seg_len past the segment.
+        here = slots + seg_len * (slots >= starts[:, None])
+        after = here[:, (slots + 1) % m]
+        pred_slot = (starts - 1) % m  # reinserting there leaves the tour as is
+        while budget[0] > 0:
+            t = np.asarray(tour)
+            first, last = t[:m + 1], t[seg_len - 1:]
+            pred, succ = t[starts - 1], t[(starts + seg_len) % n]
+            removed = cost[pred, first] + cost[last, succ] - cost[pred, succ]
+            a, b = t[here], t[after]
+            added = cost[a, first[:, None]] + cost[last[:, None], b] - cost[a, b]
+            gains = removed[:, None] - added
+            gains[starts, pred_slot] = 0.0
+            hits = np.flatnonzero(gains.max(axis=1) > _GAIN_EPS)
+            if not hits.size:
+                break
+            i = int(hits[0])
+            p = int(np.argmax(gains[i]))
             seg = tour[i:i + seg_len]
-            pred = tour[i - 1]  # wraps for i = 0
-            succ = tour[(i + seg_len) % n]
-            removed = cost[pred, seg[0]] + cost[seg[-1], succ] - cost[pred, succ]
             rest = tour[:i] + tour[i + seg_len:]
-            rest_a = np.asarray(rest)
-            rest_b = np.roll(rest_a, -1)
-            added = cost[rest_a, seg[0]] + cost[seg[-1], rest_b] - cost[rest_a, rest_b]
-            gains = removed - added
-            gains[rest.index(pred)] = 0.0  # reinserting into the same slot
-            p = int(np.argmax(gains))
-            if gains[p] > _GAIN_EPS:
-                tour[:] = rest[: p + 1] + seg + rest[p + 1:]
-                improved = True
-                budget[0] -= 1
-                i = 0
-                continue
-            i += 1
+            tour[:] = rest[: p + 1] + seg + rest[p + 1:]
+            improved = True
+            budget[0] -= 1
     return improved
 
 
@@ -200,38 +222,49 @@ def _three_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> boo
 
     Cuts after positions i < j < k split the tour into A B C D (D possibly
     empty); reconnection A C B D keeps every segment's direction, so it is
-    valid under asymmetric costs.
+    valid under asymmetric costs. A scan scores every cut triple in one
+    numpy evaluation (blocks of i for long tours). It applies the first
+    (i, j), by i then j, whose best gain exceeds _GAIN_EPS, at the first k
+    with that gain, and restarts from i = 0.
     """
     n = len(tour)
+    if n < 3:
+        return False
+    # i, j and k each take w values: 0..n-3, 1..n-2 and 2..n-1. Offset that
+    # way, both j <= i and k <= j mean "column index below row index".
+    w = n - 2
+    below = np.tri(w, w, -1, dtype=bool)
+    rows = max(1, _BLOCK_ELEMENTS // (w * w))
     improved = False
-    restart = True
-    while restart and budget[0] > 0:
-        restart = False
-        tv = np.asarray(tour)
-        nxt = np.roll(tv, -1)
-        for i in range(n - 2):
-            a, b = tour[i], tour[i + 1]
-            for j in range(i + 1, n - 1):
-                c, d = tour[j], tour[j + 1]
-                base = cost[a, d] - cost[a, b] - cost[c, d]
-                e = tv[j + 1:]
-                f = nxt[j + 1:]
-                gains = -(base + cost[e, b] + cost[c, f] - cost[e, f])
-                kk = int(np.argmax(gains))
-                if gains[kk] > _GAIN_EPS:
-                    k = j + 1 + kk
-                    tour[:] = (
-                        tour[: i + 1]
-                        + tour[j + 1: k + 1]
-                        + tour[i + 1: j + 1]
-                        + tour[k + 1:]
-                    )
-                    improved = True
-                    budget[0] -= 1
-                    restart = True
-                    break
-            if restart:
+    while budget[0] > 0:
+        t = np.asarray(tour)
+        q = cost[t[:, None], np.roll(t, -1)]  # q[x, y]: tour[x] -> tour[y + 1]
+        arc = q.diagonal()
+        # With a b = tour[i, i+1], c d = tour[j, j+1], e f = tour[k, k+1]:
+        base = q[:w, 1:w + 1] - arc[:w, None] - arc[1:w + 1]  # ad - ab - cd, (i, j)
+        eb = q[2:, :w].T  # (i, k)
+        cf = q[1:w + 1, 2:]  # (j, k)
+        ef = arc[2:]  # (k,)
+        move = None
+        for i0 in range(0, w, rows):
+            g = base[i0:i0 + rows, :, None] + eb[i0:i0 + rows, None, :]
+            g += cf
+            g -= ef
+            np.negative(g, out=g)
+            np.copyto(g, -np.inf, where=below)
+            best = g.max(axis=2)
+            best[below[i0:i0 + rows]] = -np.inf
+            hits = np.flatnonzero(best > _GAIN_EPS)
+            if hits.size:
+                bi, jj = divmod(int(hits[0]), w)
+                move = (i0 + bi, jj + 1, int(np.argmax(g[bi, jj])) + 2)
                 break
+        if move is None:
+            break
+        i, j, k = move
+        tour[:] = tour[: i + 1] + tour[j + 1: k + 1] + tour[i + 1: j + 1] + tour[k + 1:]
+        improved = True
+        budget[0] -= 1
     return improved
 
 
@@ -244,13 +277,15 @@ def _improve(cost: np.ndarray, tour: List[int], budget: List[int]) -> List[int]:
     return tour
 
 
-def solve_atsp(instance: ZoneTspInstance) -> List[int]:
+def solve_atsp(instance: ZoneTspInstance, stats: Optional[dict] = None) -> List[int]:
     """Closed-tour heuristic: nearest neighbour + Or-opt + 3-opt exchange.
 
     Multi-start over all construction nodes for small instances (closed
     tours are rotation invariant, so the forced ls start is recovered by
     rotation afterwards). Deterministic given the instance; accepted moves
-    are capped at 50 * n to bound per-route latency.
+    are capped at 50 * n to bound per-route latency. The optional `stats`
+    dict receives `moves` (accepted moves over all starts), `starts`
+    (constructions run) and `budget_exhausted` (the cap ended the search).
     """
     cost = np.asarray(instance.cost, dtype=float)
     n = instance.n
@@ -261,13 +296,17 @@ def solve_atsp(instance: ZoneTspInstance) -> List[int]:
     if n <= 12:
         starts += [i for i in range(n) if i != instance.start_index]
     best_tour, best_cost = None, math.inf
-    for start in starts:
+    for run, start in enumerate(starts, 1):
         tour = _improve(cost, nearest_neighbor_tour(cost, start), budget)
         c = tour_cost(cost, tour)
         if c < best_cost - 1e-12:
             best_tour, best_cost = tour, c
         if budget[0] <= 0:
             break
+    if stats is not None:
+        stats["moves"] = 50 * n - budget[0]
+        stats["starts"] = run
+        stats["budget_exhausted"] = budget[0] <= 0
     return best_tour
 
 

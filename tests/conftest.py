@@ -1,6 +1,8 @@
 import itertools
 import random
+from typing import List
 
+import numpy as np
 import pytest
 
 from zoneseq.core import Route, Stop, StopKind, StopSequence, TravelTimeMatrix
@@ -136,3 +138,88 @@ def brute_force_atsp(cost, start=0):
         if c < best:
             best = c
     return best
+
+
+# Reference local search: the per-(i, j) / per-segment loop form that
+# `zoneseq.tsp` evaluates in one numpy expression per scan.
+
+ORACLE_GAIN_EPS = 1e-9
+
+
+def oracle_or_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> bool:
+    """Relocate segments of length 1-3 without reversal (asymmetric-safe)."""
+    n = len(tour)
+    improved = False
+    for seg_len in (1, 2, 3):
+        if seg_len >= n - 1:
+            break
+        i = 0
+        while i + seg_len <= n and budget[0] > 0:
+            seg = tour[i:i + seg_len]
+            pred = tour[i - 1]  # wraps for i = 0
+            succ = tour[(i + seg_len) % n]
+            removed = cost[pred, seg[0]] + cost[seg[-1], succ] - cost[pred, succ]
+            rest = tour[:i] + tour[i + seg_len:]
+            rest_a = np.asarray(rest)
+            rest_b = np.roll(rest_a, -1)
+            added = cost[rest_a, seg[0]] + cost[seg[-1], rest_b] - cost[rest_a, rest_b]
+            gains = removed - added
+            gains[rest.index(pred)] = 0.0  # reinserting into the same slot
+            p = int(np.argmax(gains))
+            if gains[p] > ORACLE_GAIN_EPS:
+                tour[:] = rest[: p + 1] + seg + rest[p + 1:]
+                improved = True
+                budget[0] -= 1
+                i = 0
+                continue
+            i += 1
+    return improved
+
+
+def oracle_three_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> bool:
+    """Direction-preserving 3-opt: swap the two segments between three cuts.
+
+    Cuts after positions i < j < k split the tour into A B C D (D possibly
+    empty); reconnection A C B D keeps every segment's direction, so it is
+    valid under asymmetric costs.
+    """
+    n = len(tour)
+    improved = False
+    restart = True
+    while restart and budget[0] > 0:
+        restart = False
+        tv = np.asarray(tour)
+        nxt = np.roll(tv, -1)
+        for i in range(n - 2):
+            a, b = tour[i], tour[i + 1]
+            for j in range(i + 1, n - 1):
+                c, d = tour[j], tour[j + 1]
+                base = cost[a, d] - cost[a, b] - cost[c, d]
+                e = tv[j + 1:]
+                f = nxt[j + 1:]
+                gains = -(base + cost[e, b] + cost[c, f] - cost[e, f])
+                kk = int(np.argmax(gains))
+                if gains[kk] > ORACLE_GAIN_EPS:
+                    k = j + 1 + kk
+                    tour[:] = (
+                        tour[: i + 1]
+                        + tour[j + 1: k + 1]
+                        + tour[i + 1: j + 1]
+                        + tour[k + 1:]
+                    )
+                    improved = True
+                    budget[0] -= 1
+                    restart = True
+                    break
+            if restart:
+                break
+    return improved
+
+
+def oracle_improve(cost: np.ndarray, tour: List[int], budget: List[int]) -> List[int]:
+    while budget[0] > 0:
+        any_move = oracle_or_opt_pass(cost, tour, budget)
+        any_move = oracle_three_opt_pass(cost, tour, budget) or any_move
+        if not any_move:
+            break
+    return tour

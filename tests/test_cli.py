@@ -69,6 +69,59 @@ def test_evaluate_identity_submission_scores_zero(synth_dirs, capsys):
     assert json.loads(rep.read_text())["mean_score"] == 0.0
 
 
+def _identity_submission(data):
+    actuals = json.loads((data / "eval" / "actual_sequences.json").read_text())
+    return {rid: [s for s, _ in sorted(pos.items(), key=lambda kv: kv[1])]
+            for rid, pos in actuals.items()}
+
+
+def _replace_route(value):
+    def edit(sub, rid):
+        sub[rid] = value(sub[rid])
+        return sub
+    return edit
+
+
+# (edit, names the file, names the route): shape errors come from reading
+# the file, depot and permutation errors from scoring the route.
+@pytest.mark.parametrize("edit, names_file, names_route", [
+    (lambda sub, rid: [], True, False),
+    (_replace_route(lambda ids: 5), True, True),
+    (_replace_route(lambda ids: "".join(ids)), True, True),
+    (_replace_route(lambda ids: ids[:-1] + [7]), True, True),
+    (_replace_route(lambda ids: ids[1:]), False, True),
+    (_replace_route(lambda ids: ids[1:] + ids[:1]), False, True),
+    (_replace_route(lambda ids: ids[:-1] + ["not-a-stop"]), False, True),
+], ids=["top-level-list", "route-int", "route-string", "non-string-stop",
+        "no-depot", "depot-last", "not-a-permutation"])
+def test_malformed_submission_exits_1_naming_route(
+        synth_dirs, capsys, edit, names_file, names_route):
+    tmp_path, data = synth_dirs
+    sub = _identity_submission(data)
+    rid = sorted(sub)[1]
+    path = tmp_path / "bad_sub.json"
+    path.write_text(json.dumps(edit(sub, rid)))
+    code = main(["evaluate", "--dataset", str(data / "eval"),
+                 "--submission", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err
+    assert (str(path) in err) == names_file
+    assert (f"route {rid}:" in err) == names_route
+
+
+def test_submission_with_unknown_route_exits_1(synth_dirs, capsys):
+    tmp_path, data = synth_dirs
+    sub = _identity_submission(data)
+    sub["no-such-route"] = sub[sorted(sub)[0]]
+    path = tmp_path / "extra_sub.json"
+    path.write_text(json.dumps(sub))
+    code = main(["evaluate", "--dataset", str(data / "eval"),
+                 "--submission", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "no-such-route" in capsys.readouterr().err
+
+
 def test_empty_dataset_train_exits_1(tmp_path):
     (tmp_path / "routes.json").write_text("{}")
     code = main(["train", "--dataset", str(tmp_path),

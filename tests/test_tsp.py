@@ -3,6 +3,7 @@ import random
 import stat
 import sys
 
+import numpy as np
 import pytest
 
 from zoneseq import tsp
@@ -22,7 +23,7 @@ from zoneseq.tsp import (
     tour_cost,
     write_tsplib_atsp,
 )
-from conftest import brute_force_atsp, make_route
+from conftest import brute_force_atsp, make_route, oracle_improve
 
 
 def raw_instance(cost, start=0, tags=None):
@@ -163,6 +164,82 @@ def test_solver_never_worse_than_nearest_neighbor():
         inst = raw_instance(cost)
         nn = tour_cost(cost, nearest_neighbor_tour(cost, 0))
         assert tour_cost(cost, solve_atsp(inst)) <= nn + 1e-9
+
+
+def fuzz_cost(rng, n, case):
+    """Cost matrices in four families, by case mod 4: scaled floats;
+    small-range integers, so many gains tie; integers times 1e-9, so gains
+    land on the epsilon; small integers with some infinite (forbidden) arcs,
+    so some gains are inf - inf."""
+    family = case % 4
+    if family == 0:
+        scale = rng.choice([1e-3, 1.0, 1e4])
+        return np.array([[0.0 if i == j else rng.uniform(1, 100) * scale
+                          for j in range(n)] for i in range(n)])
+    hi = rng.choice([1, 2, 5])
+    cost = np.array([[0 if i == j else rng.randint(0, hi) for j in range(n)]
+                     for i in range(n)], dtype=float)
+    if family == 2:
+        cost *= 1e-9
+    elif family == 3:
+        cost[np.array([[rng.random() < 0.1 for _ in range(n)] for _ in range(n)])] = np.inf
+        np.fill_diagonal(cost, 0.0)
+    return cost
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_local_search_matches_loop_oracle_fuzz(monkeypatch):
+    # Every start node up to the multi-start size, one random start above
+    # it; a quarter of the instances split the 3-opt scan into small blocks.
+    rng = random.Random(4)
+    for case in range(1000):
+        n = rng.randint(2, 40)
+        cost = fuzz_cost(rng, n, case)
+        budget = rng.choice([*range(1, 11), 50 * n])
+        block = rng.choice([1, 7, 100]) if rng.random() < 0.25 else 1 << 18
+        monkeypatch.setattr(tsp, "_BLOCK_ELEMENTS", block)
+        starts = range(n) if n <= 12 else [rng.randrange(n)]
+        for start in starts:
+            tour = nearest_neighbor_tour(cost, start)
+            want_budget, got_budget = [budget], [budget]
+            want = oracle_improve(cost, list(tour), want_budget)
+            got = tsp._improve(cost, list(tour), got_budget)
+            assert (got, got_budget) == (want, want_budget), (case, n, start, budget)
+
+
+def oracle_solve_counts(cost, start_index):
+    """(moves, starts) of solve_atsp's multi-start loop run on oracle_improve."""
+    n = len(cost)
+    budget = [50 * n]
+    starts = [start_index] + ([i for i in range(n) if i != start_index] if n <= 12 else [])
+    for runs, start in enumerate(starts, 1):
+        oracle_improve(cost, nearest_neighbor_tour(cost, start), budget)
+        if budget[0] <= 0:
+            break
+    return 50 * n - budget[0], runs
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_solve_atsp_stats_match_oracle_counts():
+    rng = random.Random(6)
+    for case, n in enumerate([2, 3, 5, 8, 12, 13, 20, 31, 40]):
+        cost = fuzz_cost(rng, n, case)
+        start = rng.randrange(n)
+        stats = {}
+        solve_atsp(raw_instance(cost.tolist(), start=start), stats=stats)
+        moves, starts = oracle_solve_counts(cost, start)
+        assert stats == {"moves": moves, "starts": starts, "budget_exhausted": False}
+
+
+def test_solve_atsp_stats_flag_exhausted_budget(monkeypatch):
+    def spend_whole_budget(cost, tour, budget):
+        budget[0] = 0
+        return tour
+
+    monkeypatch.setattr(tsp, "_improve", spend_whole_budget)
+    stats = {}
+    solve_atsp(raw_instance(random_cost(random.Random(7), 4)), stats=stats)
+    assert stats == {"moves": 200, "starts": 1, "budget_exhausted": True}
 
 
 # -- tour post-processing ----------------------------------------------------
