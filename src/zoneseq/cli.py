@@ -100,10 +100,21 @@ def _load_settings(args) -> dict:
 # -- commands ----------------------------------------------------------------
 
 
+def _training_corpus(dataset, include_low) -> list:
+    """The dataset's training corpus, warning about the routes it skipped."""
+    skipped: List[str] = []
+    corpus = ingest.training_corpus(dataset, include_low=include_low, skipped=skipped)
+    if skipped:
+        log.warning(
+            "skipped %d routes without delivery stops: %s", len(skipped), ", ".join(skipped)
+        )
+    return corpus
+
+
 def cmd_train(args) -> int:
     settings = _load_settings(args)
     dataset = ingest.load_dataset(args.dataset, ingest.Split.TRAIN)
-    corpus = ingest.training_corpus(dataset, include_low=args.include_low)
+    corpus = _training_corpus(dataset, args.include_low)
     if not corpus:
         raise ValidationError("dataset has no routes with actual sequences to train on")
     t0 = time.perf_counter()
@@ -125,13 +136,18 @@ def _alphabetical_zone_order(route) -> ZoneSequence:
 def _sequence_routes(dataset, zone_order, external_solver) -> tuple:
     """Order the stops of every route, in route-id order.
 
-    `zone_order(route)` supplies each route's zone order. Returns the
-    submission {route_id: StopSequence} and {route_id: (zone_ms, stop_ms)}.
+    `zone_order(route)` supplies each route's zone order. A route without
+    delivery stops gets the sequence ["depot"]. Returns the submission
+    {route_id: StopSequence} and {route_id: (zone_ms, stop_ms)}.
     """
     submission: Dict[str, StopSequence] = {}
     timings: Dict[str, Tuple[float, float]] = {}
     for rid in sorted(dataset.routes):
         route = dataset.routes[rid]
+        if not route.delivery_stops():
+            submission[rid] = StopSequence(route_id=rid, ids=(route.depot.id,))
+            timings[rid] = (0.0, 0.0)
+            continue
         t0 = time.perf_counter()
         zorder = zone_order(route)
         t1 = time.perf_counter()
@@ -223,7 +239,7 @@ def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, fl
     out_dir = Path(out_dir)
     train_ds = ingest.load_dataset(dataset_dir / "train", ingest.Split.TRAIN)
     eval_ds = ingest.load_dataset(dataset_dir / "eval", ingest.Split.EVAL)
-    corpus = ingest.training_corpus(train_ds, include_low=include_low)
+    corpus = _training_corpus(train_ds, include_low)
     model = ppm.train(corpus, max_order=settings["order"], weights=settings["weights"])
     model_path = out_dir / "model.zppm"
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_000.0
 
 # Sentinel zone for the depot; never appears as a sequence element.
@@ -49,31 +51,54 @@ class Stop:
             raise ValidationError(f"stop {self.id}: lng {self.lng} out of [-180, 180]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TravelTimeMatrix:
-    """Dense asymmetric travel times in seconds over an ordered stop-id list."""
+    """Dense asymmetric travel times in seconds over an ordered stop-id list.
+
+    `t` is stored as a read-only float64 array; row i and column j belong
+    to ids[i] and ids[j]. Any square nesting of numbers is accepted.
+    """
 
     ids: Tuple[str, ...]
-    t: Tuple[Tuple[float, ...], ...]
-    _index: Dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+    t: np.ndarray
+    index: Dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.ids)
-        if len(self.t) != n or any(len(row) != n for row in self.t):
+        try:
+            t = np.array(self.t, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"travel time matrix over {n} ids has a ragged or non-numeric row"
+            ) from None
+        if n == 0 and t.size == 0:
+            t = t.reshape(0, 0)
+        if t.shape != (n, n):
             raise ValidationError(f"travel time matrix is not square over {n} ids")
-        for i, row in enumerate(self.t):
-            for j, v in enumerate(row):
-                if not math.isfinite(v) or v < 0:
-                    raise ValidationError(
-                        f"travel time {self.ids[i]}->{self.ids[j]} is {v}"
-                    )
-            if row[i] != 0:
-                raise ValidationError(f"nonzero diagonal at {self.ids[i]}")
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.ids)})
+        # Report the first offence in row order; within a row a bad entry
+        # comes before a nonzero diagonal.
+        bad = ~np.isfinite(t) | (t < 0)
+        offending = bad.any(axis=1) | (np.diagonal(t) != 0)
+        if offending.any():
+            i = int(offending.argmax())
+            if bad[i].any():
+                j = int(bad[i].argmax())
+                raise ValidationError(
+                    f"travel time {self.ids[i]}->{self.ids[j]} is {float(t[i, j])}"
+                )
+            raise ValidationError(f"nonzero diagonal at {self.ids[i]}")
+        t.setflags(write=False)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.ids)})
+
+    def __eq__(self, other):
+        if not isinstance(other, TravelTimeMatrix):
+            return NotImplemented
+        return self.ids == other.ids and np.array_equal(self.t, other.t)
 
     def lookup(self, from_id: str, to_id: str) -> float:
         try:
-            return self.t[self._index[from_id]][self._index[to_id]]
+            return float(self.t[self.index[from_id], self.index[to_id]])
         except KeyError as exc:
             raise KeyError(f"unknown stop id {exc.args[0]!r} in travel time matrix")
 

@@ -19,8 +19,11 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .core import (
     Quality,
@@ -109,123 +112,115 @@ def load_dataset(dir_path, split: Split = Split.TRAIN) -> Dataset:
 
     routes: Dict[str, Route] = {}
     for route_id, body in raw_routes.items():
-        routes[route_id] = _build_route(
-            route_id,
-            body,
-            actuals.get(route_id),
-            matrices.get(route_id),
-            qualities.get(route_id),
-        )
+        try:
+            routes[route_id] = _build_route(
+                route_id,
+                body,
+                actuals.get(route_id),
+                matrices.get(route_id),
+                qualities.get(route_id),
+            )
+        except ValidationError as exc:
+            prefix = f"route {route_id}: "
+            if str(exc).startswith(prefix):  # Route and impute_zone name it already
+                raise
+            raise ValidationError(prefix + str(exc)) from None
     return Dataset(routes=routes, split=split)
 
 
-def _coordinate(route_id, stop_id, raw, name) -> float:
+def _coordinate(stop_id, raw, name) -> float:
     try:
         return float(raw[name])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError(
-            f"route {route_id}: stop {stop_id!r} has a missing or non-numeric {name!r}"
-        ) from None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValidationError(f"stop {stop_id!r} has a missing or non-numeric {name!r}") from None
 
 
-def _object(route_id, raw, what) -> dict:
+def _object(raw, what) -> dict:
     if not isinstance(raw, dict):
-        raise ValidationError(
-            f"route {route_id}: {what} must be a JSON object, got {type(raw).__name__}"
-        )
+        raise ValidationError(f"{what} must be a JSON object, got {type(raw).__name__}")
     return raw
 
 
-def _zone_id(route_id, stop_id, raw) -> Optional[str]:
+def _zone_id(stop_id, raw) -> Optional[str]:
     zone = raw.get("zone_id")
     if zone is not None and not isinstance(zone, str):
-        raise ValidationError(
-            f"route {route_id}: stop {stop_id!r} has a non-string 'zone_id' {zone!r}"
-        )
+        raise ValidationError(f"stop {stop_id!r} has a non-string 'zone_id' {zone!r}")
     return zone or None
 
 
-def _quality(route_id, raw) -> Optional[Quality]:
+def _quality(raw) -> Optional[Quality]:
     if raw is None:
         return None
     try:
         return Quality(raw)
     except (ValueError, TypeError):
         allowed = ", ".join(repr(q.value) for q in Quality)
-        raise ValidationError(
-            f"route {route_id}: quality {raw!r} is not one of {allowed}"
-        ) from None
+        raise ValidationError(f"quality {raw!r} is not one of {allowed}") from None
 
 
 def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
-    body = _object(route_id, body, "route body")
+    """Validate one route's JSON; load_dataset prefixes errors with the route."""
+    body = _object(body, "route body")
     depot_raw = body.get("depot")
     if depot_raw is None:
-        raise ValidationError(f"route {route_id}: missing depot entry")
+        raise ValidationError("missing depot entry")
     stops: Dict[str, Stop] = {
         DEPOT_STOP_ID: Stop(
             id=DEPOT_STOP_ID,
-            lat=_coordinate(route_id, DEPOT_STOP_ID, depot_raw, "lat"),
-            lng=_coordinate(route_id, DEPOT_STOP_ID, depot_raw, "lng"),
+            lat=_coordinate(DEPOT_STOP_ID, depot_raw, "lat"),
+            lng=_coordinate(DEPOT_STOP_ID, depot_raw, "lng"),
             kind=StopKind.DEPOT,
         )
     }
-    for sid, s in _object(route_id, body.get("stops", {}), "'stops'").items():
+    for sid, s in _object(body.get("stops", {}), "'stops'").items():
         if sid == DEPOT_STOP_ID:
-            raise ValidationError(f"route {route_id}: stop id {DEPOT_STOP_ID!r} is reserved")
+            raise ValidationError(f"stop id {DEPOT_STOP_ID!r} is reserved")
         stops[sid] = Stop(
             id=sid,
-            lat=_coordinate(route_id, sid, s, "lat"),
-            lng=_coordinate(route_id, sid, s, "lng"),
-            zone_id=_zone_id(route_id, sid, s),
+            lat=_coordinate(sid, s, "lat"),
+            lng=_coordinate(sid, s, "lng"),
+            zone_id=_zone_id(sid, s),
         )
 
     actual = None
     if actual_raw is not None:
-        positions = _object(route_id, actual_raw, "actual sequence")
+        positions = _object(actual_raw, "actual sequence")
         try:
             ids = tuple(sorted(positions, key=positions.__getitem__))
             valid = sorted(positions.values()) == list(range(len(positions)))
         except TypeError:  # a position that does not compare with integers
             valid = False
         if not valid:
-            raise ValidationError(
-                f"route {route_id}: actual sequence positions are not 0..n-1"
-            )
+            raise ValidationError("actual sequence positions are not 0..n-1")
         actual = StopSequence(route_id=route_id, ids=ids)
 
     matrix = None
     if matrix_raw is not None:
-        ids = tuple(sorted(_object(route_id, matrix_raw, "travel time matrix")))
+        ids = tuple(sorted(_object(matrix_raw, "travel time matrix")))
+        entries = chain.from_iterable(map(matrix_raw[a].__getitem__, ids) for a in ids)
         try:
-            t = tuple(
-                tuple(float(matrix_raw[a][b]) for b in ids) for a in ids
-            )
+            t = np.fromiter(map(float, entries), dtype=np.float64, count=len(ids) ** 2)
         except KeyError as exc:
             raise ValidationError(
-                f"route {route_id}: travel time matrix is not square, "
-                f"missing entry for {exc.args[0]!r}"
+                f"travel time matrix is not square, missing entry for {exc.args[0]!r}"
             )
-        except (TypeError, ValueError):
+        except (AttributeError, TypeError, ValueError, OverflowError):
             raise ValidationError(
-                f"route {route_id}: travel time matrix has a malformed or non-numeric entry"
+                "travel time matrix has a malformed or non-numeric entry"
             ) from None
-        matrix = TravelTimeMatrix(ids=ids, t=t)
+        matrix = TravelTimeMatrix(ids=ids, t=t.reshape(len(ids), len(ids)))
 
-    quality = _quality(route_id, quality_raw)
+    quality = _quality(quality_raw)
 
     # Build once without imputation to get a valid Route for distance calls,
     # then repair any missing zone ids.
-    try:
-        route = Route(
-            route_id=route_id,
-            stops=stops,
-            travel_times=matrix,
-            actual=actual,
-            quality=quality,
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"route {route_id}: {exc}") from exc
+    route = Route(
+        route_id=route_id,
+        stops=stops,
+        travel_times=matrix,
+        actual=actual,
+        quality=quality,
+    )
 
     missing = [s for s in route.delivery_stops() if not s.zone_id]
     if missing:
@@ -266,7 +261,7 @@ def write_dataset(dataset: Dataset, dir_path) -> None:
         if route.travel_times is not None:
             m = route.travel_times
             tt_out[route_id] = {
-                a: {b: m.lookup(a, b) for b in m.ids} for a in m.ids
+                a: dict(zip(m.ids, row)) for a, row in zip(m.ids, m.t.tolist())
             }
         if route.quality is not None:
             quality_out[route_id] = route.quality.value
@@ -324,14 +319,24 @@ def zsgt(route: Route) -> ZoneSequence:
     return collapse_to_zsgt(route.route_id, zone_runs(route, route.actual))
 
 
-def training_corpus(dataset: Dataset, include_low: bool = False) -> List[ZoneSequence]:
-    """ZSgt sequences of all routes with actuals, excluding Low quality by default."""
+def training_corpus(
+    dataset: Dataset, include_low: bool = False, skipped: Optional[List[str]] = None
+) -> List[ZoneSequence]:
+    """ZSgt sequences of all routes with actuals, excluding Low quality by default.
+
+    A route without delivery stops has no zone sequence: it is left out, and
+    its id is appended to `skipped` when a list is given.
+    """
     corpus = []
     for route_id in sorted(dataset.routes):
         route = dataset.routes[route_id]
         if route.actual is None:
             continue
         if not include_low and route.quality is Quality.LOW:
+            continue
+        if not route.delivery_stops():
+            if skipped is not None:
+                skipped.append(route_id)
             continue
         corpus.append(zsgt(route))
     return corpus

@@ -6,14 +6,23 @@ edit-distance-with-real-penalty over the max-normalized travel-time
 matrix, divided by the number of costed edits. It is structured so a
 verified port of the official evaluator can replace these functions
 without touching callers.
+
+A route with 0 or 1 delivery stops has only one valid submission, the
+identity, so it scores sd = 0, erp_cost = 0, erp_edits = 0 and score = 0.
+
+Each route is scored on one dense matrix: its travel times (or haversine
+meters between all stops) divided by the maximum entry. ERP fills its
+dynamic-programming table one anti-diagonal at a time with numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .core import Route, StopKind, StopSequence, ValidationError, haversine_m
+import numpy as np
+
+from .core import Route, StopSequence, ValidationError, haversine_m
 from .ingest import Dataset
 
 
@@ -50,17 +59,67 @@ def sequence_deviation(actual: Sequence[str], submitted: Sequence[str]) -> float
     """Adjacency-gap permutation distance, depot excluded by the caller.
 
     With r_i the submitted position of actual's i-th stop:
-    SD = 2 / (n (n - 1)) * sum_i (|r_i - r_{i-1}| - 1).
+    SD = 2 / (n (n - 1)) * sum_i (|r_i - r_{i-1}| - 1), and 0 for n <= 1.
     """
     n = len(actual)
-    if n < 2:
-        raise ValidationError("sequence deviation needs at least 2 stops")
     if set(actual) != set(submitted) or len(set(actual)) != n or len(submitted) != n:
         raise ValidationError("actual and submitted are not permutations of the same stops")
+    if n < 2:
+        return 0.0
     pos = {sid: i for i, sid in enumerate(submitted)}
     r = [pos[sid] for sid in actual]
     total = sum(abs(r[i] - r[i - 1]) - 1 for i in range(1, n))
     return 2.0 * total / (n * (n - 1))
+
+
+def _erp(cost: np.ndarray, gap_a: np.ndarray, gap_b: np.ndarray) -> Tuple[float, int]:
+    """ERP over an n x m substitution-cost grid and the two gap-cost vectors.
+
+    D[i][0] and D[0][j] are running sums of gap_a and gap_b from 0.0, and
+    D[i][j] = min(D[i-1][j-1] + cost[i-1][j-1], D[i-1][j] + gap_a[i-1],
+    D[i][j-1] + gap_b[j-1]). The cells of one anti-diagonal i + j = d
+    depend only on the two diagonals before it; in the flattened table they
+    lie m apart, so each diagonal is a few strided-slice numpy operations.
+    """
+    n, m = cost.shape
+    width = m + 1
+    D = np.empty((n + 1, width))
+    D[:, 0] = np.cumsum(np.concatenate(([0.0], gap_a)))
+    D[0, :] = np.cumsum(np.concatenate(([0.0], gap_b)))
+    D[1:, 1:] = cost  # each cell holds its step cost until its diagonal is filled
+    if n and m:
+        flat = D.reshape(-1)
+        gap_b_rev = gap_b[::-1]
+        for d in range(2, n + m + 1):
+            i0, i1 = max(1, d - m), min(n, d - 1)
+            lo, hi = i0 * m + d, i1 * m + d + 1  # flat index of (i, d - i) is i*m + d
+            best = flat[lo - width - 1:hi - width - 1:m] + flat[lo:hi:m]
+            np.minimum(best, flat[lo - width:hi - width:m] + gap_a[i0 - 1:i1], out=best)
+            np.minimum(
+                best, flat[lo - 1:hi - 1:m] + gap_b_rev[m - d + i0:m - d + i1 + 1], out=best
+            )
+            flat[lo:hi:m] = best
+    # Backtrack one optimal path, diagonal first.
+    edits = 0
+    i, j = n, m
+    eps = 1e-12
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            step = cost[i - 1, j - 1]
+            if abs(D[i, j] - (D[i - 1, j - 1] + step)) <= eps:
+                if step > eps:
+                    edits += 1
+                i, j = i - 1, j - 1
+                continue
+        if i > 0 and abs(D[i, j] - (D[i - 1, j] + gap_a[i - 1])) <= eps:
+            if gap_a[i - 1] > eps:
+                edits += 1
+            i -= 1
+            continue
+        if gap_b[j - 1] > eps:
+            edits += 1
+        j -= 1
+    return float(D[n, m]), edits
 
 
 def erp(
@@ -71,47 +130,35 @@ def erp(
 ) -> Tuple[float, int]:
     """Edit distance with real penalty between two stop sequences.
 
-    `dist` must already be normalized (see normalized_dist). Gaps are
-    charged by distance to `gap_ref` (the depot). Returns (cost, edits)
-    where edits counts the non-zero-cost operations on one optimal path;
-    ties during backtracking prefer matches.
+    `dist` must already be normalized (see normalized_dist) and finite.
+    Gaps are charged by distance to `gap_ref` (the depot). Returns
+    (cost, edits) where edits counts the non-zero-cost operations on one
+    optimal path; ties during backtracking prefer matches.
     """
     n, m = len(actual), len(submitted)
-    gap_a = [dist(sid, gap_ref) for sid in actual]
-    gap_b = [dist(sid, gap_ref) for sid in submitted]
-    D = [[0.0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        D[i][0] = D[i - 1][0] + gap_a[i - 1]
-    for j in range(1, m + 1):
-        D[0][j] = D[0][j - 1] + gap_b[j - 1]
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            D[i][j] = min(
-                D[i - 1][j - 1] + dist(actual[i - 1], submitted[j - 1]),
-                D[i - 1][j] + gap_a[i - 1],
-                D[i][j - 1] + gap_b[j - 1],
-            )
-    # Backtrack one optimal path, diagonal first.
-    edits = 0
-    i, j = n, m
-    eps = 1e-12
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            step = dist(actual[i - 1], submitted[j - 1])
-            if abs(D[i][j] - (D[i - 1][j - 1] + step)) <= eps:
-                if step > eps:
-                    edits += 1
-                i, j = i - 1, j - 1
-                continue
-        if i > 0 and abs(D[i][j] - (D[i - 1][j] + gap_a[i - 1])) <= eps:
-            if gap_a[i - 1] > eps:
-                edits += 1
-            i -= 1
-            continue
-        if gap_b[j - 1] > eps:
-            edits += 1
-        j -= 1
-    return D[n][m], edits
+    cost = np.array([[dist(a, b) for b in submitted] for a in actual], dtype=np.float64)
+    gap_a = np.array([dist(sid, gap_ref) for sid in actual], dtype=np.float64)
+    gap_b = np.array([dist(sid, gap_ref) for sid in submitted], dtype=np.float64)
+    return _erp(cost.reshape(n, m), gap_a, gap_b)
+
+
+def _normalized_matrix(route: Route) -> Tuple[Dict[str, int], np.ndarray]:
+    """Stop-id index and the route's cost matrix divided by its maximum.
+
+    The matrix is the travel times, or haversine meters between every
+    ordered pair of stops when the route carries none; it is all zeros when
+    its maximum is not positive.
+    """
+    if route.travel_times is not None:
+        index, cost = route.travel_times.index, route.travel_times.t
+    else:
+        index = {sid: i for i, sid in enumerate(route.stops)}
+        coords = [(s.lat, s.lng) for s in route.stops.values()]
+        cost = np.array([[haversine_m(a, b) for b in coords] for a in coords])
+    max_entry = cost.max()
+    if max_entry <= 0:
+        return index, np.zeros_like(cost)
+    return index, cost / max_entry
 
 
 def normalized_dist(route: Route) -> Callable[[str, str], float]:
@@ -120,21 +167,9 @@ def normalized_dist(route: Route) -> Callable[[str, str], float]:
     Falls back to a haversine-derived matrix when the route carries no
     travel times, as the erp error message instructs.
     """
-    stops = route.stops
-    if route.travel_times is not None:
-        lookup = route.travel_times.lookup
-    else:
-        def lookup(a: str, b: str) -> float:
-            sa, sb = stops[a], stops[b]
-            return haversine_m((sa.lat, sa.lng), (sb.lat, sb.lng))
-
-    ids = list(stops)
-    max_entry = max(
-        (lookup(a, b) for a in ids for b in ids if a != b), default=0.0
-    )
-    if max_entry <= 0:
-        return lambda a, b: 0.0
-    return lambda a, b: lookup(a, b) / max_entry
+    index, cost = _normalized_matrix(route)
+    rows = cost.tolist()
+    return lambda a, b: rows[index[a]][index[b]]
 
 
 def route_score(route: Route, submitted: StopSequence) -> RouteScore:
@@ -152,8 +187,11 @@ def route_score(route: Route, submitted: StopSequence) -> RouteScore:
         sd = sequence_deviation(actual_ids, submitted_ids)
     except ValidationError as exc:
         raise ValidationError(f"route {route.route_id}: {exc}") from None
-    dist = normalized_dist(route)
-    cost, edits = erp(actual_ids, submitted_ids, dist, depot_id)
+    index, dist = _normalized_matrix(route)
+    rows = [index[sid] for sid in actual_ids]
+    cols = [index[sid] for sid in submitted_ids]
+    gaps = dist[:, index[depot_id]]
+    cost, edits = _erp(dist[np.ix_(rows, cols)], gaps[rows], gaps[cols])
     score = 0.0 if edits == 0 else sd * cost / edits
     return RouteScore(
         route_id=route.route_id, sd=sd, erp_cost=cost, erp_edits=edits, score=score

@@ -16,6 +16,8 @@ import string
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from .core import (
     Quality,
     Route,
@@ -131,17 +133,19 @@ def _route(cfg, rng, route_id, templates, centers, depot) -> Route:
     matrix = None
     if cfg.with_travel_times:
         all_ids = tuple(sorted(stops))
-        t = tuple(
-            tuple(
-                0.0
-                if a == b
-                else haversine_m(
-                    (stops[a].lat, stops[a].lng), (stops[b].lat, stops[b].lng)
-                )
-                / _SPEED_M_PER_S
-                for b in all_ids
-            )
-            for a in all_ids
+        t = np.array(
+            [
+                [
+                    0.0
+                    if a == b
+                    else haversine_m(
+                        (stops[a].lat, stops[a].lng), (stops[b].lat, stops[b].lng)
+                    )
+                    / _SPEED_M_PER_S
+                    for b in all_ids
+                ]
+                for a in all_ids
+            ]
         )
         matrix = TravelTimeMatrix(ids=all_ids, t=t)
 

@@ -34,7 +34,6 @@ from .core import (
     StopSequence,
     ValidationError,
     ZoneSequence,
-    distance,
     haversine_m,
 )
 
@@ -88,7 +87,8 @@ def build_instance(
 
     Representative nodes are synthetic points without matrix entries, so
     every edge touching one is haversine; stop-to-stop edges use the
-    route's normal distance.
+    route's normal distance (`core.distance`): its travel times, or
+    haversine when it has none.
     """
     if not 0 <= k < len(zone_order.zones):
         raise ValidationError(f"zone index {k} out of range for {zone_order.zones}")
@@ -132,13 +132,20 @@ def build_instance(
         is_stop.append(True)
 
     n = len(node_ids)
+    travel = None
+    if route.travel_times is not None:
+        # One slice of the travel times holds every stop-to-stop edge; the
+        # rows and columns of representative nodes (index 0) are never read.
+        index = route.travel_times.index
+        at = [index[nid] if stop else 0 for nid, stop in zip(node_ids, is_stop)]
+        travel = route.travel_times.t[np.ix_(at, at)].tolist()
     cost = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            if is_stop[i] and is_stop[j]:
-                cost[i][j] = distance(route, node_ids[i], node_ids[j])
+            if travel is not None and is_stop[i] and is_stop[j]:
+                cost[i][j] = travel[i][j]
             else:
                 cost[i][j] = haversine_m(coords[i], coords[j])
     return ZoneTspInstance(

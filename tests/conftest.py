@@ -5,7 +5,8 @@ from typing import List
 import numpy as np
 import pytest
 
-from zoneseq.core import Route, Stop, StopKind, StopSequence, TravelTimeMatrix
+from zoneseq.core import Route, Stop, StopKind, StopSequence, TravelTimeMatrix, haversine_m
+from zoneseq.scorer import sequence_deviation
 
 
 def make_route(route_id="r1", stops=None, depot=(0.0, 0.0), actual=None,
@@ -223,3 +224,84 @@ def oracle_improve(cost: np.ndarray, tour: List[int], budget: List[int]) -> List
         if not any_move:
             break
     return tour
+
+
+# Reference scorer: the per-cell loop form of ERP and the per-pair
+# normalization that `zoneseq.scorer` computes over one dense matrix.
+
+
+def oracle_erp(actual, submitted, dist, gap_ref):
+    """Edit distance with real penalty between two stop sequences.
+
+    `dist` must already be normalized (see normalized_dist). Gaps are
+    charged by distance to `gap_ref` (the depot). Returns (cost, edits)
+    where edits counts the non-zero-cost operations on one optimal path;
+    ties during backtracking prefer matches.
+    """
+    n, m = len(actual), len(submitted)
+    gap_a = [dist(sid, gap_ref) for sid in actual]
+    gap_b = [dist(sid, gap_ref) for sid in submitted]
+    D = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        D[i][0] = D[i - 1][0] + gap_a[i - 1]
+    for j in range(1, m + 1):
+        D[0][j] = D[0][j - 1] + gap_b[j - 1]
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            D[i][j] = min(
+                D[i - 1][j - 1] + dist(actual[i - 1], submitted[j - 1]),
+                D[i - 1][j] + gap_a[i - 1],
+                D[i][j - 1] + gap_b[j - 1],
+            )
+    # Backtrack one optimal path, diagonal first.
+    edits = 0
+    i, j = n, m
+    eps = 1e-12
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            step = dist(actual[i - 1], submitted[j - 1])
+            if abs(D[i][j] - (D[i - 1][j - 1] + step)) <= eps:
+                if step > eps:
+                    edits += 1
+                i, j = i - 1, j - 1
+                continue
+        if i > 0 and abs(D[i][j] - (D[i - 1][j] + gap_a[i - 1])) <= eps:
+            if gap_a[i - 1] > eps:
+                edits += 1
+            i -= 1
+            continue
+        if gap_b[j - 1] > eps:
+            edits += 1
+        j -= 1
+    return D[n][m], edits
+
+
+def oracle_normalized_dist(route):
+    """Per-pair travel-time (or haversine) lookup divided by the maximum."""
+    stops = route.stops
+    if route.travel_times is not None:
+        lookup = route.travel_times.lookup
+    else:
+        def lookup(a, b):
+            sa, sb = stops[a], stops[b]
+            return haversine_m((sa.lat, sa.lng), (sb.lat, sb.lng))
+
+    ids = list(stops)
+    max_entry = max(
+        (lookup(a, b) for a in ids for b in ids if a != b), default=0.0
+    )
+    if max_entry <= 0:
+        return lambda a, b: 0.0
+    return lambda a, b: lookup(a, b) / max_entry
+
+
+def oracle_route_score(route, submitted):
+    """(sd, erp_cost, erp_edits, score) of a valid submission, loop form."""
+    depot_id = route.depot.id
+    actual_ids = [sid for sid in route.actual.ids if sid != depot_id]
+    submitted_ids = list(submitted.ids[1:])
+    sd = sequence_deviation(actual_ids, submitted_ids)
+    cost, edits = oracle_erp(
+        actual_ids, submitted_ids, oracle_normalized_dist(route), depot_id
+    )
+    return sd, cost, edits, 0.0 if edits == 0 else sd * cost / edits

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import pytest
@@ -184,6 +185,75 @@ def test_evaluate_stops_list_exits_1(synth_dirs, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "validation error:" in err and rid in err
+
+
+def test_evaluate_huge_travel_time_exits_1(synth_dirs, capsys):
+    tmp_path, data = synth_dirs
+    travel_path = data / "eval" / "travel_times.json"
+    travel = json.loads(travel_path.read_text())
+    rid = sorted(travel)[1]
+    travel[rid]["depot"][sorted(travel[rid]["depot"])[0]] = 10 ** 400
+    travel_path.write_text(json.dumps(travel))
+    code = main(["evaluate", "--dataset", str(data / "eval"),
+                 "--submission", str(tmp_path / "unused.json"),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"validation error: route {rid}: travel time matrix" in err
+
+
+def _keep_stops(split_dir, rid, keep):
+    """Cut route `rid` down to the first `keep` delivery stops of its actual."""
+    names = ("routes.json", "actual_sequences.json", "travel_times.json")
+    routes, actuals, travel = (json.loads((split_dir / n).read_text()) for n in names)
+    kept = sorted(actuals[rid], key=actuals[rid].get)[: keep + 1]  # depot first
+    routes[rid]["stops"] = {s: routes[rid]["stops"][s] for s in kept[1:]}
+    actuals[rid] = {s: i for i, s in enumerate(kept)}
+    travel[rid] = {a: {b: travel[rid][a][b] for b in kept} for a in kept}
+    for name, obj in zip(names, (routes, actuals, travel)):
+        (split_dir / name).write_text(json.dumps(obj))
+    return kept
+
+
+@pytest.mark.parametrize("keep", [0, 1])
+def test_route_with_zero_or_one_stop_sequences_and_scores_zero(synth_dirs, keep):
+    tmp_path, data = synth_dirs
+    model, sub, rep = (tmp_path / n for n in ("m.zppm", "sub.json", "rep.json"))
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    args = ["--dataset", str(data / "eval")]
+    assert main(["sequence", *args, "--model", str(model), "--out", str(sub)]) == 0
+    assert main(["evaluate", *args, "--submission", str(sub), "--out", str(rep)]) == 0
+    before = json.loads(rep.read_text())["routes"]
+
+    rid = sorted(before)[1]
+    kept = _keep_stops(data / "eval", rid, keep)
+    assert main(["sequence", *args, "--model", str(model), "--out", str(sub)]) == 0
+    assert json.loads(sub.read_text())[rid] == kept
+    assert main(["evaluate", *args, "--submission", str(sub), "--out", str(rep)]) == 0
+    after = json.loads(rep.read_text())["routes"]
+    assert after[rid] == {"sd": 0.0, "erp_cost": 0.0, "erp_edits": 0, "score": 0.0}
+    del before[rid], after[rid]
+    assert after == before
+
+
+def test_train_skips_route_without_stops_and_warns(synth_dirs, caplog):
+    tmp_path, data = synth_dirs
+    train = data / "train"
+    rid = sorted(json.loads((train / "routes.json").read_text()))[2]
+    _keep_stops(train, rid, 0)
+    with caplog.at_level(logging.WARNING, logger="zoneseq"):
+        assert main(["train", "--dataset", str(train),
+                     "--model", str(tmp_path / "m1.zppm")]) == 0
+    assert f"skipped 1 routes without delivery stops: {rid}" in caplog.text
+
+    for name in ("routes.json", "actual_sequences.json", "travel_times.json",
+                 "quality.json"):
+        body = json.loads((train / name).read_text())
+        del body[rid]
+        (train / name).write_text(json.dumps(body))
+    assert main(["train", "--dataset", str(train),
+                 "--model", str(tmp_path / "m2.zppm")]) == 0
+    assert (tmp_path / "m1.zppm").read_bytes() == (tmp_path / "m2.zppm").read_bytes()
 
 
 def test_train_integer_zone_id_exits_1(synth_dirs, capsys):

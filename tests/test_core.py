@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from zoneseq.core import (
     Stop,
     StopKind,
     StopSequence,
+    TravelTimeMatrix,
     ValidationError,
     distance,
     haversine_m,
@@ -93,3 +95,64 @@ def test_distance_total_and_non_negative():
     for a in route.stops:
         for b in route.stops:
             assert distance(route, a, b) >= 0.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, -1, 2], [3, 0, -4], [5, 6, 0]], "travel time a->b is -1.0"),
+    ([[0, 1, 2], [3, 0, INF], [-5, 6, 0]], "travel time b->c is inf"),
+    ([[0, 1, 2], [3, 7, 4], [-5, 6, 0]], "nonzero diagonal at b"),
+    ([[2, 1, -1], [3, 0, 4], [5, 6, 0]], "travel time a->c is -1.0"),
+    ([[0, 1, 2], [3, NAN, 4], [5, 6, 0]], "travel time b->b is nan"),
+    ([[0, 1, 2], [3, 0, 4], [5, 6, -INF]], "travel time c->c is -inf"),
+    ([[0, 1], [3, 0]], "travel time matrix is not square over 3 ids"),
+    ([[0, 1, 2], [3, 0], [5, 6, 0]],
+     "travel time matrix over 3 ids has a ragged or non-numeric row"),
+], ids=["negative-first-row", "inf-before-later-negative", "diagonal-before-later-row",
+        "entry-before-same-row-diagonal", "nan-diagonal", "negative-inf",
+        "not-square", "ragged"])
+def test_travel_time_matrix_reports_first_offence(rows, message):
+    with pytest.raises(ValidationError) as excinfo:
+        TravelTimeMatrix(ids=("a", "b", "c"), t=rows)
+    assert str(excinfo.value) == message
+
+
+def _loop_matrix_error(ids, rows):
+    """The row-by-row check the vectorised one replaces; None if valid."""
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not math.isfinite(v) or v < 0:
+                return f"travel time {ids[i]}->{ids[j]} is {v}"
+        if row[i] != 0:
+            return f"nonzero diagonal at {ids[i]}"
+    return None
+
+
+def test_travel_time_matrix_checks_match_row_loop_fuzz():
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        ids = tuple(f"s{k}" for k in range(n))
+        rows = [[0.0 if i == j else float(rng.randint(0, 9)) for j in range(n)]
+                for i in range(n)]
+        for _ in range(rng.randint(0, 3)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(
+                [-1.0, -0.5, NAN, INF, -INF, 2.0, 0.0, -0.0])
+        expected = _loop_matrix_error(ids, rows)
+        if expected is None:
+            assert TravelTimeMatrix(ids=ids, t=rows).t.tolist() == rows
+        else:
+            with pytest.raises(ValidationError) as excinfo:
+                TravelTimeMatrix(ids=ids, t=rows)
+            assert str(excinfo.value) == expected
+
+
+def test_travel_time_matrix_is_read_only_and_compares_by_value():
+    m = TravelTimeMatrix(ids=("a", "b"), t=((0, 1.5), (2, 0)))
+    assert m.t.dtype == np.float64 and not m.t.flags.writeable
+    assert m == TravelTimeMatrix(ids=("a", "b"), t=np.array([[0.0, 1.5], [2.0, 0.0]]))
+    assert m != TravelTimeMatrix(ids=("a", "b"), t=((0, 1.5), (2.5, 0)))
+    assert m != TravelTimeMatrix(ids=("b", "a"), t=((0, 1.5), (2, 0)))
+    assert m.lookup("b", "a") == 2.0 and type(m.lookup("b", "a")) is float

@@ -1,0 +1,91 @@
+"""Byte contract: synth -> train -> sequence -> evaluate outputs are pinned.
+
+The digests below were recorded from the pipeline before the scorer and the
+travel-time matrix moved to dense numpy arrays. A change that alters any of
+these bytes must update the constants and say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from zoneseq.cli import main
+
+CONFIG = {
+    "seed": 42,
+    "n_train_routes": 10,
+    "n_eval_routes": 4,
+    "zones_per_route": [5, 8],
+    "stops_per_zone": [2, 5],
+    "n_zone_templates": 2,
+    "pattern_strength": 0.8,
+}
+
+# Files that do not depend on the travel times: the stops, actuals, quality
+# and the model trained on them.
+COMMON = {
+    "data/eval/actual_sequences.json":
+        "d8be36eba3be5d1bac2bf888ad97633f1df4c89828266667dfd18c2a62d7d56f",
+    "data/eval/quality.json":
+        "01c5ad06e0d7cc0ad0d0065998e17a55ef3d396bbe731403a4d7cc2e8c067fef",
+    "data/eval/routes.json":
+        "249daedf35a4e4513a8dd947717464fee5d4cd74d713abe6e26e918299dfc752",
+    "data/train/actual_sequences.json":
+        "52228b14bdaf6798a899f39f4656f2c12d9ac3a4669bf8f9c325f75c00ab5e3e",
+    "data/train/quality.json":
+        "a52fe98be822e16ab8273fd18cac10791dd29490219c1556895dc745e3bc9cbc",
+    "data/train/routes.json":
+        "4f1410a2f283961c96a2cf1ce4743a974b4f2680cd15a24f71ef51dbbf6752e2",
+    "model.zppm":
+        "a8da8beed4424ba6d27a58fb049f126fb511b292f44f93b2e2982c42df50549e",
+}
+
+GOLDEN = {
+    True: dict(
+        COMMON,
+        **{
+            "data/eval/travel_times.json":
+                "f8086f1af819ab1bc99118139f26a9c01f2347fc676d73d91769de02398eb517",
+            "data/train/travel_times.json":
+                "288535f3081e85479ec01a6ec9535a2c86d4615e166c3394bde94f9a1c273c03",
+            "report.json":
+                "d9357b2fa6067de0de6744b8e8dbac3c3e7f09d2127d2b379bbcf66f1a30b306",
+            "submission.json":
+                "75a6210f55681c0a72882ea4b603a6b386323f96eaa6606b0794fa2ffa3fcb3c",
+        },
+    ),
+    False: dict(
+        COMMON,
+        **{
+            "report.json":
+                "c31ebbc52136a45e29c2cef26f4b14182ce397af7771641ec082828ec982f723",
+            "submission.json":
+                "12697580a1650a0cf2832a0abef018f24e3b416188d2bc70767bb69d4b4e388d",
+        },
+    ),
+}
+
+
+def _run_pipeline(tmp_path, with_travel_times):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(dict(CONFIG, with_travel_times=with_travel_times)))
+    data, model = tmp_path / "data", tmp_path / "model.zppm"
+    sub, rep = tmp_path / "submission.json", tmp_path / "report.json"
+    assert main(["synth", "--synth-config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    assert main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                 "--out", str(sub)]) == 0
+    assert main(["evaluate", "--dataset", str(data / "eval"), "--submission", str(sub),
+                 "--out", str(rep)]) == 0
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p != cfg)
+    return {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in files
+    }
+
+
+@pytest.mark.parametrize("with_travel_times", [True, False],
+                         ids=["travel-times", "haversine"])
+def test_pipeline_bytes_match_golden_digests(tmp_path, with_travel_times):
+    assert _run_pipeline(tmp_path, with_travel_times) == GOLDEN[with_travel_times]

@@ -128,6 +128,59 @@ def test_malformed_actuals_or_travel_times_name_route(tmp_path, actuals, travel,
         ingest.load_dataset(tmp_path)
 
 
+def _r1_matrix(**entries):
+    """A valid travel-time matrix for TWO_ROUTES' r1 with some entries replaced."""
+    ids = ("a", "b", "depot")
+    rows = {x: {y: 0 if x == y else 5 for y in ids} for x in ids}
+    for key, value in entries.items():
+        x, y = key.split("_")
+        rows[x][y] = value
+    return rows
+
+
+HUGE = 10 ** 400  # parses as a Python int that float() cannot hold
+
+
+@pytest.mark.parametrize("lat, matrix, message", [
+    (None, _r1_matrix(a_depot=-5), "route r1: travel time a->depot is -5.0"),
+    (None, _r1_matrix(b_b=float("nan")), "route r1: travel time b->b is nan"),
+    (None, _r1_matrix(b_b=3), "route r1: nonzero diagonal at b"),
+    (95, None, "route r1: stop a: lat 95.0 out of [-90, 90]"),
+    (None, _r1_matrix(a_b=HUGE),
+     "route r1: travel time matrix has a malformed or non-numeric entry"),
+    (HUGE, None, "route r1: stop 'a' has a missing or non-numeric 'lat'"),
+], ids=["negative", "nan", "nonzero-diagonal", "lat-95", "huge-travel-time", "huge-lat"])
+def test_travel_time_and_coordinate_errors_name_route(tmp_path, lat, matrix, message):
+    routes = json.loads(json.dumps(TWO_ROUTES))
+    if lat is not None:
+        routes["r1"]["stops"]["a"]["lat"] = lat
+    travel = {"r2": {"c": {"c": 0, "depot": 3}, "depot": {"c": 4, "depot": 0}}}
+    if matrix is not None:
+        travel["r1"] = matrix
+    write_fixture(tmp_path, routes, travel=travel)
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == message
+
+
+def test_route_errors_name_the_route_once(tmp_path):
+    routes = json.loads(json.dumps(TWO_ROUTES))
+    write_fixture(tmp_path, routes, actuals={"r2": {"depot": 0}})
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == (
+        "route r2: actual sequence is not a permutation of stops"
+    )
+
+
+def test_loaded_travel_times_are_a_read_only_array(tmp_path):
+    write_fixture(tmp_path, TWO_ROUTES, travel={"r1": _r1_matrix(a_b=7.5)})
+    matrix = ingest.load_dataset(tmp_path).routes["r1"].travel_times
+    assert matrix.ids == ("a", "b", "depot")
+    assert matrix.t.tolist() == [[0.0, 7.5, 5.0], [5.0, 0.0, 5.0], [5.0, 5.0, 0.0]]
+    assert not matrix.t.flags.writeable
+
+
 @pytest.mark.parametrize("zone", [5, 0, ["Z1"]], ids=["int", "zero", "list"])
 def test_non_string_zone_id_names_route_stop_and_field(tmp_path, zone):
     routes = json.loads(json.dumps(TWO_ROUTES))

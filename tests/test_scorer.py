@@ -12,7 +12,7 @@ from zoneseq.scorer import (
     route_score,
     sequence_deviation,
 )
-from conftest import make_route
+from conftest import make_route, oracle_erp, oracle_route_score
 
 
 # -- sequence deviation ------------------------------------------------------
@@ -29,6 +29,13 @@ def test_sd_three_stop_swap():
 def test_sd_four_stop_double_swap():
     assert sequence_deviation(["a", "b", "c", "d"],
                               ["b", "a", "d", "c"]) == pytest.approx(1 / 3)
+
+
+def test_sd_of_zero_or_one_stop_is_zero():
+    assert sequence_deviation([], []) == 0.0
+    assert sequence_deviation(["a"], ["a"]) == 0.0
+    with pytest.raises(ValidationError):
+        sequence_deviation(["a"], ["b"])
 
 
 def test_sd_rejects_unequal_sets():
@@ -126,6 +133,52 @@ def test_erp_matches_recursive_oracle():
                  (("b", "a"), ("a", "b"))]:
         cost, _ = erp(list(A), list(B), hand_dist, "d")
         assert cost == pytest.approx(oracle(A, B))
+
+
+def test_erp_matches_loop_oracle_fuzz():
+    rng = random.Random(20240)
+    draws = [
+        lambda: float(rng.randint(0, 3)),  # small integers: sums tie in the backtrack
+        lambda: rng.randint(0, 4) * 5e-13,  # differences straddle the 1e-12 epsilon
+        rng.random,  # sums that depend on the order of addition
+        lambda: 0.0,  # all-zero matrix
+    ]
+    unequal = 0
+    for case in range(1000):
+        draw, zero_gaps = draws[case % 4], case % 3 == 0
+        n, m = rng.randint(0, 40), rng.randint(0, 40)
+        unequal += n != m
+        ids = ["g"] + [f"s{k}" for k in range(rng.randint(max(n, m, 1), 45))]
+        costs = {a: {b: 0.0 if zero_gaps and b == "g" else draw() for b in ids}
+                 for a in ids}
+        actual = rng.sample(ids[1:], n)
+        submitted = rng.sample(ids[1:], m)
+        dist = lambda a, b: costs[a][b]
+        assert erp(actual, submitted, dist, "g") == oracle_erp(
+            actual, submitted, dist, "g"
+        ), (case, n, m)
+    assert unequal >= 900
+
+
+def test_route_score_matches_loop_oracle():
+    rng = random.Random(7)
+    for case in range(200):
+        n = rng.randint(0, 25)
+        stops = [(f"s{k}", rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), "Z")
+                 for k in range(n)]
+        ids = ["depot"] + [s[0] for s in stops]
+        travel = None
+        if case % 2:
+            travel = {a: {b: 0 if a == b else rng.randint(1, 6) for b in ids}
+                      for a in ids}
+        route = make_route(stops=stops, actual=ids, travel_times=travel)
+        order = ids[1:]
+        rng.shuffle(order)
+        submitted = StopSequence("r1", tuple(["depot"] + order))
+        rs = route_score(route, submitted)
+        assert (rs.sd, rs.erp_cost, rs.erp_edits, rs.score) == oracle_route_score(
+            route, submitted
+        ), case
 
 
 # -- route and dataset scores ------------------------------------------------
