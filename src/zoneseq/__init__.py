@@ -15,7 +15,6 @@ from .core import (
     TravelTimeMatrix,
     ValidationError,
     ZoneSequence,
-    distance,
     haversine_m,
 )
 from .ingest import Dataset, Split, collapse_to_zsgt, load_dataset, zone_runs, zsgt

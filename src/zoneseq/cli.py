@@ -53,14 +53,27 @@ def resolve_setting(name: str, flag_value, config_file: Optional[dict]):
     return DEFAULTS[name]
 
 
+def _parse_int(name: str, raw) -> int:
+    """An integer setting: a JSON integer, or its decimal text from a flag or env."""
+    try:
+        if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+            return int(raw)
+    except ValueError:
+        pass
+    raise ConfigError(f"{name} must be an integer, got {raw!r}")
+
+
 def _parse_weights(raw) -> tuple:
-    if isinstance(raw, (list, tuple)):
-        vals = [float(v) for v in raw]
-    else:
-        vals = [float(v) for v in str(raw).split(",")]
+    try:
+        if isinstance(raw, (list, tuple)):
+            vals = [float(v) for v in raw]
+        else:
+            vals = [float(v) for v in str(raw).split(",")]
+    except (TypeError, ValueError):
+        raise ConfigError(f"component weights {raw!r} are not numbers") from None
     if len(vals) != 4:
         raise ConfigError(f"expected 4 component weights, got {len(vals)}")
-    if abs(sum(vals) - 1.0) > 1e-12:
+    if not abs(sum(vals) - 1.0) <= 1e-12:  # NaN fails too
         raise ConfigError(f"component weights {vals} do not sum to 1")
     return tuple(vals)
 
@@ -87,13 +100,23 @@ def _load_settings(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as f:
             config_file = json.load(f)
+        if not isinstance(config_file, dict):
+            raise ConfigError(
+                f"config file {args.config} must hold a JSON object, "
+                f"got {type(config_file).__name__}"
+            )
     settings = {}
     for name in DEFAULTS:
         settings[name] = resolve_setting(name, getattr(args, name, None), config_file)
-    settings["order"] = int(settings["order"])
-    settings["seed"] = int(settings["seed"])
+    settings["order"] = _parse_int("order", settings["order"])
+    if not 1 <= settings["order"] <= ppm.MAX_ORDER:
+        raise ConfigError(f"order must be in 1..{ppm.MAX_ORDER}, got {settings['order']}")
+    settings["seed"] = _parse_int("seed", settings["seed"])
     settings["weights"] = _parse_weights(settings["weights"])
-    logging.basicConfig(level=str(settings["log_level"]).upper())
+    level = logging.getLevelName(str(settings["log_level"]).upper())
+    if not isinstance(level, int):
+        raise ConfigError(f"unknown log level {settings['log_level']!r}")
+    logging.basicConfig(level=level)
     return settings
 
 
@@ -205,20 +228,45 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+# What a synth config value must be, by the type of the key's default.
+_SYNTH_KINDS = {bool: ("true or false", {bool}), int: ("an integer", {int}),
+                float: ("a number", {int, float})}
+
+
+def _synth_config(path, seed: int) -> synth.SynthConfig:
+    """The defaults overridden by the JSON object in `path`, checked key by key."""
+    raw = {}
+    if path:
+        with open(path, "r", encoding="utf-8") as f:
+            raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ConfigError(
+                f"synth config {path} must hold a JSON object, got {type(raw).__name__}"
+            )
+    defaults = synth.SynthConfig()
+    kwargs = {"seed": seed}
+    for key, value in raw.items():
+        if key not in synth.SynthConfig.__dataclass_fields__:
+            raise ConfigError(f"synth config has an unknown key {key!r}")
+        default = getattr(defaults, key)
+        if isinstance(default, tuple):
+            each, kinds = _SYNTH_KINDS[type(default[0])]
+            what = f"a list of {len(default)} values, each {each}"
+            ok = isinstance(value, list) and len(value) == len(default)
+            ok = ok and all(type(v) in kinds for v in value)
+            value = tuple(value) if ok else value
+        else:
+            what, kinds = _SYNTH_KINDS[type(default)]
+            ok = type(value) in kinds
+        if not ok:
+            raise ConfigError(f"synth config key {key!r} must be {what}, got {value!r}")
+        kwargs[key] = value
+    return synth.SynthConfig(**kwargs)
+
+
 def cmd_synth(args) -> int:
     settings = _load_settings(args)
-    cfg_kwargs = {}
-    if args.synth_config:
-        with open(args.synth_config, "r", encoding="utf-8") as f:
-            cfg_kwargs = json.load(f)
-    cfg_kwargs.setdefault("seed", settings["seed"])
-    for key in ("zones_per_route", "stops_per_zone", "geo_bbox"):
-        if key in cfg_kwargs:
-            cfg_kwargs[key] = tuple(cfg_kwargs[key])
-    try:
-        cfg = synth.SynthConfig(**cfg_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad synth config: {exc}")
+    cfg = _synth_config(args.synth_config, settings["seed"])
     train_ds, eval_ds = synth.generate(cfg)
     out = Path(args.out)
     ingest.write_dataset(train_ds, out / "train")

@@ -7,8 +7,10 @@ read-only across threads.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -176,6 +178,56 @@ class Route:
         """Distinct zone ids of the delivery stops, sorted for determinism."""
         return sorted({s.zone_id for s in self.delivery_stops() if s.zone_id})
 
+    @cached_property
+    def geometry(self) -> RouteGeometry:
+        """Every edge cost of the route, computed on first use."""
+        has_times = self.travel_times is not None
+        stop_ids = self.travel_times.ids if has_times else tuple(self.stops)
+        zone_stops: Dict[str, List[Stop]] = {}
+        for stop in sorted(self.delivery_stops(), key=lambda s: s.id):
+            if stop.zone_id:
+                zone_stops.setdefault(stop.zone_id, []).append(stop)
+        zones = sorted(zone_stops)
+        coords = [(self.stops[sid].lat, self.stops[sid].lng) for sid in stop_ids]
+        medians = [representative_node(zone_stops[z]) for z in zones]
+        stop_cost = self.travel_times.t if has_times else haversine_matrix(coords)
+        across = haversine_matrix(coords, medians)
+        cost = np.block([[stop_cost, across], [across.T, haversine_matrix(medians)]])
+        cost.setflags(write=False)
+        return RouteGeometry(
+            index={sid: i for i, sid in enumerate(stop_ids)},
+            median_index={z: len(stop_ids) + i for i, z in enumerate(zones)},
+            zone_stops={z: tuple(s.id for s in zone_stops[z]) for z in zones},
+            cost=cost,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class RouteGeometry:
+    """The read-only `cost` of every edge between a route's points.
+
+    Rows and columns are the stops (in travel-time order when the route has
+    travel times), then one median point per zone. Stop-to-stop costs are
+    travel times, or haversine meters without them; every cost that touches
+    a median is haversine.
+    """
+
+    index: Dict[str, int]  # stop id -> row
+    median_index: Dict[str, int]  # zone id -> row of its median point
+    zone_stops: Dict[str, Tuple[str, ...]]  # zone id -> its stop ids, sorted
+    cost: np.ndarray
+
+
+def representative_node(stops) -> Tuple[float, float]:
+    """Component-wise median coordinates of a zone's stops."""
+    stops = list(stops)
+    if not stops:
+        raise ValidationError("cannot take the median of an empty zone")
+    return (
+        statistics.median(s.lat for s in stops),
+        statistics.median(s.lng for s in stops),
+    )
+
 
 def haversine_m(a: Tuple[float, float], b: Tuple[float, float]) -> float:
     """Great-circle distance in meters between two (lat, lng) points."""
@@ -187,19 +239,29 @@ def haversine_m(a: Tuple[float, float], b: Tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
-def distance(route: Route, from_id: str, to_id: str) -> float:
-    """Travel cost between two stops of a route.
+def haversine_matrix(points, targets=None) -> np.ndarray:
+    """float64 array of haversine_m(points[i], targets[j]), bit for bit.
 
-    Uses the route's travel-time matrix when present, haversine meters
-    otherwise. Matrix presence is a route-level property, so a route never
-    mixes the two units.
+    Without targets it is points by points, and each unordered pair is
+    computed once: haversine_m is symmetric to the bit. It uses math, since
+    numpy's trigonometry can differ in the last bit.
     """
-    if from_id not in route.stops:
-        raise KeyError(f"unknown stop id {from_id!r} in route {route.route_id}")
-    if to_id not in route.stops:
-        raise KeyError(f"unknown stop id {to_id!r} in route {route.route_id}")
-    if route.travel_times is not None:
-        return route.travel_times.lookup(from_id, to_id)
-    a = route.stops[from_id]
-    b = route.stops[to_id]
-    return haversine_m((a.lat, a.lng), (b.lat, b.lng))
+    sin, asin, sqrt, diameter = math.sin, math.asin, math.sqrt, 2.0 * EARTH_RADIUS_M
+
+    def prepared(ps):
+        return [(math.radians(a), math.radians(b), math.cos(math.radians(a))) for a, b in ps]
+
+    rows = prepared(points)
+    cols = rows if targets is None else prepared(targets)
+    flat = [
+        diameter * asin(min(1.0, sqrt(
+            sin((lat2 - lat1) / 2) ** 2 + cos1 * cos2 * sin((lng2 - lng1) / 2) ** 2
+        )))
+        for i, (lat1, lng1, cos1) in enumerate(rows)
+        for lat2, lng2, cos2 in (cols if targets is not None else rows[i + 1:])
+    ]
+    if targets is not None:
+        return np.array(flat).reshape(len(rows), len(cols))
+    out = np.zeros((len(rows), len(rows)))
+    out[np.triu_indices(len(rows), 1)] = flat
+    return out + out.T

@@ -34,7 +34,6 @@ from .core import (
     TravelTimeMatrix,
     ValidationError,
     ZoneSequence,
-    distance,
 )
 
 DEPOT_STOP_ID = "depot"
@@ -73,7 +72,9 @@ def impute_zone(route: Route, stop: Stop) -> str:
         raise ValidationError(
             f"route {route.route_id}: no zoned stop available to impute {stop.id}"
         )
-    best = min(candidates, key=lambda s: (distance(route, stop.id, s.id), s.id))
+    geometry = route.geometry
+    row = geometry.cost[geometry.index[stop.id]].tolist()
+    best = min(candidates, key=lambda s: (row[geometry.index[s.id]], s.id))
     return best.zone_id
 
 
@@ -129,10 +130,16 @@ def load_dataset(dir_path, split: Split = Split.TRAIN) -> Dataset:
 
 
 def _coordinate(stop_id, raw, name) -> float:
+    """A JSON number; JSON true and numeric text are not numbers."""
     try:
-        return float(raw[name])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValidationError(f"stop {stop_id!r} has a missing or non-numeric {name!r}") from None
+        value = raw[name]
+        if type(value) is float:
+            return value
+        if type(value) is int:
+            return float(value)
+    except (KeyError, TypeError, OverflowError):
+        pass
+    raise ValidationError(f"stop {stop_id!r} has a missing or non-numeric {name!r}")
 
 
 def _object(raw, what) -> dict:
@@ -197,14 +204,20 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
     matrix = None
     if matrix_raw is not None:
         ids = tuple(sorted(_object(matrix_raw, "travel time matrix")))
-        entries = chain.from_iterable(map(matrix_raw[a].__getitem__, ids) for a in ids)
         try:
-            t = np.fromiter(map(float, entries), dtype=np.float64, count=len(ids) ** 2)
+            entries = list(chain.from_iterable(map(matrix_raw[a].__getitem__, ids) for a in ids))
+            if not set(map(type, entries)) <= {int, float}:  # float() takes true and "7"
+                at = next(i for i, v in enumerate(entries) if type(v) not in (int, float))
+                a, b = ids[at // len(ids)], ids[at % len(ids)]
+                raise ValidationError(
+                    f"travel time matrix has a non-numeric entry {a!r} -> {b!r}: {entries[at]!r}"
+                )
+            t = np.array(entries, dtype=np.float64)
         except KeyError as exc:
             raise ValidationError(
                 f"travel time matrix is not square, missing entry for {exc.args[0]!r}"
             )
-        except (AttributeError, TypeError, ValueError, OverflowError):
+        except (AttributeError, TypeError, OverflowError):
             raise ValidationError(
                 "travel time matrix has a malformed or non-numeric entry"
             ) from None
@@ -212,7 +225,7 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
 
     quality = _quality(quality_raw)
 
-    # Build once without imputation to get a valid Route for distance calls,
+    # Build once without imputation to get a valid Route for its geometry,
     # then repair any missing zone ids.
     route = Route(
         route_id=route_id,

@@ -25,6 +25,7 @@ from .core import DEPOT_ZONE, ValidationError, ZoneSequence
 EMPTY_TOKEN = "∅"  # pads missing components
 N_COMPONENTS = 4
 DEFAULT_ORDER = 5
+MAX_ORDER = 0xFFFF  # the model file stores max_order as a u16
 DEFAULT_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 
 _TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
@@ -61,7 +62,7 @@ class PpmModel:
     vocab: List[set]
 
     def __post_init__(self):
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:  # NaN fails too
             raise ValidationError(f"component weights {self.weights} do not sum to 1")
         if any(w < 0 for w in self.weights):
             raise ValidationError("component weights must be non-negative")
@@ -314,8 +315,8 @@ def train(
     """
     if not corpus:
         raise ValidationError("cannot train on an empty corpus")
-    if max_order < 1:
-        raise ValidationError(f"max_order must be >= 1, got {max_order}")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValidationError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
     counts: List[Dict[Context, Dict[str, int]]] = [{} for _ in range(N_COMPONENTS)]
     vocab: List[set] = [set() for _ in range(N_COMPONENTS)]
     for zseq in corpus:

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import Route, StopSequence, ValidationError, haversine_m
+from .core import Route, StopSequence, ValidationError
 from .ingest import Dataset
 
 
@@ -145,16 +145,16 @@ def erp(
 def _normalized_matrix(route: Route) -> Tuple[Dict[str, int], np.ndarray]:
     """Stop-id index and the route's cost matrix divided by its maximum.
 
-    The matrix is the travel times, or haversine meters between every
-    ordered pair of stops when the route carries none; it is all zeros when
-    its maximum is not positive.
+    The matrix is the travel times, or else the stop block of
+    `Route.geometry` (haversine meters); it is all zeros when its maximum
+    is not positive. Travel times are read directly: scoring needs none of
+    the geometry's median rows.
     """
     if route.travel_times is not None:
         index, cost = route.travel_times.index, route.travel_times.t
     else:
-        index = {sid: i for i, sid in enumerate(route.stops)}
-        coords = [(s.lat, s.lng) for s in route.stops.values()]
-        cost = np.array([[haversine_m(a, b) for b in coords] for a in coords])
+        index = route.geometry.index
+        cost = route.geometry.cost[:len(index), :len(index)]
     max_entry = cost.max()
     if max_entry <= 0:
         return index, np.zeros_like(cost)

@@ -16,8 +16,6 @@ import string
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .core import (
     Quality,
     Route,
@@ -27,6 +25,7 @@ from .core import (
     TravelTimeMatrix,
     ValidationError,
     haversine_m,
+    haversine_matrix,
 )
 from .ingest import DEPOT_STOP_ID, Dataset, Split
 
@@ -133,21 +132,8 @@ def _route(cfg, rng, route_id, templates, centers, depot) -> Route:
     matrix = None
     if cfg.with_travel_times:
         all_ids = tuple(sorted(stops))
-        t = np.array(
-            [
-                [
-                    0.0
-                    if a == b
-                    else haversine_m(
-                        (stops[a].lat, stops[a].lng), (stops[b].lat, stops[b].lng)
-                    )
-                    / _SPEED_M_PER_S
-                    for b in all_ids
-                ]
-                for a in all_ids
-            ]
-        )
-        matrix = TravelTimeMatrix(ids=all_ids, t=t)
+        coords = [(stops[sid].lat, stops[sid].lng) for sid in all_ids]
+        matrix = TravelTimeMatrix(ids=all_ids, t=haversine_matrix(coords) / _SPEED_M_PER_S)
 
     quality = Quality.HIGH if rng.random() < 0.5 else Quality.MEDIUM
     return Route(

@@ -19,7 +19,6 @@ its tours flow through the same rotation/filter post-processing.
 from __future__ import annotations
 
 import math
-import statistics
 
 import numpy as np
 import subprocess
@@ -34,7 +33,7 @@ from .core import (
     StopSequence,
     ValidationError,
     ZoneSequence,
-    haversine_m,
+    representative_node,  # re-exported: it moved to core
 )
 
 
@@ -51,30 +50,22 @@ class ZoneTspInstance:
 
     node_ids: Tuple[str, ...]
     tags: Tuple[NodeTag, ...]
-    cost: Tuple[Tuple[float, ...], ...]
+    cost: np.ndarray  # stored as a read-only n x n float64 array
     start_index: int
 
     def __post_init__(self):
         n = len(self.node_ids)
-        if len(self.tags) != n or len(self.cost) != n:
+        cost = np.array(self.cost, dtype=np.float64)
+        if len(self.tags) != n or cost.shape != (n, n):
             raise ValidationError("instance arrays disagree on node count")
         if self.tags.count(NodeTag.ZONE_STOP) < 1:
             raise ValidationError("instance has no zone stops")
+        cost.setflags(write=False)
+        object.__setattr__(self, "cost", cost)
 
     @property
     def n(self) -> int:
         return len(self.node_ids)
-
-
-def representative_node(stops) -> Tuple[float, float]:
-    """Component-wise median coordinates of a zone's stops."""
-    stops = list(stops)
-    if not stops:
-        raise ValidationError("cannot take the median of an empty zone")
-    return (
-        statistics.median(s.lat for s in stops),
-        statistics.median(s.lng for s in stops),
-    )
 
 
 def build_instance(
@@ -85,73 +76,32 @@ def build_instance(
 ) -> ZoneTspInstance:
     """Assemble the augmented ATSP instance for zone index k of zone_order.
 
-    Representative nodes are synthetic points without matrix entries, so
-    every edge touching one is haversine; stop-to-stop edges use the
-    route's normal distance (`core.distance`): its travel times, or
-    haversine when it has none.
+    Its costs are a slice of the route's geometry (`Route.geometry`).
     """
     if not 0 <= k < len(zone_order.zones):
         raise ValidationError(f"zone index {k} out of range for {zone_order.zones}")
-    zone = zone_order.zones[k]
-    zone_stops = sorted(
-        (s for s in route.delivery_stops() if s.zone_id == zone), key=lambda s: s.id
-    )
-    if not zone_stops:
-        raise ValidationError(f"route {route.route_id}: zone {zone} has no stops")
-
-    depot = route.depot
-    node_ids: List[str] = [s.id for s in zone_stops]
-    tags: List[NodeTag] = [NodeTag.ZONE_STOP] * len(zone_stops)
-    coords: List[Tuple[float, float]] = [(s.lat, s.lng) for s in zone_stops]
-    is_stop: List[bool] = [True] * len(zone_stops)
-
-    for later in zone_order.zones[k + 1:]:
-        later_stops = [s for s in route.delivery_stops() if s.zone_id == later]
-        node_ids.append(f"rn:{later}")
-        tags.append(NodeTag.REPRESENTATIVE)
-        coords.append(representative_node(later_stops))
-        is_stop.append(False)
-
-    if k == 0 or prev_last_stop is None or prev_last_stop == depot.id:
+    geometry = route.geometry
+    for zone in zone_order.zones[k:]:
+        if zone not in geometry.zone_stops:
+            raise ValidationError(f"route {route.route_id}: zone {zone} has no stops")
+    stops, later = geometry.zone_stops[zone_order.zones[k]], zone_order.zones[k + 1:]
+    depot = route.depot.id
+    if k == 0 or prev_last_stop is None or prev_last_stop == depot:
         # First zone: the depot doubles as the preceding last stop.
-        start_index = len(node_ids)
-        node_ids.append(depot.id)
-        tags.append(NodeTag.DEPOT)
-        coords.append((depot.lat, depot.lng))
-        is_stop.append(True)
+        ends, end_tags = (depot,), (NodeTag.DEPOT,)
     else:
-        ls = route.stops[prev_last_stop]
-        start_index = len(node_ids)
-        node_ids.append(ls.id)
-        tags.append(NodeTag.LAST_STOP)
-        coords.append((ls.lat, ls.lng))
-        is_stop.append(True)
-        node_ids.append(depot.id)
-        tags.append(NodeTag.DEPOT)
-        coords.append((depot.lat, depot.lng))
-        is_stop.append(True)
-
-    n = len(node_ids)
-    travel = None
-    if route.travel_times is not None:
-        # One slice of the travel times holds every stop-to-stop edge; the
-        # rows and columns of representative nodes (index 0) are never read.
-        index = route.travel_times.index
-        at = [index[nid] if stop else 0 for nid, stop in zip(node_ids, is_stop)]
-        travel = route.travel_times.t[np.ix_(at, at)].tolist()
-    cost = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if travel is not None and is_stop[i] and is_stop[j]:
-                cost[i][j] = travel[i][j]
-            else:
-                cost[i][j] = haversine_m(coords[i], coords[j])
+        ends, end_tags = (prev_last_stop, depot), (NodeTag.LAST_STOP, NodeTag.DEPOT)
+    index = geometry.index
+    at = [index[s] for s in stops] + [geometry.median_index[z] for z in later]
+    start_index = len(at)
+    at += [index[s] for s in ends]
+    cost = geometry.cost[np.ix_(at, at)]
+    np.fill_diagonal(cost, 0.0)
+    tags = (NodeTag.ZONE_STOP,) * len(stops) + (NodeTag.REPRESENTATIVE,) * len(later)
     return ZoneTspInstance(
-        node_ids=tuple(node_ids),
-        tags=tuple(tags),
-        cost=tuple(tuple(row) for row in cost),
+        node_ids=(*stops, *(f"rn:{z}" for z in later), *ends),
+        tags=tags + end_tags,
+        cost=cost,
         start_index=start_index,
     )
 
@@ -294,7 +244,7 @@ def solve_atsp(instance: ZoneTspInstance, stats: Optional[dict] = None) -> List[
     dict receives `moves` (accepted moves over all starts), `starts`
     (constructions run) and `budget_exhausted` (the cap ended the search).
     """
-    cost = np.asarray(instance.cost, dtype=float)
+    cost = instance.cost
     n = instance.n
     if n < 2:
         raise ValidationError("ATSP instance needs at least 2 nodes")
@@ -373,7 +323,7 @@ def write_tsplib_atsp(instance: ZoneTspInstance, name: str = "zone") -> bytes:
         "EDGE_WEIGHT_FORMAT: FULL_MATRIX",
         "EDGE_WEIGHT_SECTION",
     ]
-    for row in instance.cost:
+    for row in instance.cost.tolist():
         lines.append(" ".join(str(round(v * 1000)) for v in row))
     lines.append("EOF")
     return ("\n".join(lines) + "\n").encode("ascii")
@@ -436,10 +386,11 @@ def solve_atsp_external(instance: ZoneTspInstance, solver_path: str) -> List[int
             "RUNS = 1\n"
             "SEED = 1\n"
         )
-        subprocess.run(
+        status = subprocess.run(
             [solver_path, str(par)],
-            check=True,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
-        )
+        ).returncode
+        if status != 0:
+            raise OSError(f"external solver {solver_path} exited with status {status}")
         return parse_tsplib_tour(tour_file.read_bytes(), instance.n)

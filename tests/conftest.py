@@ -5,8 +5,17 @@ from typing import List
 import numpy as np
 import pytest
 
-from zoneseq.core import Route, Stop, StopKind, StopSequence, TravelTimeMatrix, haversine_m
+from zoneseq.core import (
+    Route,
+    Stop,
+    StopKind,
+    StopSequence,
+    TravelTimeMatrix,
+    ValidationError,
+    haversine_m,
+)
 from zoneseq.scorer import sequence_deviation
+from zoneseq.tsp import NodeTag, ZoneTspInstance, representative_node
 
 
 def make_route(route_id="r1", stops=None, depot=(0.0, 0.0), actual=None,
@@ -305,3 +314,80 @@ def oracle_route_score(route, submitted):
         actual_ids, submitted_ids, oracle_normalized_dist(route), depot_id
     )
     return sd, cost, edits, 0.0 if edits == 0 else sd * cost / edits
+
+
+# Reference instance builder: the per-zone rescan and per-pair cost loop
+# that `zoneseq.tsp.build_instance` replaces with a slice of Route.geometry.
+
+
+def oracle_build_instance(route, zone_order, k, prev_last_stop=None):
+    """Assemble the augmented ATSP instance for zone index k of zone_order.
+
+    Representative nodes are synthetic points without matrix entries, so
+    every edge touching one is haversine; stop-to-stop edges use the
+    route's travel times, or haversine when it has none.
+    """
+    if not 0 <= k < len(zone_order.zones):
+        raise ValidationError(f"zone index {k} out of range for {zone_order.zones}")
+    zone = zone_order.zones[k]
+    zone_stops = sorted(
+        (s for s in route.delivery_stops() if s.zone_id == zone), key=lambda s: s.id
+    )
+    if not zone_stops:
+        raise ValidationError(f"route {route.route_id}: zone {zone} has no stops")
+
+    depot = route.depot
+    node_ids = [s.id for s in zone_stops]
+    tags = [NodeTag.ZONE_STOP] * len(zone_stops)
+    coords = [(s.lat, s.lng) for s in zone_stops]
+    is_stop = [True] * len(zone_stops)
+
+    for later in zone_order.zones[k + 1:]:
+        later_stops = [s for s in route.delivery_stops() if s.zone_id == later]
+        node_ids.append(f"rn:{later}")
+        tags.append(NodeTag.REPRESENTATIVE)
+        coords.append(representative_node(later_stops))
+        is_stop.append(False)
+
+    if k == 0 or prev_last_stop is None or prev_last_stop == depot.id:
+        # First zone: the depot doubles as the preceding last stop.
+        start_index = len(node_ids)
+        node_ids.append(depot.id)
+        tags.append(NodeTag.DEPOT)
+        coords.append((depot.lat, depot.lng))
+        is_stop.append(True)
+    else:
+        ls = route.stops[prev_last_stop]
+        start_index = len(node_ids)
+        node_ids.append(ls.id)
+        tags.append(NodeTag.LAST_STOP)
+        coords.append((ls.lat, ls.lng))
+        is_stop.append(True)
+        node_ids.append(depot.id)
+        tags.append(NodeTag.DEPOT)
+        coords.append((depot.lat, depot.lng))
+        is_stop.append(True)
+
+    n = len(node_ids)
+    travel = None
+    if route.travel_times is not None:
+        # One slice of the travel times holds every stop-to-stop edge; the
+        # rows and columns of representative nodes (index 0) are never read.
+        index = route.travel_times.index
+        at = [index[nid] if stop else 0 for nid, stop in zip(node_ids, is_stop)]
+        travel = route.travel_times.t[np.ix_(at, at)].tolist()
+    cost = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if travel is not None and is_stop[i] and is_stop[j]:
+                cost[i][j] = travel[i][j]
+            else:
+                cost[i][j] = haversine_m(coords[i], coords[j])
+    return ZoneTspInstance(
+        node_ids=tuple(node_ids),
+        tags=tuple(tags),
+        cost=tuple(tuple(row) for row in cost),
+        start_index=start_index,
+    )

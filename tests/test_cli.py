@@ -332,3 +332,77 @@ def test_bench_prints_table_and_is_deterministic(synth_dirs, capsys):
     for name in ("submission_method.json", "report_method.json",
                  "submission_alphabetical.json", "submission_zsgt_oracle.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _one_route_dataset(path):
+    path.mkdir(parents=True, exist_ok=True)
+    (path / "routes.json").write_text(json.dumps({"r1": {
+        "depot": {"lat": 0.0, "lng": 0.0},
+        "stops": {"a": {"lat": 0.1, "lng": 0.1, "zone_id": "A-1.1A"}}}}))
+    (path / "actual_sequences.json").write_text(json.dumps({"r1": {"depot": 0, "a": 1}}))
+    return path
+
+
+@pytest.mark.parametrize("env, config, message", [
+    ({"ZSEQ_ORDER": "abc"}, None, "order must be an integer, got 'abc'"),
+    ({"ZSEQ_ORDER": "70000"}, None, "order must be in 1..65535, got 70000"),
+    ({"ZSEQ_WEIGHTS": "a,b,c,d"}, None, "component weights 'a,b,c,d' are not numbers"),
+    ({"ZSEQ_WEIGHTS": "nan,0.25,0.25,0.25"}, None, "do not sum to 1"),
+    ({"ZSEQ_LOG_LEVEL": "bogus"}, None, "unknown log level 'bogus'"),
+    ({}, [{"order": 2}], "must hold a JSON object, got list"),
+    ({}, {"order": 2.5}, "order must be an integer, got 2.5"),
+    ({}, {"seed": True}, "seed must be an integer, got True"),
+], ids=["order-text", "order-over-u16", "weights-text", "weights-nan", "log-level",
+        "config-list", "config-float-order", "config-bool-seed"])
+def test_bad_settings_exit_3_before_training(tmp_path, monkeypatch, capsys,
+                                             env, config, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    model = tmp_path / "m.zppm"
+    argv = ["train", "--dataset", str(_one_route_dataset(tmp_path / "d")),
+            "--model", str(model)]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ([], None),
+    ({"zones_per_route": 5}, "zones_per_route"),
+    ({"zones_per_route": [2, 3, 4]}, "zones_per_route"),
+    ({"geo_bbox": [0, 0, "1", 1]}, "geo_bbox"),
+    ({"n_train_routes": "x"}, "n_train_routes"),
+    ({"n_eval_routes": 2.0}, "n_eval_routes"),
+    ({"pattern_strength": True}, "pattern_strength"),
+    ({"with_travel_times": 1}, "with_travel_times"),
+    ({"no_such_key": 1}, "no_such_key"),
+], ids=["list", "zones-int", "zones-three", "bbox-text", "routes-text", "routes-float",
+        "strength-bool", "travel-times-int", "unknown-key"])
+def test_bad_synth_config_exits_3_naming_key(tmp_path, capsys, config, key):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["synth", "--synth-config", str(cfg), "--out", str(tmp_path / "data")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: synth config ")
+    assert repr(key) in err if key else "must hold a JSON object, got list" in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_failing_external_solver_exits_2_naming_it(synth_dirs, capsys):
+    tmp_path, data = synth_dirs
+    solver = tmp_path / "failing_solver.sh"
+    solver.write_text("#!/bin/sh\nexit 3\n")
+    solver.chmod(0o755)
+    model = tmp_path / "m.zppm"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    code = main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                 "--out", str(tmp_path / "sub.json"), "--external-solver", str(solver)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"I/O error: external solver {solver} exited with status 3\n"
+    assert not (tmp_path / "sub.json").exists()

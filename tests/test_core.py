@@ -10,10 +10,17 @@ from zoneseq.core import (
     StopSequence,
     TravelTimeMatrix,
     ValidationError,
-    distance,
     haversine_m,
+    haversine_matrix,
+    representative_node,
 )
 from conftest import make_route
+
+
+def cost(route, from_id, to_id):
+    """The route's geometry cost between two stops."""
+    geometry = route.geometry
+    return geometry.cost[geometry.index[from_id], geometry.index[to_id]]
 
 
 def test_haversine_identity():
@@ -41,20 +48,20 @@ def test_distance_uses_matrix_when_present():
         "b": {"depot": 3, "a": 13, "b": 0},
     }
     route = make_route(stops=[("a", 1, 1, "Z"), ("b", 2, 2, "Z")], travel_times=tt)
-    assert distance(route, "a", "b") == 11.0
-    assert distance(route, "b", "a") == 13.0  # asymmetry preserved
-    assert distance(route, "a", "a") == 0.0
+    assert cost(route, "a", "b") == 11.0
+    assert cost(route, "b", "a") == 13.0  # asymmetry preserved
+    assert cost(route, "a", "a") == 0.0
 
 
 def test_distance_falls_back_to_haversine():
     route = make_route(stops=[("a", 0, 0, "Z"), ("b", 0, 1, "Z")])
-    assert distance(route, "a", "b") == haversine_m((0, 0), (0, 1))
+    assert cost(route, "a", "b") == haversine_m((0, 0), (0, 1))
 
 
 def test_distance_unknown_stop_names_id():
     route = make_route(stops=[("a", 0, 0, "Z")])
     with pytest.raises(KeyError, match="nope"):
-        distance(route, "a", "nope")
+        cost(route, "a", "nope")
 
 
 def test_coordinates_validated():
@@ -94,7 +101,59 @@ def test_distance_total_and_non_negative():
     route = make_route(stops=stops)
     for a in route.stops:
         for b in route.stops:
-            assert distance(route, a, b) >= 0.0
+            assert cost(route, a, b) >= 0.0
+
+
+def random_points(rng, n):
+    """Global (lat within 89, lng within 179) points, some of them repeated."""
+    points = []
+    for _ in range(n):
+        if points and rng.random() < 0.2:
+            points.append(rng.choice(points))
+        else:
+            points.append((rng.uniform(-89, 89), rng.uniform(-179, 179)))
+    return points
+
+
+def test_haversine_matrix_matches_haversine_bit_for_bit():
+    rng = random.Random(12)
+    for _ in range(40):
+        points = random_points(rng, rng.randint(0, 12))
+        targets = random_points(rng, rng.randint(0, 5))
+        for got, rows, cols in [
+            (haversine_matrix(points), points, points),
+            (haversine_matrix(points, targets), points, targets),
+            (haversine_matrix(targets, points), targets, points),
+        ]:
+            want = np.array([[haversine_m(a, b) for b in cols] for a in rows])
+            assert got.shape == (len(rows), len(cols))
+            assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
+def test_geometry_layout_and_medians():
+    stops = [("d", 1.0, 1.0, "Y"), ("b", 2.0, 4.0, "Y"), ("c", 3.0, 0.5, "X"),
+             ("a", 5.0, 3.0, "Y")]
+    ids = ("a", "b", "c", "d", "depot")
+    tt = {a: {b: 0 if a == b else 10 * i + j for j, b in enumerate(ids)}
+          for i, a in enumerate(ids)}
+    for travel_times in (None, tt):
+        route = make_route(stops=stops, travel_times=travel_times)
+        geometry = route.geometry
+        assert route.geometry is geometry  # computed once
+        assert geometry.zone_stops == {"X": ("c",), "Y": ("a", "b", "d")}
+        assert sorted(geometry.index.values()) == list(range(5))
+        assert geometry.median_index == {"X": 5, "Y": 6}
+        assert geometry.cost.shape == (7, 7)
+        assert not geometry.cost.flags.writeable
+        median_y = representative_node(route.stops[s] for s in "abd")
+        assert median_y == (2.0, 3.0)
+        for a, stop in route.stops.items():
+            d = haversine_m((stop.lat, stop.lng), median_y)
+            assert cost(route, a, a) == 0.0
+            assert geometry.cost[geometry.index[a], 6] == d
+            assert geometry.cost[6, geometry.index[a]] == d
+            if travel_times is not None:
+                assert [cost(route, a, b) for b in ids] == [tt[a][b] for b in ids]
 
 
 NAN, INF = float("nan"), float("inf")

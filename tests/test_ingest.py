@@ -4,7 +4,7 @@ import random
 import pytest
 
 from zoneseq import ingest
-from zoneseq.core import Quality, ValidationError
+from zoneseq.core import Quality, ValidationError, haversine_m
 from zoneseq.ingest import ZoneRun, collapse_to_zsgt, impute_zone, zone_runs, zsgt
 from conftest import make_route
 
@@ -78,8 +78,8 @@ def test_non_square_matrix_names_route(tmp_path):
 
 @pytest.mark.parametrize("stop_id", ["depot", "a"])
 @pytest.mark.parametrize("field", ["lat", "lng"])
-@pytest.mark.parametrize("value", ["missing", None, "north", [1.0]],
-                         ids=["missing", "null", "text", "list"])
+@pytest.mark.parametrize("value", ["missing", None, "north", [1.0], True, "0.5"],
+                         ids=["missing", "null", "text", "list", "true", "numeric-text"])
 def test_bad_coordinate_names_route_stop_and_field(tmp_path, stop_id, field, value):
     routes = json.loads(json.dumps(TWO_ROUTES))
     body = routes["r1"]["depot"] if stop_id == "depot" else routes["r1"]["stops"][stop_id]
@@ -120,8 +120,15 @@ def test_non_object_route_or_stops_names_route(tmp_path, routes):
      "route r2: travel time matrix"),
     (None, {"r2": {"depot": {"depot": 0, "c": "far"}, "c": {"depot": 5, "c": 0}}},
      "route r2: travel time matrix"),
+    (None, {"r2": {"depot": {"depot": 0, "c": True}, "c": {"depot": 5, "c": 0}}},
+     "route r2: travel time matrix has a non-numeric entry 'depot' -> 'c': True"),
+    (None, {"r2": {"depot": {"depot": 0, "c": 5}, "c": {"depot": 5, "c": False}}},
+     "route r2: travel time matrix has a non-numeric entry 'c' -> 'c': False"),
+    (None, {"r2": {"depot": {"depot": 0, "c": "7"}, "c": {"depot": 5, "c": 0}}},
+     "route r2: travel time matrix has a non-numeric entry 'depot' -> 'c': '7'"),
 ], ids=["actuals-top-list", "actual-list", "actual-text-position",
-        "travel-top-list", "matrix-list", "matrix-row-list", "matrix-text-entry"])
+        "travel-top-list", "matrix-list", "matrix-row-list", "matrix-text-entry",
+        "matrix-true-entry", "matrix-false-entry", "matrix-numeric-text-entry"])
 def test_malformed_actuals_or_travel_times_name_route(tmp_path, actuals, travel, match):
     write_fixture(tmp_path, TWO_ROUTES, actuals=actuals, travel=travel)
     with pytest.raises(ValidationError, match=match):
@@ -240,9 +247,9 @@ def test_impute_zone_brute_force_nearest():
              for i in range(5)]
     stops.append(("x", 0.3, -0.2, None))
     route = make_route(stops=stops)
-    from zoneseq.core import distance
+    x = route.stops["x"]
     best = min((s for s in route.delivery_stops() if s.zone_id),
-               key=lambda s: (distance(route, "x", s.id), s.id))
+               key=lambda s: (haversine_m((x.lat, x.lng), (s.lat, s.lng)), s.id))
     assert impute_zone(route, route.stops["x"]) == best.zone_id
 
 

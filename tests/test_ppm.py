@@ -213,3 +213,16 @@ def test_load_rejects_trailing_bytes(tmp_path):
 def test_weights_must_sum_to_one():
     with pytest.raises(ValidationError):
         train([["A"]], weights=(0.5, 0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("max_order", [0, 65536])
+def test_train_rejects_order_outside_u16_range(max_order):
+    # The model file stores max_order as a u16.
+    with pytest.raises(ValidationError, match="max_order"):
+        train([ZoneSequence("r", ("A", "B"))], max_order=max_order)
+
+
+def test_model_rejects_nan_weights():
+    with pytest.raises(ValidationError, match="do not sum to 1"):
+        PpmModel(max_order=1, weights=(float("nan"), 0.25, 0.25, 0.25),
+                 counts=[{} for _ in range(4)], vocab=[set() for _ in range(4)])

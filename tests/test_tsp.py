@@ -23,7 +23,7 @@ from zoneseq.tsp import (
     tour_cost,
     write_tsplib_atsp,
 )
-from conftest import brute_force_atsp, make_route, oracle_improve
+from conftest import brute_force_atsp, make_route, oracle_build_instance, oracle_improve
 
 
 def raw_instance(cost, start=0, tags=None):
@@ -122,6 +122,55 @@ def test_build_instance_k_out_of_range():
     order = ZoneSequence("r1", ("ZA", "ZB", "ZC"))
     with pytest.raises(ValidationError):
         build_instance(route, order, 3)
+
+
+def fuzz_route(rng):
+    """A route of 1-12 zones with 1-6 stops each, with or without travel times.
+
+    Coordinates are global (lat within 89, lng within 179) or clustered,
+    and some of them repeat; returns the route and a random zone order.
+    """
+    spread = rng.choice([0.01, 1.0, 180.0])
+    points = []
+
+    def point():
+        if points and rng.random() < 0.2:
+            return rng.choice(points)
+        lat = max(-89.0, min(89.0, rng.uniform(-spread, spread) / 2))
+        points.append((lat, max(-179.0, min(179.0, rng.uniform(-spread, spread)))))
+        return points[-1]
+
+    zones = [f"Z{i}.{rng.randint(0, 9)}" for i in range(rng.randint(1, 12))]
+    stops = [(f"s{rng.randrange(10**6):06d}-{z}-{si}", *point(), z)
+             for z in zones for si in range(rng.randint(1, 6))]
+    travel_times = None
+    if rng.random() < 0.5:
+        ids = [s[0] for s in stops] + ["depot"]
+        travel_times = {a: {b: 0 if a == b else rng.choice([rng.randint(0, 9),
+                                                            rng.uniform(0, 1e4)])
+                            for b in ids} for a in ids}
+    route = make_route(stops=stops, depot=point(), travel_times=travel_times)
+    rng.shuffle(zones)
+    return route, ZoneSequence("r1", tuple(zones))
+
+
+def test_build_instance_matches_oracle_fuzz():
+    rng = random.Random(9)
+    for case in range(300):
+        route, order = fuzz_route(rng)
+        for k, zone in enumerate(order.zones):
+            prev_last = None
+            if k > 0 and rng.random() < 0.8:
+                prev_last = rng.choice(route.geometry.zone_stops[order.zones[k - 1]])
+            elif rng.random() < 0.5:
+                prev_last = "depot"
+            got = build_instance(route, order, k, prev_last)
+            want = oracle_build_instance(route, order, k, prev_last)
+            assert got.node_ids == want.node_ids, (case, k)
+            assert got.tags == want.tags
+            assert got.start_index == want.start_index
+            assert got.cost.tobytes() == want.cost.tobytes(), (case, k)
+            assert not got.cost.flags.writeable
 
 
 # -- solver ------------------------------------------------------------------
