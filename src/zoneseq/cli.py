@@ -21,8 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from . import ingest, ppm, rollout, scorer, synth, tsp
 from .core import StopSequence, ValidationError, ZoneSequence
 
-log = logging.getLogger("zoneseq")
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
@@ -123,21 +121,10 @@ def _load_settings(args) -> dict:
 # -- commands ----------------------------------------------------------------
 
 
-def _training_corpus(dataset, include_low) -> list:
-    """The dataset's training corpus, warning about the routes it skipped."""
-    skipped: List[str] = []
-    corpus = ingest.training_corpus(dataset, include_low=include_low, skipped=skipped)
-    if skipped:
-        log.warning(
-            "skipped %d routes without delivery stops: %s", len(skipped), ", ".join(skipped)
-        )
-    return corpus
-
-
 def cmd_train(args) -> int:
     settings = _load_settings(args)
     dataset = ingest.load_dataset(args.dataset, ingest.Split.TRAIN)
-    corpus = _training_corpus(dataset, args.include_low)
+    corpus = ingest.training_corpus(dataset, include_low=args.include_low)
     if not corpus:
         raise ValidationError("dataset has no routes with actual sequences to train on")
     t0 = time.perf_counter()
@@ -287,7 +274,7 @@ def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, fl
     out_dir = Path(out_dir)
     train_ds = ingest.load_dataset(dataset_dir / "train", ingest.Split.TRAIN)
     eval_ds = ingest.load_dataset(dataset_dir / "eval", ingest.Split.EVAL)
-    corpus = _training_corpus(train_ds, include_low)
+    corpus = ingest.training_corpus(train_ds, include_low=include_low)
     model = ppm.train(corpus, max_order=settings["order"], weights=settings["weights"])
     model_path = out_dir / "model.zppm"
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,7 @@ The depot is stored under the reserved stop id "depot".
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -34,9 +35,12 @@ from .core import (
     TravelTimeMatrix,
     ValidationError,
     ZoneSequence,
+    haversine_matrix,
 )
 
 DEPOT_STOP_ID = "depot"
+
+log = logging.getLogger("zoneseq")
 
 
 class Split(Enum):
@@ -72,9 +76,12 @@ def impute_zone(route: Route, stop: Stop) -> str:
         raise ValidationError(
             f"route {route.route_id}: no zoned stop available to impute {stop.id}"
         )
-    geometry = route.geometry
-    row = geometry.cost[geometry.index[stop.id]].tolist()
-    best = min(candidates, key=lambda s: (row[geometry.index[s.id]], s.id))
+    times = route.travel_times
+    if times is None:
+        costs = haversine_matrix([(stop.lat, stop.lng)], [(s.lat, s.lng) for s in candidates])[0]
+    else:
+        costs = times.t[times.index[stop.id], [times.index[s.id] for s in candidates]]
+    _, best = min(zip(costs.tolist(), candidates), key=lambda cs: (cs[0], cs[1].id))
     return best.zone_id
 
 
@@ -225,7 +232,7 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
 
     quality = _quality(quality_raw)
 
-    # Build once without imputation to get a valid Route for its geometry,
+    # Build once without imputation to get a valid Route to measure from,
     # then repair any missing zone ids.
     route = Route(
         route_id=route_id,
@@ -332,15 +339,14 @@ def zsgt(route: Route) -> ZoneSequence:
     return collapse_to_zsgt(route.route_id, zone_runs(route, route.actual))
 
 
-def training_corpus(
-    dataset: Dataset, include_low: bool = False, skipped: Optional[List[str]] = None
-) -> List[ZoneSequence]:
+def training_corpus(dataset: Dataset, include_low: bool = False) -> List[ZoneSequence]:
     """ZSgt sequences of all routes with actuals, excluding Low quality by default.
 
     A route without delivery stops has no zone sequence: it is left out, and
-    its id is appended to `skipped` when a list is given.
+    one warning on the ``zoneseq`` logger names every such route.
     """
     corpus = []
+    skipped = []
     for route_id in sorted(dataset.routes):
         route = dataset.routes[route_id]
         if route.actual is None:
@@ -348,8 +354,11 @@ def training_corpus(
         if not include_low and route.quality is Quality.LOW:
             continue
         if not route.delivery_stops():
-            if skipped is not None:
-                skipped.append(route_id)
+            skipped.append(route_id)
             continue
         corpus.append(zsgt(route))
+    if skipped:
+        log.warning(
+            "skipped %d routes without delivery stops: %s", len(skipped), ", ".join(skipped)
+        )
     return corpus

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import DEPOT_ZONE, ValidationError, ZoneSequence
@@ -31,8 +32,10 @@ DEFAULT_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 _TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
 
 Context = Tuple[str, ...]
+Chain = Tuple[List[Tuple[Dict[str, int], int, float]], float]
 
 
+@lru_cache(maxsize=None)
 def tokenize_zone(zone_id: str) -> Tuple[str, str, str, str]:
     """Split a zone id into its four component tokens.
 
@@ -53,19 +56,25 @@ class PpmModel:
 
     ``counts[k]`` maps a context tuple (length 0..max_order) to the
     successor-count dict for component k. Immutable by convention once
-    training returns; safe for concurrent readers.
+    training returns, as escape chains are memoised; safe for concurrent readers.
     """
 
     max_order: int
     weights: Tuple[float, float, float, float]
     counts: List[Dict[Context, Dict[str, int]]]
     vocab: List[set]
+    _chains: List[Dict[Context, Chain]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.weights) != N_COMPONENTS:
+            raise ValidationError(
+                f"expected {N_COMPONENTS} component weights, got {len(self.weights)}"
+            )
         if not abs(sum(self.weights) - 1.0) <= 1e-12:  # NaN fails too
             raise ValidationError(f"component weights {self.weights} do not sum to 1")
         if any(w < 0 for w in self.weights):
             raise ValidationError("component weights must be non-negative")
+        self._chains = [{} for _ in range(N_COMPONENTS)]
 
     # -- probability queries -------------------------------------------------
 
@@ -76,18 +85,36 @@ class PpmModel:
         recorded successors are skipped without charging an escape.
         """
         ctx = tuple(context[-self.max_order:]) if self.max_order else ()
+        return _chain_prob(self._chain(k, self._suffix(k, ctx)), token)
+
+    def _suffix(self, k: int, ctx: Context) -> Context:
+        """Longest suffix of `ctx` with a non-empty component-k table, else ()."""
         tables = self.counts[k]
-        acc = 1.0
-        for start in range(len(ctx) + 1):
-            table = tables.get(ctx[start:])
-            if not table:
-                continue
-            t = sum(table.values())
-            c = table.get(token, 0)
-            if c > 0:
-                return acc * (2 * c - 1) / (2 * t)
-            acc *= len(table) / (2 * t)
-        return acc / (len(self.vocab[k]) + 1)
+        for start in range(len(ctx)):
+            if tables.get(ctx[start:]):
+                return ctx[start:]
+        return ()
+
+    def _chain(self, k: int, suffix: Context) -> Chain:
+        """Component k's escape chain from `suffix`, memoised on `suffix` only.
+
+        The links are (table, total, escape product before it) for each
+        non-empty table from `suffix` down to order 0, then the uniform floor.
+        One chain per recorded context, shared by every route of the model.
+        """
+        chain = self._chains[k].get(suffix)
+        if chain is None:
+            links = []
+            acc = 1.0
+            for start in range(len(suffix) + 1):
+                table = self.counts[k].get(suffix[start:])
+                if not table:
+                    continue
+                t = sum(table.values())
+                links.append((table, t, acc))
+                acc *= len(table) / (2 * t)
+            chain = self._chains[k][suffix] = (links, acc / (len(self.vocab[k]) + 1))
+        return chain
 
     def prob(
         self,
@@ -127,7 +154,6 @@ class PpmModel:
         self,
         zones: Sequence[str],
         sentinel: Optional[str] = DEPOT_ZONE,
-        cache: Optional[dict] = None,
     ) -> float:
         """Sum of sliding-window conditional probabilities over a sequence."""
         if not zones:
@@ -135,7 +161,7 @@ class PpmModel:
         full = ([sentinel] if sentinel else []) + list(zones)
         start = 1 if sentinel else 0
         return sum(
-            self.prob(full[max(0, i - self.max_order):i], full[i], cache=cache)
+            self.prob(full[max(0, i - self.max_order):i], full[i])
             for i in range(start, len(full))
         )
 
@@ -207,6 +233,16 @@ class PpmModel:
         return cls(max_order=max_order, weights=weights, counts=counts, vocab=vocab)
 
 
+def _chain_prob(chain: Chain, token: str) -> float:
+    """PPM-D probability of `token` on an escape chain from `PpmModel._chain`."""
+    links, floor = chain
+    for table, t, acc in links:
+        c = table.get(token, 0)
+        if c > 0:
+            return acc * (2 * c - 1) / (2 * t)
+    return floor
+
+
 class CompiledRoute:
     """The blended probabilities of one route's zones, one list per context.
 
@@ -220,7 +256,8 @@ class CompiledRoute:
     Each list is computed once per context. Below that, component k's list
     depends only on the longest suffix of its token context that has a
     recorded table (longer ones are skipped without an escape), so it is
-    memoised on that suffix, and the blend on the four suffixes.
+    memoised on that suffix, and the blend on the four suffixes. Suffixes
+    and escape chains come from the model, built once for all its routes.
     """
 
     def __init__(self, model: PpmModel, zones: Sequence[str], sentinel: str):
@@ -247,7 +284,8 @@ class CompiledRoute:
         vec = self._lists.get(key)
         if vec is None:
             tokens = [self._tokens[i] for i in key]
-            suffixes = tuple(self._suffix(k, tuple(t[k] for t in tokens)) for k in self._active)
+            suffix = self._model._suffix
+            suffixes = tuple(suffix(k, tuple(t[k] for t in tokens)) for k in self._active)
             vec = self._blends.get(suffixes)
             if vec is None:
                 vec = [0.0] * len(self.zones)
@@ -258,46 +296,13 @@ class CompiledRoute:
             self._lists[key] = vec
         return vec
 
-    def _suffix(self, k: int, ctx: Context) -> Context:
-        """Longest suffix of `ctx` with a non-empty component-k table, else ()."""
-        tables = self._model.counts[k]
-        for start in range(len(ctx)):
-            if tables.get(ctx[start:]):
-                return ctx[start:]
-        return ()
-
     def _component_list(self, k: int, ctx: Context) -> List[float]:
         """`component_prob(k, ctx, token)` for every zone's component-k token."""
         memo = self._component_lists[k]
         out = memo.get(ctx)
-        if out is not None:
-            return out
-        tables = self._model.counts[k]
-        chain = []  # (table, total, escape product before it), longest context first
-        acc = 1.0
-        for start in range(len(ctx) + 1):
-            table = tables.get(ctx[start:])
-            if not table:
-                continue
-            t = sum(table.values())
-            chain.append((table, t, acc))
-            acc *= len(table) / (2 * t)
-        floor = acc / (len(self._model.vocab[k]) + 1)
-        by_token: Dict[str, float] = {}
-        out = []
-        for toks in self._tokens[:-1]:
-            token = toks[k]
-            p = by_token.get(token)
-            if p is None:
-                p = floor
-                for table, t, a in chain:
-                    c = table.get(token, 0)
-                    if c > 0:
-                        p = a * (2 * c - 1) / (2 * t)
-                        break
-                by_token[token] = p
-            out.append(p)
-        memo[ctx] = out
+        if out is None:
+            chain = self._model._chain(k, ctx)
+            out = memo[ctx] = [_chain_prob(chain, toks[k]) for toks in self._tokens[:-1]]
         return out
 
 

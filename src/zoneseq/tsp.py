@@ -28,13 +28,7 @@ from enum import Enum
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .core import (
-    Route,
-    StopSequence,
-    ValidationError,
-    ZoneSequence,
-    representative_node,  # re-exported: it moved to core
-)
+from .core import Route, StopSequence, ValidationError, ZoneSequence
 
 
 class NodeTag(Enum):

@@ -13,9 +13,11 @@ from zoneseq.core import (
     TravelTimeMatrix,
     ValidationError,
     haversine_m,
+    representative_node,
 )
+from zoneseq.ppm import tokenize_zone
 from zoneseq.scorer import sequence_deviation
-from zoneseq.tsp import NodeTag, ZoneTspInstance, representative_node
+from zoneseq.tsp import NodeTag, ZoneTspInstance
 
 
 def make_route(route_id="r1", stops=None, depot=(0.0, 0.0), actual=None,
@@ -70,6 +72,35 @@ def patterned_instance(rng: random.Random, n_zones: int, strength=None):
                 seq[i], seq[i + 1] = seq[i + 1], seq[i]
         corpus.append(seq)
     return corpus, sorted(zones)
+
+
+def oracle_component_prob(model, k, context, token):
+    """Reference PPM-D walk: the escape chain rebuilt and re-summed per call."""
+    ctx = tuple(context[-model.max_order:]) if model.max_order else ()
+    tables = model.counts[k]
+    acc = 1.0
+    for start in range(len(ctx) + 1):
+        table = tables.get(ctx[start:])
+        if not table:
+            continue
+        t = sum(table.values())
+        c = table.get(token, 0)
+        if c > 0:
+            return acc * (2 * c - 1) / (2 * t)
+        acc *= len(table) / (2 * t)
+    return acc / (len(model.vocab[k]) + 1)
+
+
+def oracle_prob(model, context, candidate):
+    """Reference blend of `oracle_component_prob`, in `PpmModel.prob`'s order."""
+    ctx_comp = [tokenize_zone(z) for z in context[-model.max_order:]]
+    cand_comp = tokenize_zone(candidate)
+    p = 0.0
+    for k, w in enumerate(model.weights):
+        if w == 0.0:
+            continue
+        p += w * oracle_component_prob(model, k, [c[k] for c in ctx_comp], cand_comp[k])
+    return p
 
 
 def exhaustive_best_reward(model, zones, sentinel="stz"):

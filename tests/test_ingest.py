@@ -242,15 +242,28 @@ def test_impute_zone_tie_breaks_on_stop_id():
 
 
 def test_impute_zone_brute_force_nearest():
+    # with and without travel times; small integer times make ties that the
+    # stop id breaks
     rng = random.Random(11)
-    stops = [(f"s{i}", rng.uniform(-1, 1), rng.uniform(-1, 1), f"Z{i}")
-             for i in range(5)]
-    stops.append(("x", 0.3, -0.2, None))
-    route = make_route(stops=stops)
-    x = route.stops["x"]
-    best = min((s for s in route.delivery_stops() if s.zone_id),
-               key=lambda s: (haversine_m((x.lat, x.lng), (s.lat, s.lng)), s.id))
-    assert impute_zone(route, route.stops["x"]) == best.zone_id
+    for with_times in (False, True) * 10:
+        stops = [(f"s{i}", rng.uniform(-1, 1), rng.uniform(-1, 1), f"Z{i}")
+                 for i in range(rng.randint(1, 6))]
+        stops.append(("x", rng.uniform(-1, 1), rng.uniform(-1, 1), None))
+        times = None
+        if with_times:
+            ids = ["depot"] + [s[0] for s in stops]
+            times = {a: {b: 0 if a == b else rng.randint(1, 4) for b in ids} for a in ids}
+        route = make_route(stops=stops, travel_times=times)
+        x = route.stops["x"]
+
+        def cost(s):
+            if with_times:
+                return times["x"][s.id]
+            return haversine_m((x.lat, x.lng), (s.lat, s.lng))
+
+        best = min((s for s in route.delivery_stops() if s.zone_id),
+                   key=lambda s: (cost(s), s.id))
+        assert impute_zone(route, x) == best.zone_id
 
 
 def test_impute_zone_no_candidates():

@@ -5,7 +5,7 @@ import pytest
 from zoneseq import ppm
 from zoneseq.core import ValidationError, ZoneSequence
 from zoneseq.ppm import EMPTY_TOKEN, PpmModel, tokenize_zone, train
-from conftest import random_corpus
+from conftest import oracle_component_prob, oracle_prob, random_corpus
 
 
 def test_tokenize_dashed_decimal_id():
@@ -226,3 +226,60 @@ def test_model_rejects_nan_weights():
     with pytest.raises(ValidationError, match="do not sum to 1"):
         PpmModel(max_order=1, weights=(float("nan"), 0.25, 0.25, 0.25),
                  counts=[{} for _ in range(4)], vocab=[set() for _ in range(4)])
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.2, 0.2, 0.2, 0.2, 0.2)])
+def test_model_rejects_wrong_weight_count(weights):
+    with pytest.raises(ValidationError, match=f"got {len(weights)}"):
+        train([["A"]], weights=weights)
+
+
+# -- one escape chain --------------------------------------------------------
+
+
+def test_chain_paths_match_oracle_fuzz():
+    # orders 1-6, zero-weight components, tokens unseen in training, contexts
+    # shorter than the order and the empty context; exact float equality
+    rng = random.Random(23)
+    for _ in range(150):
+        raw = [rng.choice([0, 0, 1, 2, 3]) for _ in range(4)]
+        raw[rng.randrange(4)] = rng.randint(1, 3)
+        weights = tuple(w / sum(raw) for w in raw)
+        if abs(sum(weights) - 1.0) > 1e-12:
+            continue
+        order = rng.randint(1, 6)
+        m = train(random_corpus(rng, n_seqs=rng.randint(1, 8)),
+                  max_order=order, weights=weights)
+        zones = {f"{c}-{rng.randint(0, 3)}.{rng.randint(0, 3)}{rng.choice('XYQ')}"
+                 for c in "ABCDEFG"[:rng.randint(1, 7)]}
+        route = m.compile_route(zones)
+        ids = route.zones + ("stz",)
+        seqs = [[]] + [[rng.randrange(len(ids)) for _ in range(rng.randint(1, order + 2))]
+                       for _ in range(15)]
+        for seq in seqs:
+            ctx = [ids[i] for i in seq]
+            expected = [oracle_prob(m, ctx, z) for z in route.zones]
+            assert route.probs(seq) == expected
+            assert [m.prob(ctx, z) for z in route.zones] == expected
+            for k in range(4):
+                tokens = [tokenize_zone(z)[k] for z in ctx]
+                for z in ids:
+                    token = tokenize_zone(z)[k]
+                    assert m.component_prob(k, tokens, token) == \
+                        oracle_component_prob(m, k, tokens, token)
+
+
+def test_compiled_routes_share_no_route_state(tmp_path):
+    # Routes compiled from one model share its escape chains. Read in turns,
+    # each must answer as a route compiled on a model of its own does.
+    rng = random.Random(31)
+    m = train(random_corpus(rng, n_seqs=8), max_order=3)
+    path = tmp_path / "m.zppm"
+    m.save(path)
+    zone_sets = [["A-0.0X", "B-1.1Y", "C-2.2X", "Q-9.9Q"], ["A-1.1Y", "B-0.0X", "C-2.2Y"]]
+    shared = [m.compile_route(zones) for zones in zone_sets]
+    alone = [PpmModel.load(path).compile_route(zones) for zones in zone_sets]
+    for _ in range(300):
+        i = rng.randrange(len(zone_sets))
+        seq = [rng.randrange(len(zone_sets[i]) + 1) for _ in range(rng.randint(0, 4))]
+        assert shared[i].probs(seq) == alone[i].probs(seq)

@@ -15,6 +15,7 @@ from zoneseq.rollout import (
 )
 from conftest import (
     exhaustive_best_reward,
+    oracle_prob,
     oracle_rollout_sequence,
     patterned_instance,
     random_corpus,
@@ -201,8 +202,8 @@ def test_rollout_deterministic():
 
 def test_rollout_matches_prob_oracle_fuzz(monkeypatch):
     # orders 1-6, weights with zero components, zone ids partly or wholly
-    # unseen in training, 1-15 zones; the oracle and the exactness check use
-    # only PpmModel.prob
+    # unseen in training, 1-15 zones; the oracle uses only PpmModel.prob and
+    # the exactness check only oracle_prob, which rebuilds each chain per call
     read = {}  # zone-id context -> (route zones, list rollout read for it)
     compiled_probs = CompiledRoute.probs
 
@@ -232,4 +233,4 @@ def test_rollout_matches_prob_oracle_fuzz(monkeypatch):
         assert read
         for ctx, (route_zones, probs) in read.items():
             assert route_zones == tuple(sorted(zones))
-            assert [m.prob(list(ctx), z) for z in route_zones] == probs
+            assert [oracle_prob(m, list(ctx), z) for z in route_zones] == probs

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zoneseq import tsp
-from zoneseq.core import Stop, ValidationError, ZoneSequence
+from zoneseq.core import Stop, ValidationError, ZoneSequence, representative_node
 from zoneseq.tsp import (
     NodeTag,
     ZoneTspInstance,
@@ -16,7 +16,6 @@ from zoneseq.tsp import (
     order_zone_stops,
     parse_tsplib_atsp,
     parse_tsplib_tour,
-    representative_node,
     sequence_stops,
     solve_atsp,
     solve_atsp_external,
