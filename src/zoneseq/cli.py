@@ -1,9 +1,11 @@
 """Batch CLI: zoneseq train | sequence | evaluate | synth | bench.
 
-Configuration precedence for shared knobs: CLI flag > ZSEQ_* environment
-variable > JSON config file (--config) > built-in default. All randomness
-flows from --seed (default 42). Exit codes: 0 success, 1 validation,
-2 I/O, 3 configuration.
+Each command takes --config, --log-level and the flags of the settings it
+reads: `train` order and weights, `sequence` external_solver, `bench` all
+three. A setting resolves as CLI flag > ZSEQ_* environment variable > JSON
+config file (--config) > built-in default. The synthetic generator's seed
+is the --synth-config key `seed` (default 42). Exit codes: 0 success,
+1 validation, 2 I/O, 3 configuration.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ EXIT_CONFIG = 3
 
 DEFAULTS = {
     "order": ppm.DEFAULT_ORDER,
-    "weights": "0.25,0.25,0.25,0.25",
-    "seed": 42,
+    "weights": ppm.DEFAULT_WEIGHTS,
     "external_solver": None,
     "log_level": "WARNING",
 }
@@ -51,6 +52,15 @@ def resolve_setting(name: str, flag_value, config_file: Optional[dict]):
     return DEFAULTS[name]
 
 
+def _ppm_rule(check, value):
+    """`value` if it keeps the ppm rule `check`, else a ConfigError."""
+    try:
+        check(value)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
+    return value
+
+
 def _parse_int(name: str, raw) -> int:
     """An integer setting: a JSON integer, or its decimal text from a flag or env."""
     try:
@@ -62,18 +72,34 @@ def _parse_int(name: str, raw) -> int:
 
 
 def _parse_weights(raw) -> tuple:
+    """A list of numbers, or their comma-separated text from a flag or env."""
     try:
         if isinstance(raw, (list, tuple)):
-            vals = [float(v) for v in raw]
-        else:
-            vals = [float(v) for v in str(raw).split(",")]
+            return tuple(float(v) for v in raw)
+        return tuple(float(v) for v in str(raw).split(","))
     except (TypeError, ValueError):
         raise ConfigError(f"component weights {raw!r} are not numbers") from None
-    if len(vals) != 4:
-        raise ConfigError(f"expected 4 component weights, got {len(vals)}")
-    if not abs(sum(vals) - 1.0) <= 1e-12:  # NaN fails too
-        raise ConfigError(f"component weights {vals} do not sum to 1")
-    return tuple(vals)
+
+
+def _parse_external_solver(raw) -> Optional[str]:
+    if raw is not None and not isinstance(raw, str):
+        raise ConfigError(f"external_solver must be a string or null, got {raw!r}")
+    return raw
+
+
+def _parse_log_level(raw) -> int:
+    level = logging.getLevelName(str(raw).upper())
+    if not isinstance(level, int):
+        raise ConfigError(f"unknown log level {raw!r}")
+    return level
+
+
+_PARSERS = {
+    "order": lambda raw: _ppm_rule(ppm.check_order, _parse_int("order", raw)),
+    "weights": lambda raw: _ppm_rule(ppm.check_weights, _parse_weights(raw)),
+    "external_solver": _parse_external_solver,
+    "log_level": _parse_log_level,
+}
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -94,8 +120,13 @@ def _atomic_write_json(path: Path, obj) -> None:
 
 
 def _load_settings(args) -> dict:
+    """The checked settings whose flags the command's parser defines.
+
+    The --config file may hold any setting's key, as it is shared by every
+    command; a key that names no setting is a ConfigError.
+    """
     config_file = None
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             config_file = json.load(f)
         if not isinstance(config_file, dict):
@@ -103,18 +134,15 @@ def _load_settings(args) -> dict:
                 f"config file {args.config} must hold a JSON object, "
                 f"got {type(config_file).__name__}"
             )
-    settings = {}
-    for name in DEFAULTS:
-        settings[name] = resolve_setting(name, getattr(args, name, None), config_file)
-    settings["order"] = _parse_int("order", settings["order"])
-    if not 1 <= settings["order"] <= ppm.MAX_ORDER:
-        raise ConfigError(f"order must be in 1..{ppm.MAX_ORDER}, got {settings['order']}")
-    settings["seed"] = _parse_int("seed", settings["seed"])
-    settings["weights"] = _parse_weights(settings["weights"])
-    level = logging.getLevelName(str(settings["log_level"]).upper())
-    if not isinstance(level, int):
-        raise ConfigError(f"unknown log level {settings['log_level']!r}")
-    logging.basicConfig(level=level)
+        for key in config_file:
+            if key not in DEFAULTS:
+                raise ConfigError(f"config file {args.config} has an unknown key {key!r}")
+    settings = {
+        name: parse(resolve_setting(name, getattr(args, name), config_file))
+        for name, parse in _PARSERS.items()
+        if hasattr(args, name)
+    }
+    logging.basicConfig(level=settings["log_level"])
     return settings
 
 
@@ -220,7 +248,7 @@ _SYNTH_KINDS = {bool: ("true or false", {bool}), int: ("an integer", {int}),
                 float: ("a number", {int, float})}
 
 
-def _synth_config(path, seed: int) -> synth.SynthConfig:
+def _synth_config(path) -> synth.SynthConfig:
     """The defaults overridden by the JSON object in `path`, checked key by key."""
     raw = {}
     if path:
@@ -231,7 +259,7 @@ def _synth_config(path, seed: int) -> synth.SynthConfig:
                 f"synth config {path} must hold a JSON object, got {type(raw).__name__}"
             )
     defaults = synth.SynthConfig()
-    kwargs = {"seed": seed}
+    kwargs = {}
     for key, value in raw.items():
         if key not in synth.SynthConfig.__dataclass_fields__:
             raise ConfigError(f"synth config has an unknown key {key!r}")
@@ -252,8 +280,8 @@ def _synth_config(path, seed: int) -> synth.SynthConfig:
 
 
 def cmd_synth(args) -> int:
-    settings = _load_settings(args)
-    cfg = _synth_config(args.synth_config, settings["seed"])
+    _load_settings(args)
+    cfg = _synth_config(args.synth_config)
     train_ds, eval_ds = synth.generate(cfg)
     out = Path(args.out)
     ingest.write_dataset(train_ds, out / "train")
@@ -307,13 +335,19 @@ def cmd_bench(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def _add_common(p):
+_FLAG_HELP = {
+    "order": "PPM max context order K",
+    "weights": "four component weights, comma separated",
+    "external_solver": "LKH-style binary",
+    "log_level": "logging level",
+}
+
+
+def _add_settings(p, *names):
+    """--config, --log-level and a flag for each setting in `names`."""
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--order", type=int, help="PPM max context order K")
-    p.add_argument("--weights", help="four component weights, comma separated")
-    p.add_argument("--seed", type=int, help="global random seed")
-    p.add_argument("--external-solver", dest="external_solver", help="LKH-style binary")
-    p.add_argument("--log-level", dest="log_level", help="logging level")
+    for name in names + ("log_level",):
+        p.add_argument("--" + name.replace("_", "-"), dest=name, help=_FLAG_HELP[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--include-low", action="store_true")
-    _add_common(p)
+    _add_settings(p, "order", "weights")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sequence", help="produce stop sequences for a dataset")
@@ -335,27 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--per-route-timing", action="store_true")
-    _add_common(p)
+    _add_settings(p, "external_solver")
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("evaluate", help="score a submission against actuals")
     p.add_argument("--dataset", required=True)
     p.add_argument("--submission", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--synth-config", help="JSON file of generator settings")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="compare the method against baselines")
     p.add_argument("--dataset", required=True, help="dir with train/ and eval/")
     p.add_argument("--out", required=True)
     p.add_argument("--include-low", action="store_true")
-    _add_common(p)
+    _add_settings(p, "order", "weights", "external_solver")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -35,6 +35,22 @@ Context = Tuple[str, ...]
 Chain = Tuple[List[Tuple[Dict[str, int], int, float]], float]
 
 
+def check_weights(weights: Sequence[float]) -> None:
+    """Blend weights are N_COMPONENTS non-negative numbers summing to 1."""
+    if len(weights) != N_COMPONENTS:
+        raise ValidationError(f"expected {N_COMPONENTS} component weights, got {len(weights)}")
+    if not abs(sum(weights) - 1.0) <= 1e-12:  # NaN fails too
+        raise ValidationError(f"component weights {tuple(weights)} do not sum to 1")
+    if any(w < 0 for w in weights):
+        raise ValidationError("component weights must be non-negative")
+
+
+def check_order(max_order: int) -> None:
+    """The max context order fits the model file's u16 and is at least 1."""
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValidationError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
+
+
 @lru_cache(maxsize=None)
 def tokenize_zone(zone_id: str) -> Tuple[str, str, str, str]:
     """Split a zone id into its four component tokens.
@@ -66,14 +82,7 @@ class PpmModel:
     _chains: List[Dict[Context, Chain]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.weights) != N_COMPONENTS:
-            raise ValidationError(
-                f"expected {N_COMPONENTS} component weights, got {len(self.weights)}"
-            )
-        if not abs(sum(self.weights) - 1.0) <= 1e-12:  # NaN fails too
-            raise ValidationError(f"component weights {self.weights} do not sum to 1")
-        if any(w < 0 for w in self.weights):
-            raise ValidationError("component weights must be non-negative")
+        check_weights(self.weights)
         self._chains = [{} for _ in range(N_COMPONENTS)]
 
     # -- probability queries -------------------------------------------------
@@ -320,8 +329,7 @@ def train(
     """
     if not corpus:
         raise ValidationError("cannot train on an empty corpus")
-    if not 1 <= max_order <= MAX_ORDER:
-        raise ValidationError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
+    check_order(max_order)
     counts: List[Dict[Context, Dict[str, int]]] = [{} for _ in range(N_COMPONENTS)]
     vocab: List[set] = [set() for _ in range(N_COMPONENTS)]
     for zseq in corpus:

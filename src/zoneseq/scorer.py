@@ -165,7 +165,7 @@ def normalized_dist(route: Route) -> Callable[[str, str], float]:
     """Travel-time lookup normalized by the matrix maximum.
 
     Falls back to a haversine-derived matrix when the route carries no
-    travel times, as the erp error message instructs.
+    travel times.
     """
     index, cost = _normalized_matrix(route)
     rows = cost.tolist()

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 
 import pytest
 
@@ -302,24 +303,68 @@ def test_missing_submission_route_exits_1(synth_dirs, tmp_path):
 
 def test_config_precedence(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"order": 2, "seed": 7}))
-
-    class Args:
-        config = str(cfg)
-        order = None
-        weights = None
-        seed = 3
-        external_solver = None
-        log_level = None
+    cfg.write_text(json.dumps({"order": 2, "log_level": "INFO",
+                               "external_solver": "solver.sh"}))
+    parser = cli.build_parser()
+    argv = ["bench", "--dataset", "d", "--out", "o", "--config", str(cfg)]
 
     monkeypatch.setenv("ZSEQ_ORDER", "4")
-    settings = cli._load_settings(Args())
-    assert settings["order"] == 4        # env beats config file
-    assert settings["seed"] == 3         # flag beats everything
-    monkeypatch.delenv("ZSEQ_ORDER")
-    settings = cli._load_settings(Args())
-    assert settings["order"] == 2        # config file beats default
-    assert settings["external_solver"] is None  # default
+    monkeypatch.setenv("ZSEQ_LOG_LEVEL", "ERROR")
+    settings = cli._load_settings(parser.parse_args(argv + ["--order", "3"]))
+    assert settings["order"] == 3                        # flag beats env
+    assert settings["log_level"] == logging.ERROR        # env beats config file
+    assert settings["external_solver"] == "solver.sh"    # config file beats default
+    settings = cli._load_settings(parser.parse_args(argv[:-2]))
+    assert settings["external_solver"] is None           # default
+
+
+# The flags that set a setting read by some command, and one that was removed.
+_SETTING_FLAGS = {"--order", "--weights", "--external-solver", "--seed"}
+_REQUIRED = {
+    "train": ["--dataset", "d", "--model", "m"],
+    "sequence": ["--dataset", "d", "--model", "m", "--out", "o"],
+    "evaluate": ["--dataset", "d", "--submission", "s", "--out", "o"],
+    "synth": ["--out", "o"],
+    "bench": ["--dataset", "d", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command, reads", [
+    ("train", {"--order", "--weights"}),
+    ("sequence", {"--external-solver"}),
+    ("evaluate", set()),
+    ("synth", set()),
+    ("bench", {"--order", "--weights", "--external-solver"}),
+], ids=["train", "sequence", "evaluate", "synth", "bench"])
+def test_command_takes_only_the_settings_it_reads(capsys, command, reads):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed & (_SETTING_FLAGS | {"--config", "--log-level"}) == \
+        reads | {"--config", "--log-level"}
+    for flag in sorted(_SETTING_FLAGS - reads):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *_REQUIRED[command], flag, "1"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_settings_a_command_does_not_read_do_not_fail_it(synth_dirs, monkeypatch):
+    tmp_path, data = synth_dirs
+    model, sub = tmp_path / "m.zppm", tmp_path / "sub.json"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    monkeypatch.setenv("ZSEQ_ORDER", "abc")
+    monkeypatch.setenv("ZSEQ_WEIGHTS", "x")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": 3, "weights": [1, 0, 0, 0]}))
+    config = ["--config", str(cfg)]
+    assert main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                 "--out", str(sub), *config]) == 0
+    assert main(["evaluate", "--dataset", str(data / "eval"), "--submission", str(sub),
+                 "--out", str(tmp_path / "rep.json"), *config]) == 0
+    assert main(["synth", "--synth-config", str(tmp_path / "synth.json"),
+                 "--out", str(tmp_path / "data2"), *config]) == 0
 
 
 def test_bench_prints_table_and_is_deterministic(synth_dirs, capsys):
@@ -343,31 +388,37 @@ def _one_route_dataset(path):
     return path
 
 
-@pytest.mark.parametrize("env, config, message", [
-    ({"ZSEQ_ORDER": "abc"}, None, "order must be an integer, got 'abc'"),
-    ({"ZSEQ_ORDER": "70000"}, None, "order must be in 1..65535, got 70000"),
-    ({"ZSEQ_WEIGHTS": "a,b,c,d"}, None, "component weights 'a,b,c,d' are not numbers"),
-    ({"ZSEQ_WEIGHTS": "nan,0.25,0.25,0.25"}, None, "do not sum to 1"),
-    ({"ZSEQ_LOG_LEVEL": "bogus"}, None, "unknown log level 'bogus'"),
-    ({}, [{"order": 2}], "must hold a JSON object, got list"),
-    ({}, {"order": 2.5}, "order must be an integer, got 2.5"),
-    ({}, {"seed": True}, "seed must be an integer, got True"),
-], ids=["order-text", "order-over-u16", "weights-text", "weights-nan", "log-level",
-        "config-list", "config-float-order", "config-bool-seed"])
+@pytest.mark.parametrize("command, env, config, message", [
+    ("train", {"ZSEQ_ORDER": "abc"}, None, "order must be an integer, got 'abc'"),
+    ("train", {"ZSEQ_ORDER": "70000"}, None, "order must be in 1..65535, got 70000"),
+    ("train", {"ZSEQ_WEIGHTS": "a,b,c,d"}, None, "component weights 'a,b,c,d' are not numbers"),
+    ("train", {"ZSEQ_WEIGHTS": "nan,0.25,0.25,0.25"}, None, "do not sum to 1"),
+    ("train", {"ZSEQ_WEIGHTS": "2,-1,0,0"}, None, "component weights must be non-negative"),
+    ("train", {"ZSEQ_LOG_LEVEL": "bogus"}, None, "unknown log level 'bogus'"),
+    ("train", {}, [{"order": 2}], "must hold a JSON object, got list"),
+    ("train", {}, {"order": 2.5}, "order must be an integer, got 2.5"),
+    ("train", {}, {"order": True}, "order must be an integer, got True"),
+    ("train", {}, {"seed": 7}, "has an unknown key 'seed'"),
+    ("sequence", {}, {"external_solver": 5}, "external_solver must be a string or null, got 5"),
+], ids=["order-text", "order-over-u16", "weights-text", "weights-nan", "weights-negative",
+        "log-level", "config-list", "config-float-order", "config-bool-order",
+        "config-unknown-key", "solver-int"])
 def test_bad_settings_exit_3_before_training(tmp_path, monkeypatch, capsys,
-                                             env, config, message):
+                                             command, env, config, message):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    model = tmp_path / "m.zppm"
-    argv = ["train", "--dataset", str(_one_route_dataset(tmp_path / "d")),
+    model, out = tmp_path / "m.zppm", tmp_path / "sub.json"
+    argv = [command, "--dataset", str(_one_route_dataset(tmp_path / "d")),
             "--model", str(model)]
+    if command == "sequence":
+        argv += ["--out", str(out)]
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
-    assert not model.exists()
+    assert not model.exists() and not out.exists()
 
 
 @pytest.mark.parametrize("config, key", [
@@ -380,8 +431,9 @@ def test_bad_settings_exit_3_before_training(tmp_path, monkeypatch, capsys,
     ({"pattern_strength": True}, "pattern_strength"),
     ({"with_travel_times": 1}, "with_travel_times"),
     ({"no_such_key": 1}, "no_such_key"),
+    ({"seed": True}, "seed"),
 ], ids=["list", "zones-int", "zones-three", "bbox-text", "routes-text", "routes-float",
-        "strength-bool", "travel-times-int", "unknown-key"])
+        "strength-bool", "travel-times-int", "unknown-key", "seed-bool"])
 def test_bad_synth_config_exits_3_naming_key(tmp_path, capsys, config, key):
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps(config))
