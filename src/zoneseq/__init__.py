@@ -17,7 +17,7 @@ from .core import (
     ZoneSequence,
     haversine_m,
 )
-from .ingest import Dataset, Split, collapse_to_zsgt, load_dataset, zone_runs, zsgt
+from .ingest import Dataset, collapse_to_zsgt, load_dataset, zone_runs, zsgt
 from .ppm import PpmModel, tokenize_zone, train
 from .rollout import RolloutState, rollout_sequence
 from .scorer import ScoreReport, dataset_score, route_score

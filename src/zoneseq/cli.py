@@ -5,23 +5,23 @@ reads: `train` order and weights, `sequence` external_solver, `bench` all
 three. A setting resolves as CLI flag > ZSEQ_* environment variable > JSON
 config file (--config) > built-in default. The synthetic generator's seed
 is the --synth-config key `seed` (default 42). Exit codes: 0 success,
-1 validation, 2 I/O, 3 configuration.
+1 validation, 2 I/O, 3 configuration. A JSON input that is malformed, not
+UTF-8, too deep or not an object exits 1 naming the file, or 3 for
+--config and --synth-config. Every output is written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import ingest, ppm, rollout, scorer, synth, tsp
-from .core import StopSequence, ValidationError, ZoneSequence
+from .core import StopSequence, ValidationError, ZoneSequence, read_json, write_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,13 +52,12 @@ def resolve_setting(name: str, flag_value, config_file: Optional[dict]):
     return DEFAULTS[name]
 
 
-def _ppm_rule(check, value):
-    """`value` if it keeps the ppm rule `check`, else a ConfigError."""
+def _as_config(fn, *args):
+    """fn(*args), with a ValidationError it raises turned into a ConfigError."""
     try:
-        check(value)
+        return fn(*args)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
-    return value
 
 
 def _parse_int(name: str, raw) -> int:
@@ -72,13 +71,15 @@ def _parse_int(name: str, raw) -> int:
 
 
 def _parse_weights(raw) -> tuple:
-    """A list of numbers, or their comma-separated text from a flag or env."""
+    """A list of JSON numbers, or their comma-separated text from a flag or env."""
     try:
-        if isinstance(raw, (list, tuple)):
+        if not isinstance(raw, (list, tuple)):
+            return tuple(float(v) for v in str(raw).split(","))
+        if all(type(v) in (int, float) for v in raw):  # float() takes true and "0.5"
             return tuple(float(v) for v in raw)
-        return tuple(float(v) for v in str(raw).split(","))
-    except (TypeError, ValueError):
-        raise ConfigError(f"component weights {raw!r} are not numbers") from None
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigError(f"component weights {raw!r} are not numbers")
 
 
 def _parse_external_solver(raw) -> Optional[str]:
@@ -95,28 +96,11 @@ def _parse_log_level(raw) -> int:
 
 
 _PARSERS = {
-    "order": lambda raw: _ppm_rule(ppm.check_order, _parse_int("order", raw)),
-    "weights": lambda raw: _ppm_rule(ppm.check_weights, _parse_weights(raw)),
+    "order": lambda raw: _as_config(ppm.check_order, _parse_int("order", raw)),
+    "weights": lambda raw: _as_config(ppm.check_weights, _parse_weights(raw)),
     "external_solver": _parse_external_solver,
     "log_level": _parse_log_level,
 }
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=1).encode("utf-8"))
 
 
 def _load_settings(args) -> dict:
@@ -127,13 +111,7 @@ def _load_settings(args) -> dict:
     """
     config_file = None
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            config_file = json.load(f)
-        if not isinstance(config_file, dict):
-            raise ConfigError(
-                f"config file {args.config} must hold a JSON object, "
-                f"got {type(config_file).__name__}"
-            )
+        config_file = _as_config(read_json, args.config, "config file")
         for key in config_file:
             if key not in DEFAULTS:
                 raise ConfigError(f"config file {args.config} has an unknown key {key!r}")
@@ -151,7 +129,7 @@ def _load_settings(args) -> dict:
 
 def cmd_train(args) -> int:
     settings = _load_settings(args)
-    dataset = ingest.load_dataset(args.dataset, ingest.Split.TRAIN)
+    dataset = ingest.load_dataset(args.dataset)
     corpus = ingest.training_corpus(dataset, include_low=args.include_low)
     if not corpus:
         raise ValidationError("dataset has no routes with actual sequences to train on")
@@ -201,12 +179,12 @@ def _submission_json(submission: Dict[str, StopSequence]) -> dict:
 
 def cmd_sequence(args) -> int:
     settings = _load_settings(args)
-    dataset = ingest.load_dataset(args.dataset, ingest.Split.EVAL)
+    dataset = ingest.load_dataset(args.dataset)
     model = ppm.PpmModel.load(args.model)
     submission, timings = _sequence_routes(
         dataset, _rollout_zone_order(model), settings["external_solver"]
     )
-    _atomic_write_json(Path(args.out), _submission_json(submission))
+    write_json(args.out, _submission_json(submission))
     if args.per_route_timing:
         for rid, (zone_ms, stop_ms) in timings.items():
             print(f"{rid} zone_sequencing_ms={zone_ms:.1f} stop_sorting_ms={stop_ms:.1f}")
@@ -216,13 +194,7 @@ def cmd_sequence(args) -> int:
 
 def load_submission(path) -> Dict[str, StopSequence]:
     """Read {route_id: [stop ids]}; any other JSON shape is a ValidationError."""
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ValidationError(
-            f"submission {path}: expected a JSON object of route id -> stop ids, "
-            f"got {type(raw).__name__}"
-        )
+    raw = read_json(path, "submission")
     for rid, ids in raw.items():
         if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
             raise ValidationError(
@@ -235,10 +207,10 @@ def load_submission(path) -> Dict[str, StopSequence]:
 
 def cmd_evaluate(args) -> int:
     _load_settings(args)
-    dataset = ingest.load_dataset(args.dataset, ingest.Split.EVAL)
+    dataset = ingest.load_dataset(args.dataset)
     submissions = load_submission(args.submission)
     report = scorer.dataset_score(dataset, submissions)
-    _atomic_write_json(Path(args.out), report.to_json_dict())
+    write_json(args.out, report.to_json_dict())
     print(f"mean score: {report.mean_score:.6f} over {len(report.per_route)} routes")
     return EXIT_OK
 
@@ -250,14 +222,7 @@ _SYNTH_KINDS = {bool: ("true or false", {bool}), int: ("an integer", {int}),
 
 def _synth_config(path) -> synth.SynthConfig:
     """The defaults overridden by the JSON object in `path`, checked key by key."""
-    raw = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        if not isinstance(raw, dict):
-            raise ConfigError(
-                f"synth config {path} must hold a JSON object, got {type(raw).__name__}"
-            )
+    raw = _as_config(read_json, path, "synth config") if path else {}
     defaults = synth.SynthConfig()
     kwargs = {}
     for key, value in raw.items():
@@ -300,13 +265,11 @@ def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, fl
     """
     dataset_dir = Path(dataset_dir)
     out_dir = Path(out_dir)
-    train_ds = ingest.load_dataset(dataset_dir / "train", ingest.Split.TRAIN)
-    eval_ds = ingest.load_dataset(dataset_dir / "eval", ingest.Split.EVAL)
+    train_ds = ingest.load_dataset(dataset_dir / "train")
+    eval_ds = ingest.load_dataset(dataset_dir / "eval")
     corpus = ingest.training_corpus(train_ds, include_low=include_low)
     model = ppm.train(corpus, max_order=settings["order"], weights=settings["weights"])
-    model_path = out_dir / "model.zppm"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model.save(model_path)
+    model.save(out_dir / "model.zppm")
 
     zone_orders = {
         "method": _rollout_zone_order(model),
@@ -316,9 +279,9 @@ def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, fl
     scores = {}
     for kind, zone_order in zone_orders.items():
         submission, _ = _sequence_routes(eval_ds, zone_order, settings["external_solver"])
-        _atomic_write_json(out_dir / f"submission_{kind}.json", _submission_json(submission))
+        write_json(out_dir / f"submission_{kind}.json", _submission_json(submission))
         report = scorer.dataset_score(eval_ds, submission)
-        _atomic_write_json(out_dir / f"report_{kind}.json", report.to_json_dict())
+        write_json(out_dir / f"report_{kind}.json", report.to_json_dict())
         scores[kind] = report.mean_score
     return scores
 
@@ -404,7 +367,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -1,17 +1,21 @@
-"""Domain types and geometric primitives shared by every other module.
+"""Domain types, geometric primitives and file I/O shared by every other module.
 
 All types here are immutable after construction and safe to share
-read-only across threads.
+read-only across threads. Every JSON input is read by `read_json`, and
+every output is written by `write_file`.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -265,3 +269,56 @@ def haversine_matrix(points, targets=None) -> np.ndarray:
     out = np.zeros((len(rows), len(rows)))
     out[np.triu_indices(len(rows), 1)] = flat
     return out + out.T
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at `path`, called `what` in errors.
+
+    Malformed JSON, bytes that are not UTF-8, nesting too deep to decode and
+    a top level that is not an object are ValidationErrors naming the file;
+    a file that cannot be read raises OSError.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            raw = json.load(f)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ValidationError(f"{what} {path} nests too deeply to decode") from None
+    if not isinstance(raw, dict):
+        raise ValidationError(
+            f"{what} {path} must hold a JSON object, got {type(raw).__name__}"
+        )
+    return raw
+
+
+def write_file(path, chunks: Iterable, text: bool = False) -> None:
+    """Stream `chunks` (str written as UTF-8 if `text`, else bytes) into `path`.
+
+    They go to a temp file beside `path` that is renamed over it once
+    complete, so `path` never holds a part. The file gets the mode a plain
+    open() gives; the temp file is removed if any step fails. Missing
+    parent directories are created.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") if text else open(tmp, "wb") as f:
+            write = f.write  # a loop over the bound method beats writelines
+            for chunk in chunks:
+                write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+_JSON = json.JSONEncoder(sort_keys=True, indent=1)
+
+
+def write_json(path, obj) -> None:
+    """`obj` as ASCII JSON with sorted keys and a one-space indent, through write_file."""
+    write_file(path, _JSON.iterencode(obj), text=True)

@@ -15,11 +15,8 @@ The depot is stored under the reserved stop id "depot".
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -36,22 +33,19 @@ from .core import (
     ValidationError,
     ZoneSequence,
     haversine_matrix,
+    read_json,
+    write_json,
 )
 
 DEPOT_STOP_ID = "depot"
+OPTIONAL_FILES = ("actual_sequences.json", "travel_times.json", "quality.json")
 
 log = logging.getLogger("zoneseq")
-
-
-class Split(Enum):
-    TRAIN = "Train"
-    EVAL = "Eval"
 
 
 @dataclass(frozen=True)
 class Dataset:
     routes: Dict[str, Route]
-    split: Split
 
 
 @dataclass(frozen=True)
@@ -85,38 +79,18 @@ def impute_zone(route: Route, stop: Stop) -> str:
     return best.zone_id
 
 
-def _load_json(path: Path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path.name}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path.name} must hold a JSON object, got {type(raw).__name__}")
-    return raw
-
-
-def load_dataset(dir_path, split: Split = Split.TRAIN) -> Dataset:
+def load_dataset(dir_path) -> Dataset:
     """Load and fully validate a dataset directory.
 
     Every delivery stop with a missing zone id is imputed from its nearest
     zoned neighbour before validation completes.
     """
     dir_path = Path(dir_path)
-    routes_path = dir_path / "routes.json"
-    if not routes_path.exists():
-        raise FileNotFoundError(f"missing routes.json in {dir_path}")
-    raw_routes = _load_json(routes_path)
-
-    actuals = {}
-    if (dir_path / "actual_sequences.json").exists():
-        actuals = _load_json(dir_path / "actual_sequences.json")
-    matrices = {}
-    if (dir_path / "travel_times.json").exists():
-        matrices = _load_json(dir_path / "travel_times.json")
-    qualities = {}
-    if (dir_path / "quality.json").exists():
-        qualities = _load_json(dir_path / "quality.json")
+    raw_routes = read_json(dir_path / "routes.json", "dataset file")
+    actuals, matrices, qualities = (
+        read_json(dir_path / name, "dataset file") if (dir_path / name).exists() else {}
+        for name in OPTIONAL_FILES
+    )
 
     routes: Dict[str, Route] = {}
     for route_id, body in raw_routes.items():
@@ -133,7 +107,7 @@ def load_dataset(dir_path, split: Split = Split.TRAIN) -> Dataset:
             if str(exc).startswith(prefix):  # Route and impute_zone name it already
                 raise
             raise ValidationError(prefix + str(exc)) from None
-    return Dataset(routes=routes, split=split)
+    return Dataset(routes=routes)
 
 
 def _coordinate(stop_id, raw, name) -> float:
@@ -261,10 +235,12 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
 
 
 def write_dataset(dataset: Dataset, dir_path) -> None:
-    """Serialize a dataset back to the directory layout (sorted keys)."""
-    dir_path = Path(dir_path)
-    dir_path.mkdir(parents=True, exist_ok=True)
+    """Serialize a dataset to the directory layout (sorted keys).
 
+    An optional file the dataset has no data for is removed, so that an
+    older dataset in the directory leaves none of its files behind.
+    """
+    dir_path = Path(dir_path)
     routes_out, actual_out, tt_out, quality_out = {}, {}, {}, {}
     for route_id in sorted(dataset.routes):
         route = dataset.routes[route_id]
@@ -286,17 +262,12 @@ def write_dataset(dataset: Dataset, dir_path) -> None:
         if route.quality is not None:
             quality_out[route_id] = route.quality.value
 
-    def dump(name, obj):
-        with open(dir_path / name, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True, indent=1)
-
-    dump("routes.json", routes_out)
-    if actual_out:
-        dump("actual_sequences.json", actual_out)
-    if tt_out:
-        dump("travel_times.json", tt_out)
-    if quality_out:
-        dump("quality.json", quality_out)
+    write_json(dir_path / "routes.json", routes_out)
+    for name, obj in zip(OPTIONAL_FILES, (actual_out, tt_out, quality_out)):
+        if obj:
+            write_json(dir_path / name, obj)
+        else:
+            (dir_path / name).unlink(missing_ok=True)
 
 
 def zone_runs(route: Route, actual: StopSequence) -> List[ZoneRun]:

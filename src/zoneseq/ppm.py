@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import DEPOT_ZONE, ValidationError, ZoneSequence
+from .core import DEPOT_ZONE, ValidationError, ZoneSequence, write_file
 
 EMPTY_TOKEN = "∅"  # pads missing components
 N_COMPONENTS = 4
@@ -35,20 +35,22 @@ Context = Tuple[str, ...]
 Chain = Tuple[List[Tuple[Dict[str, int], int, float]], float]
 
 
-def check_weights(weights: Sequence[float]) -> None:
-    """Blend weights are N_COMPONENTS non-negative numbers summing to 1."""
+def check_weights(weights: Sequence[float]) -> Sequence[float]:
+    """`weights`, if they are N_COMPONENTS non-negative numbers summing to 1."""
     if len(weights) != N_COMPONENTS:
         raise ValidationError(f"expected {N_COMPONENTS} component weights, got {len(weights)}")
     if not abs(sum(weights) - 1.0) <= 1e-12:  # NaN fails too
         raise ValidationError(f"component weights {tuple(weights)} do not sum to 1")
     if any(w < 0 for w in weights):
         raise ValidationError("component weights must be non-negative")
+    return weights
 
 
-def check_order(max_order: int) -> None:
-    """The max context order fits the model file's u16 and is at least 1."""
+def check_order(max_order: int) -> int:
+    """`max_order`, if it fits the model file's u16 and is at least 1."""
     if not 1 <= max_order <= MAX_ORDER:
         raise ValidationError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
+    return max_order
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +182,7 @@ class PpmModel:
     VERSION = 1
 
     def save(self, path) -> None:
-        """Write the model as a versioned, sorted, length-prefixed binary."""
+        """Write the model atomically as a versioned, sorted, length-prefixed binary."""
         out = [self.MAGIC, struct.pack("<HH", self.VERSION, self.max_order)]
         out.append(struct.pack("<4d", *self.weights))
         for k in range(N_COMPONENTS):
@@ -195,8 +197,7 @@ class PpmModel:
                     raw = tok.encode("utf-8")
                     out.append(struct.pack("<H", len(raw)) + raw)
                 out.append(struct.pack("<Q", count))
-        with open(path, "wb") as f:
-            f.write(b"".join(out))
+        write_file(path, out)
 
     @classmethod
     def load(cls, path) -> "PpmModel":

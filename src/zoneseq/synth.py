@@ -27,7 +27,7 @@ from .core import (
     haversine_m,
     haversine_matrix,
 )
-from .ingest import DEPOT_STOP_ID, Dataset, Split
+from .ingest import DEPOT_STOP_ID, Dataset
 
 # haversine meters -> seconds at a nominal driving speed
 _SPEED_M_PER_S = 8.0
@@ -172,6 +172,6 @@ def generate(cfg: SynthConfig) -> Tuple[Dataset, Dataset]:
         rid = f"eval_{i:05d}"
         eval_routes[rid] = _route(cfg, rng, rid, templates, centers, depot)
     return (
-        Dataset(routes=train_routes, split=Split.TRAIN),
-        Dataset(routes=eval_routes, split=Split.EVAL),
+        Dataset(routes=train_routes),
+        Dataset(routes=eval_routes),
     )

@@ -191,7 +191,7 @@ def test_criterion_8_challenge_dataset_conditional(tmp_path):
         print("ACCEPTANCE 8 [challenge self-evaluation]: SKIP "
               "(set ZONESEQ_CHALLENGE_DIR to a Challenge-layout dataset)")
         pytest.skip("Challenge dataset not present")
-    dataset = ingest.load_dataset(data_dir, ingest.Split.TRAIN)
+    dataset = ingest.load_dataset(data_dir)
     model = train(ingest.training_corpus(dataset))
     submissions = {}
     for rid in sorted(dataset.routes):

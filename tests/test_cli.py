@@ -1,7 +1,10 @@
+import itertools
 import json
 import logging
 import os
 import re
+import stat
+from pathlib import Path
 
 import pytest
 
@@ -9,17 +12,24 @@ from zoneseq import cli
 from zoneseq.cli import main
 
 
-@pytest.fixture
-def synth_dirs(tmp_path):
+SMALL_SYNTH = {
+    "n_train_routes": 12, "n_eval_routes": 3,
+    "zones_per_route": [4, 6], "stops_per_zone": [1, 3],
+    "n_zone_templates": 2,
+}
+
+
+def _synth(tmp_path, **overrides):
     cfg = tmp_path / "synth.json"
-    cfg.write_text(json.dumps({
-        "n_train_routes": 12, "n_eval_routes": 3,
-        "zones_per_route": [4, 6], "stops_per_zone": [1, 3],
-        "n_zone_templates": 2,
-    }))
+    cfg.write_text(json.dumps(dict(SMALL_SYNTH, **overrides)))
     data = tmp_path / "data"
     assert main(["synth", "--synth-config", str(cfg), "--out", str(data)]) == 0
-    return tmp_path, data
+    return data
+
+
+@pytest.fixture
+def synth_dirs(tmp_path):
+    return tmp_path, _synth(tmp_path)
 
 
 def test_synth_train_sequence_evaluate_roundtrip(synth_dirs, capsys):
@@ -399,10 +409,13 @@ def _one_route_dataset(path):
     ("train", {}, {"order": 2.5}, "order must be an integer, got 2.5"),
     ("train", {}, {"order": True}, "order must be an integer, got True"),
     ("train", {}, {"seed": 7}, "has an unknown key 'seed'"),
+    ("train", {}, {"weights": [True, False, False, False]},
+     "component weights [True, False, False, False] are not numbers"),
+    ("train", {}, {"weights": ["0.25"] * 4}, "component weights ['0.25', "),
     ("sequence", {}, {"external_solver": 5}, "external_solver must be a string or null, got 5"),
 ], ids=["order-text", "order-over-u16", "weights-text", "weights-nan", "weights-negative",
         "log-level", "config-list", "config-float-order", "config-bool-order",
-        "config-unknown-key", "solver-int"])
+        "config-unknown-key", "config-bool-weights", "config-text-weights", "solver-int"])
 def test_bad_settings_exit_3_before_training(tmp_path, monkeypatch, capsys,
                                              command, env, config, message):
     for name, value in env.items():
@@ -458,3 +471,100 @@ def test_failing_external_solver_exits_2_naming_it(synth_dirs, capsys):
     err = capsys.readouterr().err
     assert err == f"I/O error: external solver {solver} exited with status 3\n"
     assert not (tmp_path / "sub.json").exists()
+
+
+BAD_JSON = {
+    "truncated": b"{",
+    "not-utf8": b"\xff\xfe{}",
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "not-an-object": b"[]",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("defect", list(BAD_JSON))
+@pytest.mark.parametrize("kind, code", [
+    ("dataset", 1), ("submission", 1), ("config", 3), ("synth-config", 3),
+])
+def test_bad_input_file_exits_naming_it(tmp_path, capsys, kind, code, defect):
+    good = _one_route_dataset(tmp_path / "good")
+    bad = tmp_path / "bad" / "routes.json"
+    out = tmp_path / "out"
+    argv = {
+        "dataset": ["train", "--dataset", str(bad.parent), "--model", str(out)],
+        "submission": ["evaluate", "--dataset", str(good), "--submission", str(bad),
+                       "--out", str(out)],
+        "config": ["train", "--dataset", str(good), "--model", str(out), "--config", str(bad)],
+        "synth-config": ["synth", "--synth-config", str(bad), "--out", str(out)],
+    }[kind]
+    if BAD_JSON[defect] is None:
+        code = 2
+    else:
+        bad.parent.mkdir()
+        bad.write_bytes(BAD_JSON[defect])
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith({1: "validation error: ", 2: "I/O error: ", 3: "config error: "}[code])
+    assert str(bad) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_synth_replaces_a_dataset_already_in_out(tmp_path):
+    _synth(tmp_path)
+    data = _synth(tmp_path, seed=5, with_travel_times=False)
+    assert sorted(p.name for p in (data / "train").iterdir()) == [
+        "actual_sequences.json", "quality.json", "routes.json"]
+    assert main(["train", "--dataset", str(data / "train"),
+                 "--model", str(tmp_path / "m.zppm")]) == 0
+
+
+def test_failed_write_leaves_the_previous_file(synth_dirs, monkeypatch):
+    tmp_path, data = synth_dirs
+    model, sub = tmp_path / "m.zppm", tmp_path / "sub.json"
+    train = ["train", "--dataset", str(data / "train"), "--model", str(model)]
+    sequence = ["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                "--out", str(sub)]
+    assert main(train) == 0 and main(sequence) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    encode = json.JSONEncoder.iterencode
+
+    def encode_then_fail(self, obj, *args, **kwargs):
+        yield from itertools.islice(encode(self, obj, *args, **kwargs), 100)
+        raise RuntimeError("encoder failed midway")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", encode_then_fail)
+    for argv in (sequence, ["synth", "--synth-config", str(tmp_path / "synth.json"),
+                            "--out", str(data)]):
+        with pytest.raises(RuntimeError, match="midway"):
+            main(argv)
+
+    def fail_replace(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", fail_replace)
+    assert main(train) == 2
+    after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert after == before
+
+
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        data = _synth(tmp_path)
+        model = tmp_path / "m.zppm"
+        assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+        assert main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                     "--out", str(tmp_path / "sub.json")]) == 0
+        assert main(["evaluate", "--dataset", str(data / "eval"),
+                     "--submission", str(tmp_path / "sub.json"),
+                     "--out", str(tmp_path / "rep.json")]) == 0
+        assert main(["bench", "--dataset", str(data), "--out", str(tmp_path / "b")]) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    modes = {p.relative_to(tmp_path): stat.S_IMODE(p.stat().st_mode)
+             for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(modes) == 2 + 8 + 3 + 7  # synth.json and plain, datasets, outputs, bench
+    assert set(modes.values()) == {modes[Path("plain")]}

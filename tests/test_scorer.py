@@ -4,7 +4,7 @@ import pytest
 
 from zoneseq import scorer
 from zoneseq.core import StopSequence, ValidationError
-from zoneseq.ingest import Dataset, Split
+from zoneseq.ingest import Dataset
 from zoneseq.scorer import (
     dataset_score,
     erp,
@@ -241,7 +241,7 @@ def test_one_swap_beats_random_shuffle_mostly():
 
 def test_dataset_score_identity_and_mean():
     r1, r2 = scored_route("r1"), scored_route("r2")
-    ds = Dataset(routes={"r1": r1, "r2": r2}, split=Split.EVAL)
+    ds = Dataset(routes={"r1": r1, "r2": r2})
     report = dataset_score(ds, {"r1": r1.actual, "r2": r2.actual})
     assert report.mean_score == 0.0
     sub = {"r1": r1.actual, "r2": StopSequence("r2", ("depot", "b", "a"))}
@@ -252,6 +252,6 @@ def test_dataset_score_identity_and_mean():
 
 def test_dataset_score_missing_submission_names_route():
     r1 = scored_route("r1")
-    ds = Dataset(routes={"r1": r1}, split=Split.EVAL)
+    ds = Dataset(routes={"r1": r1})
     with pytest.raises(ValidationError, match="r1"):
         dataset_score(ds, {})

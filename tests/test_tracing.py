@@ -1,0 +1,47 @@
+"""perfbench/tracing.py still finds the functions it wraps.
+
+The benchmark's traced run replaces module and class attributes of zoneseq
+by name, so renaming or re-signing one of them breaks it without failing
+any other test here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_commands_record_their_file_spans(tmp_path):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({
+        "n_train_routes": 4, "n_eval_routes": 2, "zones_per_route": [3, 4],
+        "stops_per_zone": [1, 2], "n_zone_templates": 2,
+    }))
+    data, model, sub = tmp_path / "data", tmp_path / "m.zppm", tmp_path / "sub.json"
+    commands = [
+        ["synth", "--synth-config", cfg, "--out", data],
+        ["train", "--dataset", data / "train", "--model", model],
+        ["sequence", "--dataset", data / "eval", "--model", model, "--out", sub],
+        ["evaluate", "--dataset", data / "eval", "--submission", sub,
+         "--out", tmp_path / "rep.json"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    spans = {}
+    for argv in commands:
+        trace = tmp_path / f"{argv[0]}.trace.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(trace), "--",
+             *map(str, argv)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(trace.read_text())
+        assert result["exit"] == 0
+        spans[argv[0]] = {span[0] for span in result["spans"]}
+    assert "ingest.write_dataset" in spans["synth"]
+    assert {"ingest.load_dataset", "ppm.save"} <= spans["train"]
+    assert {"ingest.load_dataset", "ppm.load"} <= spans["sequence"]
+    assert "ingest.load_dataset" in spans["evaluate"]
