@@ -52,10 +52,10 @@ def resolve_setting(name: str, flag_value, config_file: Optional[dict]):
     return DEFAULTS[name]
 
 
-def _as_config(fn, *args):
-    """fn(*args), with a ValidationError it raises turned into a ConfigError."""
+def _as_config(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValidationError it raises turned into a ConfigError."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -241,7 +241,7 @@ def _synth_config(path) -> synth.SynthConfig:
         if not ok:
             raise ConfigError(f"synth config key {key!r} must be {what}, got {value!r}")
         kwargs[key] = value
-    return synth.SynthConfig(**kwargs)
+    return _as_config(synth.SynthConfig, **kwargs)
 
 
 def cmd_synth(args) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -34,6 +35,7 @@ from .core import (
     ZoneSequence,
     haversine_matrix,
     read_json,
+    write_file,
     write_json,
 )
 
@@ -235,13 +237,15 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
 
 
 def write_dataset(dataset: Dataset, dir_path) -> None:
-    """Serialize a dataset to the directory layout (sorted keys).
+    """Serialize a dataset to the directory layout.
 
-    An optional file the dataset has no data for is removed, so that an
-    older dataset in the directory leaves none of its files behind.
+    Every file holds the bytes json.dump(sort_keys=True, indent=1) gives;
+    travel_times.json is written by _travel_time_chunks without building the
+    nested dicts. An optional file the dataset has no data for is removed, so
+    that an older dataset in the directory leaves none of its files behind.
     """
     dir_path = Path(dir_path)
-    routes_out, actual_out, tt_out, quality_out = {}, {}, {}, {}
+    routes_out, actual_out, matrices, quality_out = {}, {}, {}, {}
     for route_id in sorted(dataset.routes):
         route = dataset.routes[route_id]
         depot = route.depot
@@ -255,19 +259,49 @@ def write_dataset(dataset: Dataset, dir_path) -> None:
         if route.actual is not None:
             actual_out[route_id] = {sid: i for i, sid in enumerate(route.actual.ids)}
         if route.travel_times is not None:
-            m = route.travel_times
-            tt_out[route_id] = {
-                a: dict(zip(m.ids, row)) for a, row in zip(m.ids, m.t.tolist())
-            }
+            matrices[route_id] = route.travel_times
         if route.quality is not None:
             quality_out[route_id] = route.quality.value
 
     write_json(dir_path / "routes.json", routes_out)
-    for name, obj in zip(OPTIONAL_FILES, (actual_out, tt_out, quality_out)):
-        if obj:
-            write_json(dir_path / name, obj)
+    for name, obj in zip(OPTIONAL_FILES, (actual_out, matrices, quality_out)):
+        path = dir_path / name
+        if not obj:
+            path.unlink(missing_ok=True)
+        elif obj is matrices:
+            write_file(path, _travel_time_chunks(matrices), text=True)
         else:
-            (dir_path / name).unlink(missing_ok=True)
+            write_json(path, obj)
+
+
+def _travel_time_chunks(matrices: Dict[str, TravelTimeMatrix]):
+    """{route: {from: {to: seconds}}} as json.dump(sort_keys=True, indent=1) writes it.
+
+    One chunk per route, in sorted route order. Each id is escaped once per
+    route, and a matrix equal to its transpose bit for bit (-0.0 is not 0.0)
+    has each mirrored pair formatted once.
+    """
+    opening = "{\n "
+    for route_id in sorted(matrices):
+        m = matrices[route_id]
+        order = sorted(range(len(m.ids)), key=m.ids.__getitem__)
+        keys = [encode_basestring_ascii(m.ids[i]) for i in order]
+        t = m.t[np.ix_(order, order)]
+        bits = t.view(np.uint64)
+        if (bits == bits.T).all():
+            upper = np.triu_indices(len(keys))
+            texts = np.empty(t.shape, dtype=object)
+            texts[upper] = texts[upper[::-1]] = list(map(float.__repr__, t[upper].tolist()))
+        else:
+            texts = np.array([list(map(float.__repr__, row)) for row in t.tolist()], dtype=object)
+        entries = np.array([key + ": " for key in keys], dtype=object) + texts
+        rows = ",\n  ".join(
+            key + ": {\n   " + ",\n   ".join(row) + "\n  }"
+            for key, row in zip(keys, entries.tolist())
+        )
+        yield opening + encode_basestring_ascii(route_id) + ": {\n  " + rows + "\n }"
+        opening = ",\n "
+    yield "{}" if opening == "{\n " else "\n}"
 
 
 def zone_runs(route: Route, actual: StopSequence) -> List[ZoneRun]:

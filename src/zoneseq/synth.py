@@ -11,6 +11,7 @@ fixed seed reproduces the dataset byte for byte.
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from dataclasses import dataclass, field
@@ -47,16 +48,28 @@ class SynthConfig:
     with_travel_times: bool = True
 
     def __post_init__(self):
-        lo, hi = self.zones_per_route
-        if lo < 1 or hi < lo:
-            raise ValidationError(f"bad zones_per_route range {self.zones_per_route}")
-        lo, hi = self.stops_per_zone
-        if lo < 1 or hi < lo:
-            raise ValidationError(f"bad stops_per_zone range {self.stops_per_zone}")
-        if not 0.0 <= self.pattern_strength <= 1.0:
-            raise ValidationError(f"pattern_strength {self.pattern_strength} not in [0,1]")
-        if self.n_zone_templates < 1:
-            raise ValidationError("need at least one zone template")
+        def require(key, ok, rule):
+            if not ok:
+                raise ValidationError(
+                    f"synth config key {key!r} must be {rule}, got {getattr(self, key)!r}"
+                )
+
+        for key in ("n_train_routes", "n_eval_routes"):
+            require(key, getattr(self, key) >= 0, "at least 0")
+        for key in ("zones_per_route", "stops_per_zone"):
+            lo, hi = getattr(self, key)
+            require(key, 1 <= lo <= hi, "a range [lo, hi] with 1 <= lo <= hi")
+        require("n_zone_templates", self.n_zone_templates >= 1, "at least 1")
+        require("pattern_strength", 0.0 <= self.pattern_strength <= 1.0, "in [0, 1]")
+        lat0, lng0, lat1, lng1 = self.geo_bbox
+        require(
+            "geo_bbox",
+            -90 <= lat0 <= lat1 <= 90 and -180 <= lng0 <= lng1 <= 180,
+            "[lat_lo, lng_lo, lat_hi, lng_hi] with lat in [-90, 90], lng in "
+            "[-180, 180] and lo <= hi",
+        )
+        sigma = self.cluster_sigma_deg
+        require("cluster_sigma_deg", math.isfinite(sigma) and sigma >= 0, "a finite number >= 0")
 
 
 def _make_templates(cfg: SynthConfig, rng: random.Random):

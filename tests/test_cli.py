@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zoneseq import cli
+from zoneseq import cli, ingest
 from zoneseq.cli import main
 
 
@@ -445,8 +445,20 @@ def test_bad_settings_exit_3_before_training(tmp_path, monkeypatch, capsys,
     ({"with_travel_times": 1}, "with_travel_times"),
     ({"no_such_key": 1}, "no_such_key"),
     ({"seed": True}, "seed"),
+    ({"zones_per_route": [5, 2]}, "zones_per_route"),
+    ({"stops_per_zone": [0, 2]}, "stops_per_zone"),
+    ({"pattern_strength": float("nan")}, "pattern_strength"),
+    ({"n_zone_templates": 0}, "n_zone_templates"),
+    ({"geo_bbox": [95, 0, 96, 1]}, "geo_bbox"),
+    ({"geo_bbox": [0, 170, 1, 181]}, "geo_bbox"),
+    ({"geo_bbox": [1, 0, 0, 1]}, "geo_bbox"),
+    ({"n_train_routes": -5}, "n_train_routes"),
+    ({"n_eval_routes": -1}, "n_eval_routes"),
+    ({"cluster_sigma_deg": -0.1}, "cluster_sigma_deg"),
 ], ids=["list", "zones-int", "zones-three", "bbox-text", "routes-text", "routes-float",
-        "strength-bool", "travel-times-int", "unknown-key", "seed-bool"])
+        "strength-bool", "travel-times-int", "unknown-key", "seed-bool",
+        "zones-reversed", "stops-zero", "strength-nan", "templates-zero", "bbox-lat",
+        "bbox-lng", "bbox-reversed", "train-negative", "eval-negative", "sigma-negative"])
 def test_bad_synth_config_exits_3_naming_key(tmp_path, capsys, config, key):
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps(config))
@@ -538,6 +550,22 @@ def test_failed_write_leaves_the_previous_file(synth_dirs, monkeypatch):
                             "--out", str(data)]):
         with pytest.raises(RuntimeError, match="midway"):
             main(argv)
+
+    # travel_times.json does not go through the JSON encoder: fail its own
+    # producer once the first route's chunk is written.
+    monkeypatch.undo()
+    chunks = ingest._travel_time_chunks
+
+    def chunks_then_fail(matrices):
+        yield from itertools.islice(chunks(matrices), 1)
+        raise RuntimeError("producer failed after one route")
+
+    monkeypatch.setattr(ingest, "_travel_time_chunks", chunks_then_fail)
+    with pytest.raises(RuntimeError, match="after one route"):
+        main(["synth", "--synth-config", str(tmp_path / "synth.json"), "--out", str(data)])
+    travel_times = data / "train" / "travel_times.json"
+    assert travel_times.read_bytes() == before[travel_times]
+    assert not list(tmp_path.rglob("*.tmp"))
 
     def fail_replace(src, dst):
         raise OSError(f"cannot replace {dst}")

@@ -1,10 +1,11 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from zoneseq import ingest
-from zoneseq.core import Quality, ValidationError, haversine_m
+from zoneseq.core import Quality, TravelTimeMatrix, ValidationError, haversine_m
 from zoneseq.ingest import ZoneRun, collapse_to_zsgt, impute_zone, zone_runs, zsgt
 from conftest import make_route
 
@@ -366,13 +367,84 @@ def test_training_corpus_excludes_low_quality(tmp_path):
 
 
 def test_roundtrip_byte_stable(tmp_path):
+    travel = {"r1": {"depot": {"depot": 0, "a": 5, "b": 9},
+                     "a": {"depot": 7, "a": 0, "b": 3},
+                     "b": {"depot": 9, "a": 4, "b": 0}}}
     write_fixture(tmp_path, TWO_ROUTES,
                   actuals={"r1": {"depot": 0, "a": 1, "b": 2}},
+                  travel=travel,
                   quality={"r1": "High"})
     ds = ingest.load_dataset(tmp_path)
     out1 = tmp_path / "out1"
     out2 = tmp_path / "out2"
     ingest.write_dataset(ds, out1)
     ingest.write_dataset(ingest.load_dataset(out1), out2)
-    for name in ("routes.json", "actual_sequences.json", "quality.json"):
+    for name in ("routes.json", "actual_sequences.json", "travel_times.json", "quality.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert json.loads((out1 / "travel_times.json").read_text()) == travel
+
+
+def _stdlib_travel_times(matrices):
+    """The oracle: travel_times.json as the stdlib encoder writes it."""
+    nested = {
+        route_id: {a: dict(zip(m.ids, row)) for a, row in zip(m.ids, m.t.tolist())}
+        for route_id, m in matrices.items()
+    }
+    return json.dumps(nested, sort_keys=True, indent=1)
+
+
+def _symmetric(n, rng):
+    t = np.triu(rng.uniform(0.0, 5000.0, (n, n)), 1)
+    return t + t.T
+
+
+EDGE_VALUES = [3.0, 5e-324, 1e-7, 1e16, 120.0, 0.1 + 0.2]
+
+TRAVEL_TIME_CASES = {
+    "symmetric": (("depot", "a", "b", "c"), _symmetric(4, np.random.default_rng(1))),
+    "asymmetric": (("depot", "a", "b", "c"), np.random.default_rng(2).uniform(0, 900, (4, 4))
+                   * (1 - np.eye(4))),
+    "negative-zero-against-zero": (("depot", "a"), [[0.0, -0.0], [0.0, 0.0]]),
+    "negative-zero-mirrored": (("depot", "a"), [[0.0, -0.0], [-0.0, 0.0]]),
+    "negative-zero-diagonal": (("depot", "a", "b"), [[-0.0, 1.0, 2.0],
+                                                     [1.0, 0.0, 3.0],
+                                                     [2.0, 3.0, -0.0]]),
+    "edge-values-symmetric": (tuple("pqrstuv"),
+                              np.diag(EDGE_VALUES, 1) + np.diag(EDGE_VALUES, -1)),
+    "edge-values-asymmetric": (tuple("pqrstuv"), np.diag(EDGE_VALUES, 1)),
+    "depot-only": (("depot",), [[0.0]]),
+    "unsorted-ids-symmetric": (("z", "depot", "m", "a", "b10", "b9"),
+                               _symmetric(6, np.random.default_rng(3))),
+    "unsorted-ids-asymmetric": (("z", "depot", "m", "a"), [[0, 1, 2, 3], [4, 0, 5, 6],
+                                                          [7, 8, 0, 9], [10, 11, 12, 0]]),
+    "escaped-ids": (("depot", 'q"', "b\\", "c\x01", "\u00e9", "\u2603", "\U0001f600"),
+                    _symmetric(7, np.random.default_rng(4))),
+}
+
+
+@pytest.mark.parametrize("case", list(TRAVEL_TIME_CASES))
+def test_travel_time_chunks_match_the_stdlib_encoder(case):
+    ids, t = TRAVEL_TIME_CASES[case]
+    matrix = TravelTimeMatrix(ids=ids, t=t)
+    for matrices in ({"r1": matrix}, {"r2": matrix, 'r"0': matrix, "r1": matrix}):
+        chunks = list(ingest._travel_time_chunks(matrices))
+        assert len(chunks) == len(matrices) + 1  # one per route, then the closing brace
+        assert "".join(chunks) == _stdlib_travel_times(matrices)
+
+
+def test_travel_time_chunks_match_the_stdlib_encoder_fuzz():
+    rng = np.random.default_rng(5)
+    alphabet = ["a", "B", "0", "-", ".", '"', "\\", "\n", "\u00fc"]
+    matrices = {}
+    for n in (1, 2, 3, 8, 17, 40):
+        ids = {"depot"}
+        while len(ids) < n:
+            ids.add("".join(rng.choice(alphabet, size=rng.integers(1, 5))))
+        ids = tuple(rng.permutation(sorted(ids)))
+        t = _symmetric(n, rng)
+        matrices[f"sym{n}"] = TravelTimeMatrix(ids=ids, t=t)
+        if n > 1:
+            t[0, 1] = np.nextafter(t[0, 1], np.inf)  # one ulp breaks the symmetry
+            matrices[f"asym{n}"] = TravelTimeMatrix(ids=ids, t=t)
+    assert "".join(ingest._travel_time_chunks(matrices)) == _stdlib_travel_times(matrices)
+    assert "".join(ingest._travel_time_chunks({})) == _stdlib_travel_times({})
