@@ -201,6 +201,7 @@ class PpmModel:
 
     @classmethod
     def load(cls, path) -> "PpmModel":
+        """Read a model written by `save`; a file `train` could not write is a ValidationError."""
         with open(path, "rb") as f:
             buf = f.read()
         if buf[:4] != cls.MAGIC:
@@ -215,7 +216,7 @@ class PpmModel:
             off += 32
             counts: List[Dict[Context, Dict[str, int]]] = []
             vocab: List[set] = []
-            for _ in range(N_COMPONENTS):
+            for k in range(N_COMPONENTS):
                 (n_triples,) = struct.unpack_from("<I", buf, off)
                 off += 4
                 tables: Dict[Context, Dict[str, int]] = {}
@@ -232,6 +233,10 @@ class PpmModel:
                     (count,) = struct.unpack_from("<Q", buf, off)
                     off += 8
                     ctx, token = tuple(toks[:-1]), toks[-1]
+                    if not count:  # PPM-D divides by a table's total and counts its entries
+                        raise ValidationError(
+                            f"{path}: component {k} context {ctx!r} has a zero count for {token!r}"
+                        )
                     tables.setdefault(ctx, {})[token] = count
                     voc.update(toks)
                 counts.append(tables)
@@ -240,7 +245,11 @@ class PpmModel:
             raise ValidationError(f"{path}: truncated or corrupt model file ({exc})") from exc
         if off != len(buf):
             raise ValidationError(f"{path}: {len(buf) - off} trailing bytes after the model")
-        return cls(max_order=max_order, weights=weights, counts=counts, vocab=vocab)
+        try:
+            check_order(max_order)
+            return cls(max_order=max_order, weights=weights, counts=counts, vocab=vocab)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def _chain_prob(chain: Chain, token: str) -> float:

@@ -1,15 +1,19 @@
 import itertools
 import json
 import logging
+import multiprocessing
 import os
 import re
 import stat
+import time
 from pathlib import Path
 
 import pytest
 
-from zoneseq import cli, ingest
+from test_golden import GOLDEN, _run_pipeline
+from zoneseq import cli, ingest, ppm, tsp
 from zoneseq.cli import main
+from zoneseq.core import ValidationError
 
 
 SMALL_SYNTH = {
@@ -44,9 +48,12 @@ def test_synth_train_sequence_evaluate_roundtrip(synth_dirs, capsys):
                  "--model", str(model), "--out", str(sub),
                  "--per-route-timing"]) == 0
     out = capsys.readouterr().out
-    assert "zone_sequencing_ms=" in out and "stop_sorting_ms=" in out
-    submission = json.loads(sub.read_text())
     routes = json.loads((data / "eval" / "routes.json").read_text())
+    timing = [line.split() for line in out.splitlines() if "zone_sequencing_ms=" in line]
+    assert [fields[0] for fields in timing] == sorted(routes)
+    assert all(re.fullmatch(r"zone_sequencing_ms=\d+\.\d", fields[1])
+               and re.fullmatch(r"stop_sorting_ms=\d+\.\d", fields[2]) for fields in timing)
+    submission = json.loads(sub.read_text())
     assert set(submission) == set(routes)
     for rid, ids in submission.items():
         assert ids[0] == "depot"
@@ -165,6 +172,45 @@ def test_sequence_truncated_model_exits_1(synth_dirs, capsys):
                  "--model", str(model), "--out", str(tmp_path / "s.json")])
     assert code == 1
     assert "validation error:" in capsys.readouterr().err
+
+
+def _zero_table(model):
+    table = model.counts[0][()]
+    for token in table:
+        table[token] = 0
+
+
+def _zero_one_count(model):
+    table = model.counts[0][()]
+    table[min(table)] = 0
+
+
+def _order_zero(model):
+    model.max_order = 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_zero_table, "has a zero count"),
+    (_zero_one_count, "has a zero count"),
+    (_order_zero, "max_order must be in 1..65535, got 0"),
+], ids=["zero-table", "one-zero-count", "order-0"])
+def test_sequence_model_train_could_not_write_exits_1(synth_dirs, capsys, edit, message):
+    # An all-zero table divided by zero in the escape chain; a single zero
+    # count made probabilities that no longer sum to 1.
+    tmp_path, data = synth_dirs
+    model = tmp_path / "m.zppm"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    m = ppm.PpmModel.load(model)
+    edit(m)
+    m.save(model)
+    out = tmp_path / "s.json"
+    code = main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {model}: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_evaluate_stop_without_lng_exits_1(synth_dirs, capsys):
@@ -470,19 +516,73 @@ def test_bad_synth_config_exits_3_naming_key(tmp_path, capsys, config, key):
     assert not (tmp_path / "data").exists()
 
 
-def test_failing_external_solver_exits_2_naming_it(synth_dirs, capsys):
+def test_failing_external_solver_exits_2_naming_it(synth_dirs, monkeypatch, capsys):
     tmp_path, data = synth_dirs
     solver = tmp_path / "failing_solver.sh"
     solver.write_text("#!/bin/sh\nexit 3\n")
     solver.chmod(0o755)
     model = tmp_path / "m.zppm"
     assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    for cpus in ({0}, {0, 1}):  # in-process, then in a pool of two workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        code = main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                     "--out", str(tmp_path / "sub.json"), "--external-solver", str(solver)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"I/O error: external solver {solver} exited with status 3\n"
+        assert not (tmp_path / "sub.json").exists()
+
+
+# -- the route pool ------------------------------------------------------------
+
+
+def _cpus(monkeypatch, cpus):
+    """Make the worker count see an affinity mask of `cpus`."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def _two_eval_routes(tmp_path):
+    data = _synth(tmp_path, n_eval_routes=2)
+    model = tmp_path / "m.zppm"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    return data, model, sorted(json.loads((data / "eval" / "routes.json").read_text()))
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    _cpus(monkeypatch, set(range(64)))
+    assert [cli._worker_count(n) for n in (0, 1, 2, 6, 64, 100)] == [1, 1, 2, 6, 64, 64]
+    _cpus(monkeypatch, {3})
+    assert cli._worker_count(50) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._worker_count(50) == 1
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pool"])
+def test_pool_and_in_process_give_the_golden_bytes(tmp_path, monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    assert _run_pipeline(tmp_path, True) == GOLDEN[True]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pool"])
+def test_failure_names_the_first_failing_route_in_route_id_order(
+        tmp_path, monkeypatch, capsys, cpus):
+    data, model, (first, second) = _two_eval_routes(tmp_path)
+
+    def fail(route, zone_order, external_solver=None):
+        if route.route_id == first:
+            time.sleep(0.2)  # in the pool, the second route fails first
+        raise ValidationError(f"route {route.route_id}: injected failure")
+
+    monkeypatch.setattr(tsp, "sequence_stops", fail)  # forked workers inherit it
+    _cpus(monkeypatch, cpus)
+    out = tmp_path / "sub.json"
     code = main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
-                 "--out", str(tmp_path / "sub.json"), "--external-solver", str(solver)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == f"I/O error: external solver {solver} exited with status 3\n"
-    assert not (tmp_path / "sub.json").exists()
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"validation error: route {first}: injected failure\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 BAD_JSON = {
