@@ -6,7 +6,7 @@ datasets:
   routes.json            route_id -> {"depot": {"lat","lng"},
                                       "stops": {stop_id: {"lat","lng","zone_id"}}}
   actual_sequences.json  route_id -> {stop_id: 0-based position}, optional;
-                         position 0 is the depot.
+                         positions are JSON integers, position 0 is the depot.
   travel_times.json      route_id -> {from_id: {to_id: seconds}}, optional.
   quality.json           route_id -> "High"|"Medium"|"Low", optional.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -175,12 +175,13 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
     actual = None
     if actual_raw is not None:
         positions = _object(actual_raw, "actual sequence")
-        try:
-            ids = tuple(sorted(positions, key=positions.__getitem__))
-            valid = sorted(positions.values()) == list(range(len(positions)))
-        except TypeError:  # a position that does not compare with integers
-            valid = False
-        if not valid:
+        for sid, pos in positions.items():
+            if type(pos) is not int:  # true == 1 and 2.0 == 2 would pass the check below
+                raise ValidationError(
+                    f"actual sequence position of stop {sid!r} is not an integer: {pos!r}"
+                )
+        ids = tuple(sorted(positions, key=positions.__getitem__))
+        if sorted(positions.values()) != list(range(len(positions))):
             raise ValidationError("actual sequence positions are not 0..n-1")
         actual = StopSequence(route_id=route_id, ids=ids)
 
@@ -305,19 +306,15 @@ def _travel_time_chunks(matrices: Dict[str, TravelTimeMatrix]):
 
 
 def zone_runs(route: Route, actual: StopSequence) -> List[ZoneRun]:
-    """Maximal runs of equal zone id in actual order, depot excluded."""
-    runs: List[ZoneRun] = []
-    for pos, sid in enumerate(actual.ids):
-        stop = route.stops[sid]
-        if stop.kind is StopKind.DEPOT:
-            continue
-        zone = stop.zone_id
-        if runs and runs[-1].zone_id == zone:
-            last = runs[-1]
-            runs[-1] = ZoneRun(zone, last.stop_count + 1, last.first_position)
-        else:
-            runs.append(ZoneRun(zone, 1, len(runs)))
-    return runs
+    """Maximal runs of equal zone id in actual order, depot excluded.
+
+    One ZoneRun is built per run; `first_position` is the run's index.
+    """
+    stops = (route.stops[sid] for sid in actual.ids)
+    zones = (stop.zone_id for stop in stops if stop.kind is not StopKind.DEPOT)
+    return [
+        ZoneRun(zone, len(list(run)), i) for i, (zone, run) in enumerate(groupby(zones))
+    ]
 
 
 def collapse_to_zsgt(route_id: str, runs: List[ZoneRun]) -> ZoneSequence:

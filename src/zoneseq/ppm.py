@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -336,27 +337,41 @@ def train(
     The depot sentinel is prepended to every sequence so the first-zone
     choice is conditioned on it. Deterministic: identical corpus, order and
     weights give an identical model.
+
+    The work follows the corpus's distinct windows, not its positions. Each
+    component stream is padded in front with W copies of None, where W is
+    max_order capped at the longest sequence (sentinel included) less one,
+    and its (W+1)-token windows are counted, one per position (the
+    sentinel's own position excepted). Each distinct window then adds its
+    count to every order from 0 up to the first that would reach into the
+    padding. Tables are inserted in window order rather than position
+    order; nothing reads that order (`save` sorts, `_chain` takes only
+    `len` and `sum`, and model equality compares dicts).
     """
     if not corpus:
         raise ValidationError("cannot train on an empty corpus")
     check_order(max_order)
-    counts: List[Dict[Context, Dict[str, int]]] = [{} for _ in range(N_COMPONENTS)]
+    head = [sentinel] if sentinel else []
+    # Accepts ZoneSequence objects or bare lists of zone ids (raw training
+    # streams may legitimately repeat a zone).
+    sequences = [
+        head + list(zseq.zones if isinstance(zseq, ZoneSequence) else zseq) for zseq in corpus
+    ]
+    start = len(head)  # the sentinel is context only, never a target
+    width = min(max_order, max(map(len, sequences)) - 1)
+    pad = (None,) * width
+    windows = [Counter() for _ in range(N_COMPONENTS)]
     vocab: List[set] = [set() for _ in range(N_COMPONENTS)]
-    for zseq in corpus:
-        # Accepts ZoneSequence objects or bare lists of zone ids (raw
-        # training streams may legitimately repeat a zone).
-        items = list(zseq.zones) if isinstance(zseq, ZoneSequence) else list(zseq)
-        zones = ([sentinel] if sentinel else []) + items
-        streams = [tokenize_zone(z) for z in zones]
-        start = 1 if sentinel else 0
-        for k in range(N_COMPONENTS):
-            stream = [comp[k] for comp in streams]
+    for zones in sequences:
+        for k, stream in enumerate(zip(*map(tokenize_zone, zones))):
             vocab[k].update(stream)
-            tables = counts[k]
-            for i in range(start, len(stream)):
-                target = stream[i]
-                for order in range(0, min(max_order, i) + 1):
-                    ctx = tuple(stream[i - order:i])
-                    table = tables.setdefault(ctx, {})
-                    table[target] = table.get(target, 0) + 1
+            padded = pad + stream
+            windows[k].update(zip(*(padded[start + j:] for j in range(width + 1))))
+    counts: List[Dict[Context, Dict[str, int]]] = [{} for _ in range(N_COMPONENTS)]
+    for tables, counter in zip(counts, windows):
+        for window, n in counter.items():
+            target = window[width]
+            for order in range(width - window.count(None) + 1):
+                table = tables.setdefault(window[width - order:width], {})
+                table[target] = table.get(target, 0) + n
     return PpmModel(max_order=max_order, weights=tuple(weights), counts=counts, vocab=vocab)

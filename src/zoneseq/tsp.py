@@ -13,7 +13,8 @@ whose best gain exceeds the epsilon, at the first slot p or third cut k
 with that gain. After each move the scan restarts from the beginning.
 
 An external TSPLIB solver (e.g. a Lin-Kernighan binary) can be plugged in;
-its tours flow through the same rotation/filter post-processing.
+its tours flow through the same rotation/filter post-processing. Each of
+its runs is killed after EXTERNAL_SOLVER_TIMEOUT_S seconds.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Route, StopSequence, ValidationError, ZoneSequence
+
+EXTERNAL_SOLVER_TIMEOUT_S = 60  # seconds per instance: one zone's stops and a few extra nodes
 
 
 class NodeTag(Enum):
@@ -380,11 +383,17 @@ def solve_atsp_external(instance: ZoneTspInstance, solver_path: str) -> List[int
             "RUNS = 1\n"
             "SEED = 1\n"
         )
-        status = subprocess.run(
-            [solver_path, str(par)],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        ).returncode
+        try:
+            status = subprocess.run(
+                [solver_path, str(par)],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                timeout=EXTERNAL_SOLVER_TIMEOUT_S,
+            ).returncode
+        except subprocess.TimeoutExpired:  # run() has killed and reaped the solver
+            raise OSError(
+                f"external solver {solver_path} timed out after {EXTERNAL_SOLVER_TIMEOUT_S} s"
+            ) from None
         if status != 0:
             raise OSError(f"external solver {solver_path} exited with status {status}")
         return parse_tsplib_tour(tour_file.read_bytes(), instance.n)

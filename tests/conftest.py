@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from zoneseq.core import (
+    DEPOT_ZONE,
     Route,
     Stop,
     StopKind,
     StopSequence,
     TravelTimeMatrix,
     ValidationError,
+    ZoneSequence,
     haversine_m,
     representative_node,
 )
-from zoneseq.ppm import tokenize_zone
+from zoneseq.ingest import ZoneRun
+from zoneseq.ppm import DEFAULT_ORDER, DEFAULT_WEIGHTS, N_COMPONENTS, PpmModel, tokenize_zone
 from zoneseq.scorer import sequence_deviation
 from zoneseq.tsp import NodeTag, ZoneTspInstance
 
@@ -101,6 +104,49 @@ def oracle_prob(model, context, candidate):
             continue
         p += w * oracle_component_prob(model, k, [c[k] for c in ctx_comp], cand_comp[k])
     return p
+
+
+# Reference training: one table update per (position, order, component), the
+# loop that `zoneseq.ppm.train` replaces with one count per distinct window.
+
+
+def oracle_train(corpus, max_order=DEFAULT_ORDER, weights=DEFAULT_WEIGHTS,
+                 sentinel=DEPOT_ZONE):
+    """Count-train the four component models position by position."""
+    counts = [{} for _ in range(N_COMPONENTS)]
+    vocab = [set() for _ in range(N_COMPONENTS)]
+    for zseq in corpus:
+        items = list(zseq.zones) if isinstance(zseq, ZoneSequence) else list(zseq)
+        zones = ([sentinel] if sentinel else []) + items
+        streams = [tokenize_zone(z) for z in zones]
+        start = 1 if sentinel else 0
+        for k in range(N_COMPONENTS):
+            stream = [comp[k] for comp in streams]
+            vocab[k].update(stream)
+            tables = counts[k]
+            for i in range(start, len(stream)):
+                target = stream[i]
+                for order in range(0, min(max_order, i) + 1):
+                    ctx = tuple(stream[i - order:i])
+                    table = tables.setdefault(ctx, {})
+                    table[target] = table.get(target, 0) + 1
+    return PpmModel(max_order=max_order, weights=tuple(weights), counts=counts, vocab=vocab)
+
+
+def oracle_zone_runs(route, actual):
+    """Reference zone runs: the run so far rebuilt for every stop."""
+    runs = []
+    for sid in actual.ids:
+        stop = route.stops[sid]
+        if stop.kind is StopKind.DEPOT:
+            continue
+        zone = stop.zone_id
+        if runs and runs[-1].zone_id == zone:
+            last = runs[-1]
+            runs[-1] = ZoneRun(zone, last.stop_count + 1, last.first_position)
+        else:
+            runs.append(ZoneRun(zone, 1, len(runs)))
+    return runs
 
 
 def exhaustive_best_reward(model, zones, sentinel="stz"):

@@ -7,7 +7,7 @@ import pytest
 from zoneseq import ingest
 from zoneseq.core import Quality, TravelTimeMatrix, ValidationError, haversine_m
 from zoneseq.ingest import ZoneRun, collapse_to_zsgt, impute_zone, zone_runs, zsgt
-from conftest import make_route
+from conftest import make_route, oracle_zone_runs
 
 
 def write_fixture(tmp_path, routes, actuals=None, travel=None, quality=None):
@@ -115,6 +115,12 @@ def test_non_object_route_or_stops_names_route(tmp_path, routes):
     (["r1"], None, "actual_sequences.json"),
     ({"r1": ["depot", "a", "b"]}, None, "route r1: actual sequence"),
     ({"r1": {"depot": "0", "a": 1, "b": 2}}, None, "route r1: actual sequence"),
+    ({"r1": {"depot": 0, "a": True, "b": 2}}, None,
+     "route r1: actual sequence position of stop 'a' is not an integer: True"),
+    ({"r1": {"depot": False, "a": 1, "b": 2}}, None,
+     "route r1: actual sequence position of stop 'depot' is not an integer: False"),
+    ({"r1": {"depot": 0, "a": 1, "b": 2.0}}, None,
+     "route r1: actual sequence position of stop 'b' is not an integer: 2.0"),
     (None, [], "travel_times.json"),
     (None, {"r1": [1, 2]}, "route r1: travel time matrix"),
     (None, {"r2": {"depot": [0, 5], "c": {"depot": 5, "c": 0}}},
@@ -128,6 +134,7 @@ def test_non_object_route_or_stops_names_route(tmp_path, routes):
     (None, {"r2": {"depot": {"depot": 0, "c": "7"}, "c": {"depot": 5, "c": 0}}},
      "route r2: travel time matrix has a non-numeric entry 'depot' -> 'c': '7'"),
 ], ids=["actuals-top-list", "actual-list", "actual-text-position",
+        "actual-true-position", "actual-false-position", "actual-float-position",
         "travel-top-list", "matrix-list", "matrix-row-list", "matrix-text-entry",
         "matrix-true-entry", "matrix-false-entry", "matrix-numeric-text-entry"])
 def test_malformed_actuals_or_travel_times_name_route(tmp_path, actuals, travel, match):
@@ -325,6 +332,26 @@ def test_zone_runs_alternating():
                        actual=["depot", "a", "b", "c"])
     runs = zone_runs(route, route.actual)
     assert [(r.zone_id, r.stop_count) for r in runs] == [("A", 1), ("B", 1), ("A", 1)]
+
+
+def test_zone_runs_matches_oracle_fuzz():
+    rng = random.Random(5)
+    shapes = {
+        "one-stop": lambda: ["A"],
+        "one-zone": lambda: ["A"] * rng.randint(2, 12),
+        "alternating": lambda: ["A", "B"] * rng.randint(1, 6),
+        "long-runs": lambda: [z for z in rng.choices("ABC", k=rng.randint(1, 4))
+                              for _ in range(rng.randint(5, 15))],
+        "random": lambda: rng.choices("ABCD", k=rng.randint(1, 30)),
+    }
+    for _ in range(60):
+        for shape, zones_of in shapes.items():
+            zones = zones_of()
+            stops = [(f"s{i}", 0.001 * i, 0.001 * i, z) for i, z in enumerate(zones)]
+            order = [sid for sid, *_ in stops]
+            rng.shuffle(order)
+            route = make_route(stops=stops, actual=["depot"] + order)
+            assert zone_runs(route, route.actual) == oracle_zone_runs(route, route.actual), shape
 
 
 def test_collapse_no_repeats_is_identity():

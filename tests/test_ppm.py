@@ -1,11 +1,14 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from zoneseq import ppm
 from zoneseq.core import ValidationError, ZoneSequence
 from zoneseq.ppm import EMPTY_TOKEN, PpmModel, tokenize_zone, train
-from conftest import oracle_component_prob, oracle_prob, random_corpus
+from conftest import oracle_component_prob, oracle_prob, oracle_train, random_corpus
 
 
 def test_tokenize_dashed_decimal_id():
@@ -62,6 +65,56 @@ def test_train_deterministic():
     a = train(corpus)
     b = train(corpus)
     assert a.counts == b.counts and a.vocab == b.vocab
+
+
+def _fuzz_corpus(rng):
+    """Random sequences, as bare lists or ZoneSequence items, plus empty and
+    one-zone lists. Some corpora hold only those, so W can be 0; short ids
+    share the sentinel's empty tokens, and bare lists may hold "stz" itself."""
+    vocab = ["A-0.0X", "A-1.1Y", "B-0.1X", "B", "C-2", "stz"]
+    corpus = []
+    for seq in random_corpus(rng, n_seqs=rng.randint(1, 6), max_len=rng.choice([2, 5, 9])):
+        if len(set(seq)) == len(seq) and "stz" not in seq and rng.random() < 0.5:
+            corpus.append(ZoneSequence("r", tuple(seq)))
+        else:
+            corpus.append(seq)
+    corpus += [[] for _ in range(rng.randint(0, 2))]
+    corpus += [[rng.choice(vocab)] for _ in range(rng.randint(0, 2))]
+    corpus += [[rng.choice(vocab) for _ in range(rng.randint(2, 4))]
+               for _ in range(rng.randint(0, 1))]
+    shape = rng.random()
+    if shape < 0.1:
+        corpus = [[] for _ in corpus]
+    elif shape < 0.2:
+        corpus = [[rng.choice(vocab)] for _ in corpus]
+    rng.shuffle(corpus)
+    return corpus
+
+
+def test_train_matches_oracle_fuzz(tmp_path):
+    # Order 65535 must cost what the longest sequence allows: padding every
+    # stream to 65535 tokens would not fit under a 512 MiB address-space cap.
+    script = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from zoneseq.ppm import train\n"
+        "train([['A-%d.1X' % i for i in range(30)]] * 3, 65535)\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=60,
+                   env={"PYTHONPATH": str(Path(ppm.__file__).parents[1])})
+    rng = random.Random(12)
+    for trial in range(400):
+        corpus = _fuzz_corpus(rng)
+        for order in (1, 2, 3, 5, 8, 65535):
+            for sentinel in ("stz", None):
+                got = train(corpus, max_order=order, sentinel=sentinel)
+                want = oracle_train(corpus, max_order=order, sentinel=sentinel)
+                assert got.counts == want.counts, (corpus, order, sentinel)
+                assert got.vocab == want.vocab, (corpus, order, sentinel)
+                if trial % 20 == 0:
+                    got.save(tmp_path / "got.zppm")
+                    want.save(tmp_path / "want.zppm")
+                    assert (tmp_path / "got.zppm").read_bytes() == \
+                        (tmp_path / "want.zppm").read_bytes()
 
 
 # -- probabilities -----------------------------------------------------------
