@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,12 +101,6 @@ class TravelTimeMatrix:
         if not isinstance(other, TravelTimeMatrix):
             return NotImplemented
         return self.ids == other.ids and np.array_equal(self.t, other.t)
-
-    def lookup(self, from_id: str, to_id: str) -> float:
-        try:
-            return float(self.t[self.index[from_id], self.index[to_id]])
-        except KeyError as exc:
-            raise KeyError(f"unknown stop id {exc.args[0]!r} in travel time matrix")
 
 
 @dataclass(frozen=True)

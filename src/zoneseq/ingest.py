@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 

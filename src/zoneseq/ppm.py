@@ -158,9 +158,9 @@ class PpmModel:
             cache[key] = p
         return p
 
-    def compile_route(self, zones: Sequence[str], sentinel: str = DEPOT_ZONE) -> "CompiledRoute":
+    def compile_route(self, zones: Sequence[str]) -> "CompiledRoute":
         """Per-route view answering `prob` for all of a route's zones at once."""
-        return CompiledRoute(self, zones, sentinel)
+        return CompiledRoute(self, zones)
 
     def seq_reward(
         self,
@@ -267,11 +267,12 @@ class CompiledRoute:
     """The blended probabilities of one route's zones, one list per context.
 
     The route's distinct zones, sorted by id, become indices 0..n-1 and the
-    sentinel becomes index n. ``probs(seq)`` takes a sequence of indices and
-    returns a list ``p`` with ``p[j] == model.prob(ctx, zones[j])`` bit for
-    bit, where ``ctx`` is the zone ids of the last ``max_order`` entries of
-    ``seq``. The float operations are those of ``component_prob`` and
-    ``prob``, in the same order.
+    depot sentinel ``DEPOT_ZONE`` becomes index n. ``probs(seq)`` takes a
+    sequence of indices and returns a list ``p`` with
+    ``p[j] == model.prob(ctx, zones[j])`` bit for bit, where ``ctx`` is the
+    zone ids of the last ``max_order`` entries of ``seq``. The float
+    operations are those of ``component_prob`` and ``prob``, in the same
+    order.
 
     Each list is computed once per context. Below that, component k's list
     depends only on the longest suffix of its token context that has a
@@ -280,7 +281,7 @@ class CompiledRoute:
     and escape chains come from the model, built once for all its routes.
     """
 
-    def __init__(self, model: PpmModel, zones: Sequence[str], sentinel: str):
+    def __init__(self, model: PpmModel, zones: Sequence[str]):
         self.zones: Tuple[str, ...] = tuple(sorted(set(zones)))
         self.sentinel = len(self.zones)
         self.reads = 0  # calls of probs()
@@ -288,7 +289,7 @@ class CompiledRoute:
         self._order = model.max_order
         self._active = [k for k, w in enumerate(model.weights) if w != 0.0]
         # _tokens[i][k]: component k token of zone index i (sentinel last)
-        self._tokens = [tokenize_zone(z) for z in self.zones + (sentinel,)]
+        self._tokens = [tokenize_zone(z) for z in self.zones + (DEPOT_ZONE,)]
         self._lists: Dict[Tuple[int, ...], List[float]] = {}
         self._blends: Dict[Tuple[Context, ...], List[float]] = {}
         self._component_lists: List[Dict[Context, List[float]]] = [{} for _ in range(N_COMPONENTS)]

@@ -16,9 +16,9 @@ lexicographically smallest zone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import DEPOT_ZONE, ValidationError, ZoneSequence
+from .core import ValidationError, ZoneSequence
 from .ppm import CompiledRoute, PpmModel
 
 
@@ -32,20 +32,6 @@ class RolloutState:
     def __post_init__(self):
         if set(self.prefix) & self.remaining:
             raise ValidationError("prefix and remaining overlap")
-
-    @property
-    def k(self) -> int:
-        return len(self.prefix)
-
-
-def apply_action(state: RolloutState, zone: str) -> RolloutState:
-    """Move `zone` from remaining to the end of the prefix."""
-    if zone not in state.remaining:
-        raise ValidationError(f"zone {zone!r} is not available in this state")
-    return RolloutState(
-        prefix=state.prefix + (zone,),
-        remaining=state.remaining - {zone},
-    )
 
 
 def _greedy(
@@ -68,66 +54,34 @@ def _greedy(
     return out, total
 
 
-def _lookahead(
-    route: CompiledRoute,
-    seq: List[int],
-    remaining: List[int],
-    diagnostics: Optional[Dict[int, float]] = None,
-) -> int:
+def _lookahead(route: CompiledRoute, seq: List[int], remaining: List[int]) -> int:
     """Index in sorted `remaining` maximising immediate reward + greedy reward-to-go."""
     vec = route.probs(seq)
     best_zone, best_score = None, None
     for zone in remaining:
         rest = [z for z in remaining if z != zone]
         _, score = _greedy(route, seq + [zone], rest, vec[zone])
-        if diagnostics is not None:
-            diagnostics[zone] = score
         if best_score is None or score > best_score:
             best_zone, best_score = zone, score
     return best_zone
 
 
-def _compile_state(model: PpmModel, state: RolloutState, sentinel: str):
-    route = model.compile_route(state.prefix + tuple(state.remaining), sentinel)
-    index = {z: i for i, z in enumerate(route.zones)}
-    seq = [route.sentinel] + [index[z] for z in state.prefix]
-    return route, seq, sorted(index[z] for z in state.remaining)
-
-
-def greedy_completion(
-    model: PpmModel, state: RolloutState, sentinel: str = DEPOT_ZONE
-) -> List[str]:
+def greedy_completion(model: PpmModel, state: RolloutState) -> List[str]:
     """Greedy baseline policy: repeatedly take the most probable next zone.
 
     Returns only the appended zones, not the prefix.
     """
-    route, seq, remaining = _compile_state(model, state, sentinel)
-    out, _ = _greedy(route, seq, remaining)
+    route = model.compile_route(state.prefix + tuple(state.remaining))
+    index = {z: i for i, z in enumerate(route.zones)}
+    seq = [route.sentinel] + [index[z] for z in state.prefix]
+    out, _ = _greedy(route, seq, sorted(index[z] for z in state.remaining))
     return [route.zones[i] for i in out]
-
-
-def next_zone(
-    model: PpmModel,
-    state: RolloutState,
-    sentinel: str = DEPOT_ZONE,
-    diagnostics: Optional[Dict[str, float]] = None,
-) -> str:
-    """One-step lookahead: argmax of immediate reward + greedy reward-to-go."""
-    if not state.remaining:
-        raise ValidationError("no zones remaining")
-    route, seq, remaining = _compile_state(model, state, sentinel)
-    scores: Dict[int, float] = {}
-    best = _lookahead(route, seq, remaining, scores)
-    if diagnostics is not None:
-        diagnostics.update((route.zones[i], s) for i, s in scores.items())
-    return route.zones[best]
 
 
 def rollout_sequence(
     model: PpmModel,
     route_id: str,
     zones: Sequence[str],
-    sentinel: str = DEPOT_ZONE,
     stats: Optional[dict] = None,
 ) -> ZoneSequence:
     """Sequence a full zone set by repeated one-step lookahead.
@@ -139,7 +93,7 @@ def rollout_sequence(
     """
     if not zones:
         raise ValidationError(f"route {route_id}: empty zone set")
-    route = model.compile_route(zones, sentinel)
+    route = model.compile_route(zones)
     seq = [route.sentinel]
     remaining = list(range(len(route.zones)))
     while remaining:

@@ -130,7 +130,7 @@ def erp(
 ) -> Tuple[float, int]:
     """Edit distance with real penalty between two stop sequences.
 
-    `dist` must already be normalized (see normalized_dist) and finite.
+    `dist` must already be normalized by the route's largest cost and finite.
     Gaps are charged by distance to `gap_ref` (the depot). Returns
     (cost, edits) where edits counts the non-zero-cost operations on one
     optimal path; ties during backtracking prefer matches.
@@ -159,17 +159,6 @@ def _normalized_matrix(route: Route) -> Tuple[Dict[str, int], np.ndarray]:
     if max_entry <= 0:
         return index, np.zeros_like(cost)
     return index, cost / max_entry
-
-
-def normalized_dist(route: Route) -> Callable[[str, str], float]:
-    """Travel-time lookup normalized by the matrix maximum.
-
-    Falls back to a haversine-derived matrix when the route carries no
-    travel times.
-    """
-    index, cost = _normalized_matrix(route)
-    rows = cost.tolist()
-    return lambda a, b: rows[index[a]][index[b]]
 
 
 def route_score(route: Route, submitted: StopSequence) -> RouteScore:

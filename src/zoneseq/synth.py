@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .core import (
@@ -156,17 +156,6 @@ def _route(cfg, rng, route_id, templates, centers, depot) -> Route:
         actual=actual,
         quality=quality,
     )
-
-
-def zone_templates(cfg: SynthConfig) -> List[List[str]]:
-    """The planted per-template zone visit orders for a config.
-
-    Re-derives them from the seed exactly as generate() does, so tests can
-    check generated routes against the planted patterns.
-    """
-    rng = random.Random(cfg.seed)
-    templates, _ = _make_templates(cfg, rng)
-    return templates
 
 
 def generate(cfg: SynthConfig) -> Tuple[Dataset, Dataset]:

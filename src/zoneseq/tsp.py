@@ -14,20 +14,23 @@ with that gain. After each move the scan restarts from the beginning.
 
 An external TSPLIB solver (e.g. a Lin-Kernighan binary) can be plugged in;
 its tours flow through the same rotation/filter post-processing. Each of
-its runs is killed after EXTERNAL_SOLVER_TIMEOUT_S seconds.
+its runs is killed, with every process it started, after
+EXTERNAL_SOLVER_TIMEOUT_S seconds.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import os
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import Route, StopSequence, ValidationError, ZoneSequence
 
@@ -310,10 +313,10 @@ def sequence_stops(
 # -- TSPLIB adapter ----------------------------------------------------------
 
 
-def write_tsplib_atsp(instance: ZoneTspInstance, name: str = "zone") -> bytes:
+def write_tsplib_atsp(instance: ZoneTspInstance) -> bytes:
     """Explicit full-matrix ATSP file; weights are round-half-even(cost*1000)."""
     lines = [
-        f"NAME: {name}",
+        "NAME: zone",
         "TYPE: ATSP",
         f"DIMENSION: {instance.n}",
         "EDGE_WEIGHT_TYPE: EXPLICIT",
@@ -324,27 +327,6 @@ def write_tsplib_atsp(instance: ZoneTspInstance, name: str = "zone") -> bytes:
         lines.append(" ".join(str(round(v * 1000)) for v in row))
     lines.append("EOF")
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def parse_tsplib_atsp(data: bytes) -> List[List[int]]:
-    """Read back the integer weight matrix of an explicit ATSP file."""
-    lines = data.decode("ascii").splitlines()
-    dim = None
-    weights: List[int] = []
-    in_section = False
-    for line in lines:
-        line = line.strip()
-        if line.startswith("DIMENSION"):
-            dim = int(line.split(":")[1])
-        elif line == "EDGE_WEIGHT_SECTION":
-            in_section = True
-        elif line == "EOF":
-            break
-        elif in_section:
-            weights.extend(int(tok) for tok in line.split())
-    if dim is None or len(weights) != dim * dim:
-        raise ValidationError("malformed TSPLIB ATSP file")
-    return [weights[i * dim:(i + 1) * dim] for i in range(dim)]
 
 
 def parse_tsplib_tour(data: bytes, n: int) -> List[int]:
@@ -383,17 +365,25 @@ def solve_atsp_external(instance: ZoneTspInstance, solver_path: str) -> List[int
             "RUNS = 1\n"
             "SEED = 1\n"
         )
+        # In its own session, the solver and whatever it starts form one
+        # process group to kill. That session does not see a terminal's ^C.
+        proc = subprocess.Popen(
+            [solver_path, str(par)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
         try:
-            status = subprocess.run(
-                [solver_path, str(par)],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                timeout=EXTERNAL_SOLVER_TIMEOUT_S,
-            ).returncode
-        except subprocess.TimeoutExpired:  # run() has killed and reaped the solver
-            raise OSError(
-                f"external solver {solver_path} timed out after {EXTERNAL_SOLVER_TIMEOUT_S} s"
-            ) from None
+            status = proc.wait(timeout=EXTERNAL_SOLVER_TIMEOUT_S)
+        except BaseException as exc:  # the time limit, or an interrupt
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise OSError(
+                    f"external solver {solver_path} timed out after "
+                    f"{EXTERNAL_SOLVER_TIMEOUT_S} s"
+                ) from None
+            raise
         if status != 0:
             raise OSError(f"external solver {solver_path} exited with status {status}")
         return parse_tsplib_tour(tour_file.read_bytes(), instance.n)

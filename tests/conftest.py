@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
+from pathlib import Path
 from typing import List
 
 import numpy as np
 import pytest
 
+from zoneseq import synth
 from zoneseq.core import (
     DEPOT_ZONE,
     Route,
@@ -43,6 +46,25 @@ def make_route(route_id="r1", stops=None, depot=(0.0, 0.0), actual=None,
                  actual=seq, quality=quality)
 
 
+def still_running(pids, within=2.0):
+    """The processes of `pids` still running after waiting up to `within` s.
+
+    A killed process that its new parent has not reaped yet (state Z)
+    counts as gone.
+    """
+    def running(pid):
+        try:
+            stat_line = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return False
+        return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
+
+    deadline = time.monotonic() + within
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if running(pid)]
+
+
 def random_corpus(rng: random.Random, n_seqs=6, max_len=8, vocab=None):
     """Random zone-id sequences (with possible repeats) for model fuzzing."""
     vocab = vocab or [
@@ -75,6 +97,16 @@ def patterned_instance(rng: random.Random, n_zones: int, strength=None):
                 seq[i], seq[i + 1] = seq[i + 1], seq[i]
         corpus.append(seq)
     return corpus, sorted(zones)
+
+
+def zone_templates(cfg):
+    """The planted per-template zone visit orders of a synth config.
+
+    Re-derives them from the seed exactly as `synth.generate` does, so
+    tests can check generated routes against the planted patterns.
+    """
+    templates, _ = synth._make_templates(cfg, random.Random(cfg.seed))
+    return templates
 
 
 def oracle_component_prob(model, k, context, token):
@@ -319,7 +351,7 @@ def oracle_improve(cost: np.ndarray, tour: List[int], budget: List[int]) -> List
 def oracle_erp(actual, submitted, dist, gap_ref):
     """Edit distance with real penalty between two stop sequences.
 
-    `dist` must already be normalized (see normalized_dist). Gaps are
+    `dist` must already be normalized (see oracle_normalized_dist). Gaps are
     charged by distance to `gap_ref` (the depot). Returns (cost, edits)
     where edits counts the non-zero-cost operations on one optimal path;
     ties during backtracking prefer matches.
@@ -366,7 +398,10 @@ def oracle_normalized_dist(route):
     """Per-pair travel-time (or haversine) lookup divided by the maximum."""
     stops = route.stops
     if route.travel_times is not None:
-        lookup = route.travel_times.lookup
+        tt = route.travel_times
+
+        def lookup(a, b):
+            return float(tt.t[tt.index[a], tt.index[b]])
     else:
         def lookup(a, b):
             sa, sb = stops[a], stops[b]

@@ -14,6 +14,7 @@ from test_golden import GOLDEN, _run_pipeline
 from zoneseq import cli, ingest, ppm, tsp
 from zoneseq.cli import main
 from zoneseq.core import ValidationError
+from conftest import still_running
 
 
 SMALL_SYNTH = {
@@ -536,25 +537,32 @@ def test_failing_external_solver_exits_2_naming_it(synth_dirs, monkeypatch, caps
 def test_external_solver_past_its_time_limit_exits_2_naming_it(synth_dirs, monkeypatch,
                                                                capsys):
     tmp_path, data = synth_dirs
-    pids = tmp_path / "pids"
+    pids, children = tmp_path / "pids", tmp_path / "children"
     solver = tmp_path / "slow_solver.sh"
     solver.write_text(f"#!/bin/sh\necho $$ >> {pids}\nexec sleep 30\n")
-    solver.chmod(0o755)
+    # A wrapper that does not exec: its sleep is a child of the solver process.
+    wrapper = tmp_path / "slow_wrapper.sh"
+    wrapper.write_text(f"#!/bin/sh\nsleep 30 & echo $! >> {children}; wait\n")
+    for script in (solver, wrapper):
+        script.chmod(0o755)
     model = tmp_path / "m.zppm"
     assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
     monkeypatch.setattr(tsp, "EXTERNAL_SOLVER_TIMEOUT_S", 0.2)
-    for cpus in ({0}, {0, 1}):  # in-process, then in a pool of two workers
+    for script, cpus in itertools.product((solver, wrapper), ({0}, {0, 1})):
+        # in-process, then in a pool of two workers
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         code = main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
-                     "--out", str(tmp_path / "sub.json"), "--external-solver", str(solver)])
+                     "--out", str(tmp_path / "sub.json"), "--external-solver", str(script)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"I/O error: external solver {solver} timed out after 0.2 s\n"
+        assert err == f"I/O error: external solver {script} timed out after 0.2 s\n"
         assert not (tmp_path / "sub.json").exists()
         assert multiprocessing.active_children() == []
     for pid in map(int, pids.read_text().split()):  # every solver was killed
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+    started = [int(pid) for pid in children.read_text().split()]
+    assert started and still_running(started) == []  # and so was all they started
 
 
 # -- the route pool ------------------------------------------------------------

@@ -214,4 +214,3 @@ def test_travel_time_matrix_is_read_only_and_compares_by_value():
     assert m == TravelTimeMatrix(ids=("a", "b"), t=np.array([[0.0, 1.5], [2.0, 0.0]]))
     assert m != TravelTimeMatrix(ids=("a", "b"), t=((0, 1.5), (2.5, 0)))
     assert m != TravelTimeMatrix(ids=("b", "a"), t=((0, 1.5), (2, 0)))
-    assert m.lookup("b", "a") == 2.0 and type(m.lookup("b", "a")) is float

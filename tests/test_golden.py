@@ -7,9 +7,11 @@ these bytes must update the constants and say why in CHANGES.md.
 
 import hashlib
 import json
+import os
 
 import pytest
 
+from zoneseq import rollout, tsp
 from zoneseq.cli import main
 
 CONFIG = {
@@ -89,3 +91,31 @@ def _run_pipeline(tmp_path, with_travel_times):
                          ids=["travel-times", "haversine"])
 def test_pipeline_bytes_match_golden_digests(tmp_path, with_travel_times):
     assert _run_pipeline(tmp_path, with_travel_times) == GOLDEN[with_travel_times]
+
+
+# The deterministic work of the travel-time run, summed over its eval routes:
+# rollout's probability-list reads and computed contexts, and the ATSP
+# search's accepted moves, multi-start constructions and budget-capped
+# instances. Unlike timings, these do not vary with the host.
+WORK = {"prob_calls": 447, "contexts": 344, "moves": 850, "starts": 227,
+        "budget_exhausted": 0}
+
+
+def test_pipeline_work_counters_match_golden(tmp_path, monkeypatch):
+    totals = dict.fromkeys(WORK, 0)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            stats = {}
+            result = fn(*args, stats=stats, **kwargs)
+            for key, value in stats.items():
+                totals[key] += value
+            return result
+        return wrapper
+
+    # One CPU: `sequence` runs its routes in this process, where the counts land.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(rollout, "rollout_sequence", counted(rollout.rollout_sequence))
+    monkeypatch.setattr(tsp, "solve_atsp", counted(tsp.solve_atsp))
+    _run_pipeline(tmp_path, with_travel_times=True)
+    assert totals == WORK

@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -5,9 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from test_golden import CONFIG
 from zoneseq import ppm
+from zoneseq.cli import main
 from zoneseq.core import ValidationError, ZoneSequence
+from zoneseq.ingest import load_dataset
 from zoneseq.ppm import EMPTY_TOKEN, PpmModel, tokenize_zone, train
+from zoneseq.rollout import rollout_sequence
 from conftest import oracle_component_prob, oracle_prob, oracle_train, random_corpus
 
 
@@ -261,6 +266,38 @@ def test_load_rejects_trailing_bytes(tmp_path):
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(ValidationError, match="long.zppm.*trailing"):
         PpmModel.load(p)
+
+
+def test_model_file_byte_flips_and_truncations_load_or_name_the_file(tmp_path):
+    # The golden run's model: every mutant either loads and sequences an
+    # eval route's zones, or is a ValidationError naming the file.
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(dict(CONFIG, with_travel_times=False)))
+    data, good = tmp_path / "data", tmp_path / "model.zppm"
+    assert main(["synth", "--synth-config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(good)]) == 0
+    eval_routes = load_dataset(data / "eval").routes
+    zones = eval_routes[min(eval_routes)].zones()
+    raw = good.read_bytes()
+    rng = random.Random(13)
+    mutants = []
+    for _ in range(400):
+        flipped = bytearray(raw)
+        flipped[rng.randrange(len(raw))] ^= rng.randrange(1, 256)
+        mutants.append(bytes(flipped))
+    mutants += [raw[:rng.randrange(len(raw))] for _ in range(100)]
+    path = tmp_path / "mutant.zppm"
+    loaded = 0
+    for mutant in mutants:
+        path.write_bytes(mutant)
+        try:
+            model = PpmModel.load(path)
+        except ValidationError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            continue
+        assert sorted(rollout_sequence(model, "r", zones).zones) == sorted(zones)
+        loaded += 1
+    assert 0 < loaded < len(mutants)
 
 
 def test_weights_must_sum_to_one():

@@ -3,16 +3,9 @@ import random
 
 import pytest
 
-from zoneseq import ppm, rollout
 from zoneseq.core import ValidationError
 from zoneseq.ppm import CompiledRoute, train
-from zoneseq.rollout import (
-    RolloutState,
-    apply_action,
-    greedy_completion,
-    next_zone,
-    rollout_sequence,
-)
+from zoneseq.rollout import RolloutState, greedy_completion, rollout_sequence
 from conftest import (
     exhaustive_best_reward,
     oracle_prob,
@@ -31,28 +24,9 @@ def random_model(rng, vocab=None):
                  max_order=5)
 
 
-def test_apply_action_basic():
-    s = apply_action(state((), {"A"}), "A")
-    assert s.prefix == ("A",) and s.remaining == frozenset()
-
-
-def test_apply_action_moves_zone():
-    s = apply_action(state(("A",), {"B", "C"}), "C")
-    assert s.prefix == ("A", "C") and s.remaining == {"B"}
-
-
-def test_apply_action_rejects_unknown():
-    with pytest.raises(ValidationError):
-        apply_action(state((), {"A"}), "B")
-
-
-def test_apply_all_reaches_full_length():
-    rng = random.Random(0)
-    zones = {f"Z{i}" for i in range(7)}
-    s = state((), zones)
-    for z in sorted(zones, key=lambda _: rng.random()):
-        s = apply_action(s, z)
-    assert s.k == 7 and not s.remaining
+def test_state_rejects_a_zone_both_visited_and_remaining():
+    with pytest.raises(ValidationError, match="overlap"):
+        state(("A", "B"), {"B", "C"})
 
 
 def test_greedy_forced_single_zone():
@@ -74,23 +48,18 @@ def test_greedy_deterministic():
     assert len(runs) == 1
 
 
-def test_next_zone_forced():
-    m = train([["A", "B"]])
-    assert next_zone(m, state(("A",), {"B"})) == "B"
-
-
 def test_next_zone_matches_brute_force_lookahead():
+    # the next zone from the empty prefix is rollout_sequence's first zone
     rng = random.Random(2)
     for _ in range(20):
         m = random_model(rng)
         zones = sorted(
             rng.sample(["A-1.1X", "B-2.2Y", "C-0.0Z", "D-1.0W", "E-3.3V"], 3)
         )
-        s = state((), zones)
         # oracle: evaluate g + J-tilde for each candidate directly
         best, best_score = None, None
         for u in zones:
-            completion = greedy_completion(m, apply_action(s, u))
+            completion = greedy_completion(m, state((u,), set(zones) - {u}))
             seq = [u] + completion
             cache = {}
             acc, ctx = 0.0, ["stz"]
@@ -99,23 +68,7 @@ def test_next_zone_matches_brute_force_lookahead():
                 ctx.append(z)
             if best_score is None or acc > best_score:
                 best, best_score = u, acc
-        assert next_zone(m, s) == best
-
-
-def test_next_zone_diagnostics_positive():
-    rng = random.Random(3)
-    m = random_model(rng)
-    diag = {}
-    next_zone(m, state((), {"A-1.1X", "B-2.2Y", "C-0.0Z"}), diagnostics=diag)
-    assert set(diag) == {"A-1.1X", "B-2.2Y", "C-0.0Z"}
-    assert all(v > 0 for v in diag.values())
-    assert sum(diag.values()) < float("inf")
-
-
-def test_next_zone_empty_remaining_errors():
-    m = train([["A"]])
-    with pytest.raises(ValidationError):
-        next_zone(m, state(("A",), ()))
+        assert rollout_sequence(m, "r", zones).zones[0] == best
 
 
 def test_rollout_single_zone():

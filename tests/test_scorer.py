@@ -8,11 +8,10 @@ from zoneseq.ingest import Dataset
 from zoneseq.scorer import (
     dataset_score,
     erp,
-    normalized_dist,
     route_score,
     sequence_deviation,
 )
-from conftest import make_route, oracle_erp, oracle_route_score
+from conftest import make_route, oracle_erp, oracle_normalized_dist, oracle_route_score
 
 
 # -- sequence deviation ------------------------------------------------------
@@ -205,7 +204,7 @@ def test_route_score_composes_components():
     submitted = StopSequence("r1", ("depot", "b", "a"))
     rs = route_score(route, submitted)
     sd = sequence_deviation(["a", "b"], ["b", "a"])
-    dist = normalized_dist(route)
+    dist = oracle_normalized_dist(route)
     cost, edits = erp(["a", "b"], ["b", "a"], dist, "depot")
     assert rs.score == pytest.approx(sd * cost / edits)
 

@@ -2,7 +2,8 @@ import pytest
 
 from zoneseq import ingest, ppm, synth
 from zoneseq.core import ValidationError
-from zoneseq.synth import SynthConfig, generate, zone_templates
+from zoneseq.synth import SynthConfig, generate
+from conftest import zone_templates
 
 
 SMALL = dict(n_train_routes=15, n_eval_routes=4, zones_per_route=(4, 6),

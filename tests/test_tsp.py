@@ -1,7 +1,9 @@
 import os
 import random
+import signal
 import stat
 import sys
+from typing import List
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from zoneseq.tsp import (
     build_instance,
     nearest_neighbor_tour,
     order_zone_stops,
-    parse_tsplib_atsp,
     parse_tsplib_tour,
     sequence_stops,
     solve_atsp,
@@ -22,7 +23,13 @@ from zoneseq.tsp import (
     tour_cost,
     write_tsplib_atsp,
 )
-from conftest import brute_force_atsp, make_route, oracle_build_instance, oracle_improve
+from conftest import (
+    brute_force_atsp,
+    make_route,
+    oracle_build_instance,
+    oracle_improve,
+    still_running,
+)
 
 
 def raw_instance(cost, start=0, tags=None):
@@ -355,9 +362,30 @@ def test_sequence_stops_missing_zone_errors():
 # -- TSPLIB adapter ----------------------------------------------------------
 
 
+def parse_tsplib_atsp(data: bytes) -> List[List[int]]:
+    """Read back the integer weight matrix of an explicit ATSP file."""
+    lines = data.decode("ascii").splitlines()
+    dim = None
+    weights: List[int] = []
+    in_section = False
+    for line in lines:
+        line = line.strip()
+        if line.startswith("DIMENSION"):
+            dim = int(line.split(":")[1])
+        elif line == "EDGE_WEIGHT_SECTION":
+            in_section = True
+        elif line == "EOF":
+            break
+        elif in_section:
+            weights.extend(int(tok) for tok in line.split())
+    if dim is None or len(weights) != dim * dim:
+        raise ValidationError("malformed TSPLIB ATSP file")
+    return [weights[i * dim:(i + 1) * dim] for i in range(dim)]
+
+
 def test_tsplib_two_node_file():
     inst = raw_instance([[0, 1.5], [2.5, 0]])
-    data = write_tsplib_atsp(inst, name="t")
+    data = write_tsplib_atsp(inst)
     lines = data.decode().strip().split("\n")
     assert len(lines) == 9
     assert "TYPE: ATSP" in lines
@@ -410,3 +438,29 @@ def test_external_solver_adapter(tmp_path):
     assert tour == [2, 1, 0]
     # identical post-processing path as the built-in solver
     assert order_zone_stops(inst, tour) == ["n1", "n0"]
+
+
+def test_external_solver_interrupted_is_killed_with_what_it_started(tmp_path):
+    # The solver runs in a session of its own, which a terminal's ^C does not
+    # reach, so an exception during the wait must kill its process group.
+    children = tmp_path / "children"
+    wrapper = tmp_path / "slow_wrapper.sh"
+    wrapper.write_text(f"#!/bin/sh\nsleep 30 & echo $! >> {children}; wait\n")
+    wrapper.chmod(0o755)
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(Interrupted):
+            solve_atsp_external(raw_instance([[0, 1], [2, 0]]), str(wrapper))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    started = [int(pid) for pid in children.read_text().split()]
+    assert len(started) == 1 and still_running(started) == []
