@@ -13,6 +13,10 @@ UTF-8, too deep or not an object exits 1 naming the file, or 3 for
 per CPU in the process's affinity mask and at most one per route; with one
 CPU or one route they run in-process. `taskset -c 0 zoneseq sequence ...`
 runs them in-process. The outputs are the same either way.
+
+A SIGTERM ends a command as an exit with status 143 (128 + SIGTERM) and no
+traceback: temporary files are removed, an external solver's processes
+are killed, pool workers stop, and no output is written.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -180,15 +185,31 @@ def _worker_count(n_routes: int) -> int:
     return max(1, min(cpus, n_routes))
 
 
-_worker_job = None  # set in each pool worker by _start_worker
+def _exit_on_sigterm(signum, frame):
+    """SIGTERM as a SystemExit, so that every `finally` and clean-up runs."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # let the clean-up finish
+    raise SystemExit(128 + signum)
+
+
+_worker_job = None  # set in each pool worker by _start_worker; None once stopped
 
 
 def _start_worker(job) -> None:
     global _worker_job
     _worker_job = job
+    signal.signal(signal.SIGTERM, _stop_worker)
+
+
+def _stop_worker(signum, frame):
+    """SIGTERM in a pool worker: fail the running route and every later one."""
+    global _worker_job
+    _worker_job = None
+    _exit_on_sigterm(signum, frame)
 
 
 def _run_worker_job(rid: str) -> tuple:
+    if _worker_job is None:
+        raise SystemExit(128 + signal.SIGTERM)
     return _worker_job(rid)
 
 
@@ -219,9 +240,16 @@ def _sequence_routes(dataset, zone_order, external_solver) -> tuple:
         # On an error, leaving the block cancels the routes not yet started and
         # waits for the running ones; no worker is killed, since a worker
         # killed while sending its result can leave a pool's queue locked.
+        # On a SIGTERM (a SystemExit, see main) each worker gets one too,
+        # which fails its running route and every route it is handed later.
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, fork, _start_worker, (job,)) as pool:
-            results = list(pool.map(_run_worker_job, rids))
+            try:
+                results = list(pool.map(_run_worker_job, rids))
+            except SystemExit:
+                for worker in multiprocessing.active_children():
+                    worker.terminate()
+                raise
     submission = {rid: stops for rid, stops, _ in results}
     timings = {rid: ms for rid, _, ms in results}
     return submission, timings
@@ -413,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -424,6 +453,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

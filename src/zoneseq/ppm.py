@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .core import DEPOT_ZONE, ValidationError, ZoneSequence, write_file
 
 EMPTY_TOKEN = "∅"  # pads missing components
@@ -75,17 +77,20 @@ class PpmModel:
 
     ``counts[k]`` maps a context tuple (length 0..max_order) to the
     successor-count dict for component k. Immutable by convention once
-    training returns, as escape chains are memoised; safe for concurrent readers.
+    training returns, as suffixes and escape chains are memoised; safe for
+    concurrent readers.
     """
 
     max_order: int
     weights: Tuple[float, float, float, float]
     counts: List[Dict[Context, Dict[str, int]]]
     vocab: List[set]
+    _suffixes: List[Dict[Context, Context]] = field(init=False, repr=False, compare=False)
     _chains: List[Dict[Context, Chain]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_weights(self.weights)
+        self._suffixes = [{} for _ in range(N_COMPONENTS)]
         self._chains = [{} for _ in range(N_COMPONENTS)]
 
     # -- probability queries -------------------------------------------------
@@ -100,12 +105,24 @@ class PpmModel:
         return _chain_prob(self._chain(k, self._suffix(k, ctx)), token)
 
     def _suffix(self, k: int, ctx: Context) -> Context:
-        """Longest suffix of `ctx` with a non-empty component-k table, else ()."""
-        tables = self.counts[k]
-        for start in range(len(ctx)):
-            if tables.get(ctx[start:]):
-                return ctx[start:]
-        return ()
+        """Longest suffix of `ctx` with a non-empty component-k table, else ().
+
+        That is `ctx` if its table is non-empty, else the suffix of ctx[1:].
+        Memoised on every context on that walk, for all routes of the model.
+        """
+        memo, tables = self._suffixes[k], self.counts[k]
+        suffix = memo.get(ctx)
+        walked = []
+        while suffix is None:
+            if not ctx or tables.get(ctx):
+                suffix = memo[ctx] = ctx
+            else:
+                walked.append(ctx)
+                ctx = ctx[1:]
+                suffix = memo.get(ctx)
+        for longer in walked:
+            memo[longer] = suffix
+        return suffix
 
     def _chain(self, k: int, suffix: Context) -> Chain:
         """Component k's escape chain from `suffix`, memoised on `suffix` only.
@@ -277,8 +294,17 @@ class CompiledRoute:
     Each list is computed once per context. Below that, component k's list
     depends only on the longest suffix of its token context that has a
     recorded table (longer ones are skipped without an escape), so it is
-    memoised on that suffix, and the blend on the four suffixes. Suffixes
-    and escape chains come from the model, built once for all its routes.
+    memoised on that suffix, and the blend on the four suffixes. A list
+    holds one probability per distinct token, gathered to the zones that
+    share it. The model memoises each token context's suffix and each
+    suffix's escape chain, once for all its routes.
+
+    Component lists are float64 arrays, and the blend starts from zeros and
+    adds ``w * list`` for each weighted component in turn. Element by
+    element, that is ``p + w * c`` of ``prob``: separate numpy multiplies
+    and adds round like Python floats and are never fused into one
+    multiply-add. (``dot``, ``einsum`` or a ``sum`` over an axis would
+    reorder the additions.)
     """
 
     def __init__(self, model: PpmModel, zones: Sequence[str]):
@@ -287,12 +313,21 @@ class CompiledRoute:
         self.reads = 0  # calls of probs()
         self._model = model
         self._order = model.max_order
-        self._active = [k for k, w in enumerate(model.weights) if w != 0.0]
-        # _tokens[i][k]: component k token of zone index i (sentinel last)
-        self._tokens = [tokenize_zone(z) for z in self.zones + (DEPOT_ZONE,)]
+        tokens = [tokenize_zone(z) for z in self.zones + (DEPOT_ZONE,)]
+        # (k, weight, tokens): tokens[i] is the component-k token of zone index i
+        self._active = [
+            (k, w, [t[k] for t in tokens]) for k, w in enumerate(model.weights) if w != 0.0
+        ]
+        # Per active component: the zones' distinct tokens, and each zone's among them.
+        self._distinct: Dict[int, Tuple[List[str], np.ndarray]] = {}
+        for k, _, toks in self._active:
+            at = {}
+            for tok in toks[:-1]:
+                at.setdefault(tok, len(at))
+            self._distinct[k] = (list(at), np.array([at[tok] for tok in toks[:-1]], dtype=np.intp))
         self._lists: Dict[Tuple[int, ...], List[float]] = {}
         self._blends: Dict[Tuple[Context, ...], List[float]] = {}
-        self._component_lists: List[Dict[Context, List[float]]] = [{} for _ in range(N_COMPONENTS)]
+        self._component_lists: List[Dict[Context, np.ndarray]] = [{} for _ in range(N_COMPONENTS)]
 
     @property
     def contexts(self) -> int:
@@ -304,26 +339,25 @@ class CompiledRoute:
         key = tuple(seq[-self._order:]) if self._order else ()
         vec = self._lists.get(key)
         if vec is None:
-            tokens = [self._tokens[i] for i in key]
             suffix = self._model._suffix
-            suffixes = tuple(suffix(k, tuple(t[k] for t in tokens)) for k in self._active)
+            suffixes = tuple([suffix(k, tuple([t[i] for i in key])) for k, _, t in self._active])
             vec = self._blends.get(suffixes)
             if vec is None:
-                vec = [0.0] * len(self.zones)
-                for k, ctx in zip(self._active, suffixes):
-                    w = self._model.weights[k]
-                    vec = [p + w * c for p, c in zip(vec, self._component_list(k, ctx))]
-                self._blends[suffixes] = vec
+                acc = np.zeros(len(self.zones))
+                for (k, w, _), ctx in zip(self._active, suffixes):
+                    acc = acc + w * self._component_list(k, ctx)
+                vec = self._blends[suffixes] = acc.tolist()
             self._lists[key] = vec
         return vec
 
-    def _component_list(self, k: int, ctx: Context) -> List[float]:
+    def _component_list(self, k: int, ctx: Context) -> np.ndarray:
         """`component_prob(k, ctx, token)` for every zone's component-k token."""
         memo = self._component_lists[k]
         out = memo.get(ctx)
         if out is None:
             chain = self._model._chain(k, ctx)
-            out = memo[ctx] = [_chain_prob(chain, toks[k]) for toks in self._tokens[:-1]]
+            distinct, at = self._distinct[k]
+            out = memo[ctx] = np.array([_chain_prob(chain, tok) for tok in distinct])[at]
         return out
 
 

@@ -11,6 +11,10 @@ evaluation and then applies the move a first-improvement loop would: the
 first segment start i (Or-opt) or cut pair (i, j), by i then j (3-opt),
 whose best gain exceeds the epsilon, at the first slot p or third cut k
 with that gain. After each move the scan restarts from the beginning.
+The passes (Or-opt of 1, 2 and 3 nodes, then 3-opt) each scan until a
+scan fails and take turns until every pass has failed on the current
+tour. A scan depends only on the costs and the tour, so a pass is not run
+again on a tour it has already failed on.
 
 An external TSPLIB solver (e.g. a Lin-Kernighan binary) can be plugged in;
 its tours flow through the same rotation/filter post-processing. Each of
@@ -27,6 +31,8 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache, partial
+from itertools import cycle
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -132,49 +138,71 @@ _GAIN_EPS = 1e-9
 _BLOCK_ELEMENTS = 1 << 18
 
 
-def _or_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> bool:
-    """Relocate segments of length 1-3 without reversal (asymmetric-safe).
+# Or-opt index grids of tours up to this many nodes are kept for reuse:
+# about 4 MB at most, over every such n and segment length. A longer tour
+# builds its grids for each pass, where they cost little next to its scans.
+_GRID_CACHE_NODES = 64
 
-    For each length, a scan scores moving the segment that starts at tour
-    position i to after slot p of the rest of the tour, for every (i, p) in
-    one numpy evaluation. It applies the first i whose best gain exceeds
-    _GAIN_EPS, at the first p with that gain, and restarts from i = 0.
+
+def _or_opt_grid(n: int, seg_len: int) -> Tuple[np.ndarray, ...]:
+    """Read-only index arrays of an Or-opt scan of `seg_len`-node segments.
+
+    Segment starts i, the tour positions of their predecessors and
+    successors, the tour positions before and after each slot p of the rest
+    (one row per i), and the slot of each start's predecessor.
+    """
+    m = n - seg_len  # nodes left outside the segment
+    starts = np.arange(m + 1)
+    slots = np.arange(m)
+    # Slot p of the rest is tour position p, or p + seg_len past the segment.
+    here = slots + seg_len * (slots >= starts[:, None])
+    after = here[:, (slots + 1) % m]
+    pred_slot = (starts - 1) % m  # reinserting there leaves the tour as is
+    grid = (starts, starts - 1, (starts + seg_len) % n, here, after, pred_slot)
+    for a in grid:
+        a.setflags(write=False)
+    return grid
+
+
+_cached_or_opt_grid = lru_cache(maxsize=None)(_or_opt_grid)
+
+
+def _or_opt_pass(seg_len: int, cost: np.ndarray, tour: List[int], budget: List[int]) -> int:
+    """Relocate segments of `seg_len` nodes without reversal (asymmetric-safe).
+
+    A scan scores moving the segment that starts at tour position i to after
+    slot p of the rest of the tour, for every (i, p) in one numpy evaluation.
+    It applies the first i whose best gain exceeds _GAIN_EPS, at the first p
+    with that gain, and scans again. Returns the number of scans.
     """
     n = len(tour)
-    improved = False
-    for seg_len in (1, 2, 3):
-        if seg_len >= n - 1:
+    m = n - seg_len  # nodes left outside the segment
+    grid = _cached_or_opt_grid if n <= _GRID_CACHE_NODES else _or_opt_grid
+    starts, pred_at, succ_at, here, after, pred_slot = grid(n, seg_len)
+    scans = 0
+    while budget[0] > 0:
+        scans += 1
+        t = np.asarray(tour)
+        first, last = t[:m + 1], t[seg_len - 1:]
+        pred, succ = t[pred_at], t[succ_at]
+        removed = cost[pred, first] + cost[last, succ] - cost[pred, succ]
+        a, b = t[here], t[after]
+        added = cost[a, first[:, None]] + cost[last[:, None], b] - cost[a, b]
+        gains = removed[:, None] - added
+        gains[starts, pred_slot] = 0.0
+        hits = np.flatnonzero(gains.max(axis=1) > _GAIN_EPS)
+        if not hits.size:
             break
-        m = n - seg_len  # nodes left outside the segment
-        starts = np.arange(m + 1)
-        slots = np.arange(m)
-        # Slot p of the rest is tour position p, or p + seg_len past the segment.
-        here = slots + seg_len * (slots >= starts[:, None])
-        after = here[:, (slots + 1) % m]
-        pred_slot = (starts - 1) % m  # reinserting there leaves the tour as is
-        while budget[0] > 0:
-            t = np.asarray(tour)
-            first, last = t[:m + 1], t[seg_len - 1:]
-            pred, succ = t[starts - 1], t[(starts + seg_len) % n]
-            removed = cost[pred, first] + cost[last, succ] - cost[pred, succ]
-            a, b = t[here], t[after]
-            added = cost[a, first[:, None]] + cost[last[:, None], b] - cost[a, b]
-            gains = removed[:, None] - added
-            gains[starts, pred_slot] = 0.0
-            hits = np.flatnonzero(gains.max(axis=1) > _GAIN_EPS)
-            if not hits.size:
-                break
-            i = int(hits[0])
-            p = int(np.argmax(gains[i]))
-            seg = tour[i:i + seg_len]
-            rest = tour[:i] + tour[i + seg_len:]
-            tour[:] = rest[: p + 1] + seg + rest[p + 1:]
-            improved = True
-            budget[0] -= 1
-    return improved
+        i = int(hits[0])
+        p = int(np.argmax(gains[i]))
+        seg = tour[i:i + seg_len]
+        rest = tour[:i] + tour[i + seg_len:]
+        tour[:] = rest[: p + 1] + seg + rest[p + 1:]
+        budget[0] -= 1
+    return scans
 
 
-def _three_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> bool:
+def _three_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> int:
     """Direction-preserving 3-opt: swap the two segments between three cuts.
 
     Cuts after positions i < j < k split the tour into A B C D (D possibly
@@ -182,20 +210,20 @@ def _three_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> boo
     valid under asymmetric costs. A scan scores every cut triple in one
     numpy evaluation (blocks of i for long tours). It applies the first
     (i, j), by i then j, whose best gain exceeds _GAIN_EPS, at the first k
-    with that gain, and restarts from i = 0.
+    with that gain, and scans again. Needs n >= 3; returns the number of scans.
     """
     n = len(tour)
-    if n < 3:
-        return False
     # i, j and k each take w values: 0..n-3, 1..n-2 and 2..n-1. Offset that
     # way, both j <= i and k <= j mean "column index below row index".
     w = n - 2
     below = np.tri(w, w, -1, dtype=bool)
     rows = max(1, _BLOCK_ELEMENTS // (w * w))
-    improved = False
+    succ_at = np.arange(1, n + 1) % n
+    scans = 0
     while budget[0] > 0:
+        scans += 1
         t = np.asarray(tour)
-        q = cost[t[:, None], np.roll(t, -1)]  # q[x, y]: tour[x] -> tour[y + 1]
+        q = cost[t[:, None], t[succ_at]]  # q[x, y]: tour[x] -> tour[y + 1]
         arc = q.diagonal()
         # With a b = tour[i, i+1], c d = tour[j, j+1], e f = tour[k, k+1]:
         base = q[:w, 1:w + 1] - arc[:w, None] - arc[1:w + 1]  # ad - ab - cd, (i, j)
@@ -220,17 +248,34 @@ def _three_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> boo
             break
         i, j, k = move
         tour[:] = tour[: i + 1] + tour[j + 1: k + 1] + tour[i + 1: j + 1] + tour[k + 1:]
-        improved = True
         budget[0] -= 1
-    return improved
+    return scans
 
 
-def _improve(cost: np.ndarray, tour: List[int], budget: List[int]) -> List[int]:
-    while budget[0] > 0:
-        any_move = _or_opt_pass(cost, tour, budget)
-        any_move = _three_opt_pass(cost, tour, budget) or any_move
-        if not any_move:
+def _improve(
+    cost: np.ndarray, tour: List[int], budget: List[int], scans: Optional[List[int]] = None
+) -> List[int]:
+    """Run the passes in turn, from Or-opt of 1, 2, 3 nodes to 3-opt, until none can move.
+
+    Each pass scans until a scan finds no move, so it leaves the tour with a
+    failed scan on it. A scan depends only on (cost, tour): the pass would
+    fail again until another pass moves. So the search stops once every pass
+    has failed on the current tour: the last pass that moved, then each of
+    the others in turn. `scans` (a one-item list), if given, counts the scans.
+    """
+    n = len(tour)
+    passes = [partial(_or_opt_pass, seg_len) for seg_len in (1, 2, 3) if seg_len < n - 1]
+    if n >= 3:
+        passes.append(_three_opt_pass)
+    failed = 0  # passes in a row, the last one run included, that failed on this tour
+    for scan_pass in cycle(passes):
+        if failed == len(passes) or budget[0] <= 0:
             break
+        left = budget[0]
+        ran = scan_pass(cost, tour, budget)
+        if scans is not None:
+            scans[0] += ran
+        failed = 1 if budget[0] < left else failed + 1
     return tour
 
 
@@ -242,20 +287,22 @@ def solve_atsp(instance: ZoneTspInstance, stats: Optional[dict] = None) -> List[
     rotation afterwards). Deterministic given the instance; accepted moves
     are capped at 50 * n to bound per-route latency. The optional `stats`
     dict receives `moves` (accepted moves over all starts), `starts`
-    (constructions run) and `budget_exhausted` (the cap ended the search).
+    (constructions run), `scans` (numpy scan evaluations, failed ones
+    included) and `budget_exhausted` (the cap ended the search).
     """
     cost = instance.cost
     n = instance.n
     if n < 2:
         raise ValidationError("ATSP instance needs at least 2 nodes")
-    budget = [50 * n]
+    rows = cost.tolist()  # Python floats index faster than numpy scalars
+    budget, scans = [50 * n], [0]
     starts = [instance.start_index]
     if n <= 12:
         starts += [i for i in range(n) if i != instance.start_index]
     best_tour, best_cost = None, math.inf
     for run, start in enumerate(starts, 1):
-        tour = _improve(cost, nearest_neighbor_tour(cost, start), budget)
-        c = tour_cost(cost, tour)
+        tour = _improve(cost, nearest_neighbor_tour(rows, start), budget, scans)
+        c = tour_cost(rows, tour)
         if c < best_cost - 1e-12:
             best_tour, best_cost = tour, c
         if budget[0] <= 0:
@@ -263,6 +310,7 @@ def solve_atsp(instance: ZoneTspInstance, stats: Optional[dict] = None) -> List[
     if stats is not None:
         stats["moves"] = 50 * n - budget[0]
         stats["starts"] = run
+        stats["scans"] = scans[0]
         stats["budget_exhausted"] = budget[0] <= 0
     return best_tour
 

@@ -1,10 +1,16 @@
+import copy
 import itertools
 import json
 import logging
 import multiprocessing
 import os
+import random
 import re
+import shutil
+import signal
 import stat
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -617,6 +623,47 @@ def test_failure_names_the_first_failing_route_in_route_id_order(
     assert multiprocessing.active_children() == []
 
 
+def test_sigterm_stops_the_workers_and_their_solvers(tmp_path):
+    data, model, _ = _two_eval_routes(tmp_path)
+    pids, out, err = tmp_path / "pids", tmp_path / "sub.json", tmp_path / "stderr"
+    # Each solver run records its pid, its parent's (a pool worker) and its child's.
+    solver = tmp_path / "slow_solver.sh"
+    solver.write_text(f"#!/bin/sh\nsleep 30 & echo $$ $PPID $! >> {pids}; wait\n")
+    solver.chmod(0o755)
+    # Two workers whatever the host's affinity mask.
+    run = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+           "from zoneseq.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with open(err, "wb") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", run, "sequence", "--dataset", str(data / "eval"),
+             "--model", str(model), "--out", str(out), "--external-solver", str(solver)],
+            stdout=subprocess.DEVNULL, stderr=stderr, env=env)
+
+    def recorded():
+        return [line.split() for line in pids.read_text().splitlines()] if pids.exists() else []
+
+    try:
+        deadline = time.monotonic() + 60
+        while len(recorded()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=20)
+        assert len({worker for _, worker, _ in recorded()} - {str(proc.pid)}) == 2
+        assert still_running([int(pid) for pid in pids.read_text().split()], within=5) == []
+        assert code == 128 + signal.SIGTERM
+        assert "Traceback" not in err.read_text()
+        assert not out.exists()
+    finally:  # leave nothing running, whatever failed
+        for pid in {int(pid) for pid in pids.read_text().split()} if pids.exists() else ():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        proc.kill()
+        proc.wait()
+
+
 BAD_JSON = {
     "truncated": b"{",
     "not-utf8": b"\xff\xfe{}",
@@ -651,6 +698,117 @@ def test_bad_input_file_exits_naming_it(tmp_path, capsys, kind, code, defect):
     assert err.startswith({1: "validation error: ", 2: "I/O error: ", 3: "config error: "}[code])
     assert str(bad) in err and "Traceback" not in err
     assert not out.exists()
+
+
+# -- JSON mutation fuzz --------------------------------------------------------
+
+RESERVED_IDS = ("depot", "stz")  # the depot's stop id and zone sentinel
+# A value of each JSON type, reserved ids among the strings.
+FUZZ_VALUES = (None, True, False, 0, -1, 2.5, "", "x", *RESERVED_IDS, [], ["depot"], {},
+               {"stz": 1})
+
+
+def _json_nodes(value, path=()):
+    """(path, value) for every value in a JSON document, the root first."""
+    yield path, value
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _json_nodes(child, path + (key,))
+
+
+def _mutate(doc, rng):
+    """(description, copy of `doc` with one edit): a value swapped for one of
+    another type, a key deleted or added, or a key or string made a reserved id."""
+    doc = copy.deepcopy(doc)
+    nodes = list(_json_nodes(doc))
+    at = dict(nodes)  # path -> value
+    dicts = [(path, node) for path, node in nodes if isinstance(node, dict)]
+    strings = [(path, node) for path, node in nodes if path and isinstance(node, str)]
+    keys = [(path, key) for path, node in dicts for key in node]
+    kind = rng.choice(["type", "delete", "add", "reserved"])
+    if kind == "type":
+        path, old = rng.choice(nodes)
+        new = rng.choice([v for v in FUZZ_VALUES if type(v) is not type(old)])
+        if not path:
+            return f"root -> {new!r}", new
+        at[path[:-1]][path[-1]] = new
+        return f"{path} -> {new!r}", doc
+    if kind == "delete" and keys:
+        path, key = rng.choice(keys)
+        del at[path][key]
+        return f"del {path + (key,)}", doc
+    if kind == "reserved" and (keys or strings):
+        new = rng.choice(RESERVED_IDS)
+        path, old = rng.choice(keys + strings)
+        if (path, old) in keys:  # rename the key
+            at[path][new] = at[path].pop(old)
+            return f"key {path + (old,)} -> {new!r}", doc
+        at[path[:-1]][path[-1]] = new
+        return f"{path} -> {new!r}", doc
+    path, node = rng.choice(dicts) if dicts else ((), None)
+    if node is None:
+        return "root -> {}", {}
+    key = rng.choice([*RESERVED_IDS, "extra", *node])
+    node[key] = rng.choice(FUZZ_VALUES)
+    return f"set {path + (key,)}", doc
+
+
+def test_json_mutations_exit_cleanly_and_write_nothing_on_failure(tmp_path, monkeypatch,
+                                                                  capsys):
+    # Each input file the commands read, mutated, through each command that reads it.
+    small = {"n_train_routes": 3, "n_eval_routes": 2, "zones_per_route": [2, 3],
+             "stops_per_zone": [1, 2], "n_zone_templates": 1}
+    data = _synth(tmp_path, **small) / "eval"
+    model, sub = tmp_path / "m.zppm", tmp_path / "sub.json"
+    assert main(["train", "--dataset", str(data), "--model", str(model)]) == 0
+    assert main(["sequence", "--dataset", str(data), "--model", str(model),
+                 "--out", str(sub)]) == 0
+    settings = {"order": 3, "weights": [0.25] * 4, "external_solver": None,
+                "log_level": "WARNING"}
+    synth_config = dict(SMALL_SYNTH, **small, seed=3, with_travel_times=True)
+    good = {name: json.loads((data / name).read_text())
+            for name in ("routes.json", "actual_sequences.json", "quality.json",
+                         "travel_times.json")}
+    good.update({"submission": json.loads(sub.read_text()), "config": settings,
+                 "synth-config": synth_config})
+    _cpus(monkeypatch, {0})  # in-process: the same checks, without a pool per run
+    rng = random.Random(14)
+    for case in range(280):
+        target = sorted(good)[case % len(good)]
+        what, doc = _mutate(good[target], rng)
+        case_dir = tmp_path / f"case{case}"
+        dataset = case_dir / "data"
+        dataset.mkdir(parents=True)
+        for name in good:
+            if name.endswith(".json"):
+                (dataset / name).write_text(json.dumps(doc if name == target else good[name]))
+        for name in ("submission", "config", "synth-config"):
+            (case_dir / name).write_text(json.dumps(doc if name == target else good[name]))
+        out = case_dir / "out"
+        d, m, c = str(dataset), str(model), ["--config", str(case_dir / "config")]
+        runs = {
+            "train": ["train", "--dataset", d, "--model", str(out)] + c,
+            "sequence": ["sequence", "--dataset", d, "--model", m, "--out", str(out)] + c,
+            "evaluate": ["evaluate", "--dataset", d, "--submission",
+                         str(case_dir / "submission"), "--out", str(out)] + c,
+            "synth": ["synth", "--synth-config", str(case_dir / "synth-config"),
+                      "--out", str(out)],
+        }
+        commands = {"submission": ["evaluate"], "synth-config": ["synth"]}.get(
+            target, ["train", "sequence", "evaluate"])
+        for command in commands:
+            label = f"case {case}: {target} {what}: {command}"
+            code = main(runs[command])
+            printed = capsys.readouterr()
+            assert code in (0, 1, 2, 3), label
+            assert "Traceback" not in printed.out + printed.err, label
+            if code:
+                assert not out.exists(), label
+            elif out.is_dir():
+                shutil.rmtree(out)
+            else:
+                out.unlink()
 
 
 def test_synth_replaces_a_dataset_already_in_out(tmp_path):

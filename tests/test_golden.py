@@ -95,10 +95,10 @@ def test_pipeline_bytes_match_golden_digests(tmp_path, with_travel_times):
 
 # The deterministic work of the travel-time run, summed over its eval routes:
 # rollout's probability-list reads and computed contexts, and the ATSP
-# search's accepted moves, multi-start constructions and budget-capped
-# instances. Unlike timings, these do not vary with the host.
+# search's accepted moves, multi-start constructions, numpy scans and
+# budget-capped instances. Unlike timings, these do not vary with the host.
 WORK = {"prob_calls": 447, "contexts": 344, "moves": 850, "starts": 227,
-        "budget_exhausted": 0}
+        "scans": 1784, "budget_exhausted": 0}
 
 
 def test_pipeline_work_counters_match_golden(tmp_path, monkeypatch):

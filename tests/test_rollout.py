@@ -153,37 +153,65 @@ def test_rollout_deterministic():
     assert len(outs) == 1
 
 
-def test_rollout_matches_prob_oracle_fuzz(monkeypatch):
-    # orders 1-6, weights with zero components, zone ids partly or wholly
-    # unseen in training, 1-15 zones; the oracle uses only PpmModel.prob and
-    # the exactness check only oracle_prob, which rebuilds each chain per call
-    read = {}  # zone-id context -> (route zones, list rollout read for it)
+@pytest.fixture
+def recorded_reads(monkeypatch):
+    """Zone-id context -> (route zones, list) for every list rollout reads."""
+    read = {}
     compiled_probs = CompiledRoute.probs
 
     def recording_probs(route, seq):
         probs = compiled_probs(route, seq)
         ids = route.zones + ("stz",)
-        read[tuple(ids[i] for i in seq)[-order:]] = (route.zones, probs)
+        read[tuple(ids[i] for i in seq)[-route._order:]] = (route.zones, probs)
         return probs
 
     monkeypatch.setattr(CompiledRoute, "probs", recording_probs)
+    return read
+
+
+def _fuzz_model(rng):
+    """A model of order 1-6 whose weights may zero some components, or None."""
+    raw = [rng.choice([0, 0, 1, 2, 3]) for _ in range(4)]
+    raw[rng.randrange(4)] = rng.randint(1, 3)
+    weights = tuple(w / sum(raw) for w in raw)
+    if abs(sum(weights) - 1.0) > 1e-12:
+        return None
+    order = rng.randint(1, 6)
+    return train(random_corpus(rng, n_seqs=rng.randint(2, 8)), max_order=order,
+                 weights=weights)
+
+
+def _fuzz_zones(rng):
+    n = rng.randint(1, 15)
+    return {f"{c}-{rng.randint(0, 3)}.{rng.randint(0, 3)}{rng.choice('XYQ')}"
+            for c in "ABCDEFGHIJKLMNO"[:n]}
+
+
+def _assert_rollout_matches_oracles(m, zones, read):
+    read.clear()
+    assert rollout_sequence(m, "r", zones).zones == oracle_rollout_sequence(m, zones)
+    assert read
+    for ctx, (route_zones, probs) in read.items():
+        assert route_zones == tuple(sorted(zones))
+        assert [oracle_prob(m, list(ctx), z) for z in route_zones] == probs
+
+
+def test_rollout_matches_prob_oracle_fuzz(recorded_reads):
+    # orders 1-6, weights with zero components, zone ids partly or wholly
+    # unseen in training, 1-15 zones; the oracle uses only PpmModel.prob and
+    # the exactness check only oracle_prob, which rebuilds each chain per call
     rng = random.Random(9)
     for _ in range(200):
-        raw = [rng.choice([0, 0, 1, 2, 3]) for _ in range(4)]
-        raw[rng.randrange(4)] = rng.randint(1, 3)
-        weights = tuple(w / sum(raw) for w in raw)
-        if abs(sum(weights) - 1.0) > 1e-12:
-            continue
-        order = rng.randint(1, 6)
-        m = train(random_corpus(rng, n_seqs=rng.randint(2, 8)),
-                  max_order=order, weights=weights)
-        n = rng.randint(1, 15)
-        zones = {f"{c}-{rng.randint(0, 3)}.{rng.randint(0, 3)}{rng.choice('XYQ')}"
-                 for c in "ABCDEFGHIJKLMNO"[:n]}
-        read.clear()
-        assert rollout_sequence(m, "r", zones).zones == \
-            oracle_rollout_sequence(m, zones)
-        assert read
-        for ctx, (route_zones, probs) in read.items():
-            assert route_zones == tuple(sorted(zones))
-            assert [oracle_prob(m, list(ctx), z) for z in route_zones] == probs
+        m = _fuzz_model(rng)
+        if m is not None:
+            _assert_rollout_matches_oracles(m, _fuzz_zones(rng), recorded_reads)
+
+
+def test_rollout_matches_prob_oracle_across_routes_fuzz(recorded_reads):
+    # Each model sequences 2-3 zone sets in turn, so its suffix and chain
+    # memos carry over from route to route and from PpmModel.prob.
+    rng = random.Random(14)
+    for _ in range(60):
+        m = _fuzz_model(rng)
+        for _ in range(rng.randint(2, 3) if m is not None else 0):
+            _assert_rollout_matches_oracles(m, _fuzz_zones(rng), recorded_reads)

@@ -245,7 +245,8 @@ def fuzz_cost(rng, n, case):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_local_search_matches_loop_oracle_fuzz(monkeypatch):
     # Every start node up to the multi-start size, one random start above
-    # it; a quarter of the instances split the 3-opt scan into small blocks.
+    # it; a quarter of the instances split the 3-opt scan into small blocks,
+    # and every other one builds its Or-opt grids instead of reusing them.
     rng = random.Random(4)
     for case in range(1000):
         n = rng.randint(2, 40)
@@ -253,6 +254,7 @@ def test_local_search_matches_loop_oracle_fuzz(monkeypatch):
         budget = rng.choice([*range(1, 11), 50 * n])
         block = rng.choice([1, 7, 100]) if rng.random() < 0.25 else 1 << 18
         monkeypatch.setattr(tsp, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(tsp, "_GRID_CACHE_NODES", 64 if case % 2 else 0)
         starts = range(n) if n <= 12 else [rng.randrange(n)]
         for start in starts:
             tour = nearest_neighbor_tour(cost, start)
@@ -283,18 +285,23 @@ def test_solve_atsp_stats_match_oracle_counts():
         stats = {}
         solve_atsp(raw_instance(cost.tolist(), start=start), stats=stats)
         moves, starts = oracle_solve_counts(cost, start)
+        scans = stats.pop("scans")
         assert stats == {"moves": moves, "starts": starts, "budget_exhausted": False}
+        # A scan finds each move, and each start ends once every pass (Or-opt
+        # of each segment length below n - 1, and 3-opt) has failed a scan.
+        passes = min(3, max(0, n - 2)) + (n >= 3)
+        assert scans >= moves + passes * starts
 
 
 def test_solve_atsp_stats_flag_exhausted_budget(monkeypatch):
-    def spend_whole_budget(cost, tour, budget):
+    def spend_whole_budget(cost, tour, budget, scans):
         budget[0] = 0
         return tour
 
     monkeypatch.setattr(tsp, "_improve", spend_whole_budget)
     stats = {}
     solve_atsp(raw_instance(random_cost(random.Random(7), 4)), stats=stats)
-    assert stats == {"moves": 200, "starts": 1, "budget_exhausted": True}
+    assert stats == {"moves": 200, "starts": 1, "scans": 0, "budget_exhausted": True}
 
 
 # -- tour post-processing ----------------------------------------------------
