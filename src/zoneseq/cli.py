@@ -14,9 +14,10 @@ per CPU in the process's affinity mask and at most one per route; with one
 CPU or one route they run in-process. `taskset -c 0 zoneseq sequence ...`
 runs them in-process. The outputs are the same either way.
 
-A SIGTERM ends a command as an exit with status 143 (128 + SIGTERM) and no
-traceback: temporary files are removed, an external solver's processes
-are killed, pool workers stop, and no output is written.
+A ^C (SIGINT) or a SIGTERM ends a command as an exit with status 130 or
+143 (128 + the signal) and no traceback: temporary files are removed, an
+external solver's processes are killed, pool workers stop without starting
+another route, and no output is written.
 """
 
 from __future__ import annotations
@@ -38,28 +39,8 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
 
-DEFAULTS = {
-    "order": ppm.DEFAULT_ORDER,
-    "weights": ppm.DEFAULT_WEIGHTS,
-    "external_solver": None,
-    "log_level": "WARNING",
-}
-
-
 class ConfigError(ValueError):
     pass
-
-
-def resolve_setting(name: str, flag_value, config_file: Optional[dict]):
-    """flag > env (ZSEQ_<NAME>) > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(f"ZSEQ_{name.upper()}")
-    if env is not None:
-        return env
-    if config_file and name in config_file:
-        return config_file[name]
-    return DEFAULTS[name]
 
 
 def _as_config(fn, *args, **kwargs):
@@ -105,11 +86,21 @@ def _parse_log_level(raw) -> int:
     return level
 
 
-_PARSERS = {
-    "order": lambda raw: _as_config(ppm.check_order, _parse_int("order", raw)),
-    "weights": lambda raw: _as_config(ppm.check_weights, _parse_weights(raw)),
-    "external_solver": _parse_external_solver,
-    "log_level": _parse_log_level,
+# Each setting's (default, parser, flag help). A value resolves as its flag,
+# else ZSEQ_<NAME>, else the --config key, else the default, then is parsed.
+_SETTINGS = {
+    "order": (
+        ppm.DEFAULT_ORDER,
+        lambda raw: _as_config(ppm.check_order, _parse_int("order", raw)),
+        "PPM max context order K",
+    ),
+    "weights": (
+        ppm.DEFAULT_WEIGHTS,
+        lambda raw: _as_config(ppm.check_weights, _parse_weights(raw)),
+        "four component weights, comma separated",
+    ),
+    "external_solver": (None, _parse_external_solver, "LKH-style binary"),
+    "log_level": ("WARNING", _parse_log_level, "logging level"),
 }
 
 
@@ -119,17 +110,19 @@ def _load_settings(args) -> dict:
     The --config file may hold any setting's key, as it is shared by every
     command; a key that names no setting is a ConfigError.
     """
-    config_file = None
+    config_file = {}
     if args.config:
         config_file = _as_config(read_json, args.config, "config file")
         for key in config_file:
-            if key not in DEFAULTS:
+            if key not in _SETTINGS:
                 raise ConfigError(f"config file {args.config} has an unknown key {key!r}")
-    settings = {
-        name: parse(resolve_setting(name, getattr(args, name), config_file))
-        for name, parse in _PARSERS.items()
-        if hasattr(args, name)
-    }
+    settings = {}
+    for name, (default, parse, _) in _SETTINGS.items():
+        if hasattr(args, name):
+            raw = getattr(args, name)
+            if raw is None:
+                raw = os.environ.get(f"ZSEQ_{name.upper()}")
+            settings[name] = parse(config_file.get(name, default) if raw is None else raw)
     logging.basicConfig(level=settings["log_level"])
     return settings
 
@@ -185,31 +178,36 @@ def _worker_count(n_routes: int) -> int:
     return max(1, min(cpus, n_routes))
 
 
-def _exit_on_sigterm(signum, frame):
-    """SIGTERM as a SystemExit, so that every `finally` and clean-up runs."""
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # let the clean-up finish
+def _handle_stop_signals(handler) -> dict:
+    """Install `handler` for SIGINT and SIGTERM; returns the handlers it replaced."""
+    return {sig: signal.signal(sig, handler) for sig in (signal.SIGINT, signal.SIGTERM)}
+
+
+def _exit_on_signal(signum, frame):
+    """SIGINT or SIGTERM as a SystemExit, so that every `finally` and clean-up runs."""
+    # Later ones do nothing, so the clean-up finishes. (With SIG_IGN, one
+    # already pending would be reported on stderr as "ignored due to race".)
+    _handle_stop_signals(lambda signum, frame: None)
     raise SystemExit(128 + signum)
 
 
-_worker_job = None  # set in each pool worker by _start_worker; None once stopped
+_worker_job = None  # set in each pool worker by _start_worker
 
 
 def _start_worker(job) -> None:
     global _worker_job
     _worker_job = job
-    signal.signal(signal.SIGTERM, _stop_worker)
+    _handle_stop_signals(_stop_worker)
 
 
 def _stop_worker(signum, frame):
-    """SIGTERM in a pool worker: fail the running route and every later one."""
+    """SIGINT or SIGTERM in a pool worker: fail the running route and every later one."""
     global _worker_job
-    _worker_job = None
-    _exit_on_sigterm(signum, frame)
+    _worker_job = lambda rid: _exit_on_signal(signum, None)
+    _exit_on_signal(signum, frame)
 
 
 def _run_worker_job(rid: str) -> tuple:
-    if _worker_job is None:
-        raise SystemExit(128 + signal.SIGTERM)
     return _worker_job(rid)
 
 
@@ -240,8 +238,8 @@ def _sequence_routes(dataset, zone_order, external_solver) -> tuple:
         # On an error, leaving the block cancels the routes not yet started and
         # waits for the running ones; no worker is killed, since a worker
         # killed while sending its result can leave a pool's queue locked.
-        # On a SIGTERM (a SystemExit, see main) each worker gets one too,
-        # which fails its running route and every route it is handed later.
+        # On a ^C or SIGTERM (a SystemExit, see main) each worker gets a
+        # SIGTERM too, which fails its running route and every later one.
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, fork, _start_worker, (job,)) as pool:
             try:
@@ -380,19 +378,11 @@ def cmd_bench(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-_FLAG_HELP = {
-    "order": "PPM max context order K",
-    "weights": "four component weights, comma separated",
-    "external_solver": "LKH-style binary",
-    "log_level": "logging level",
-}
-
-
 def _add_settings(p, *names):
     """--config, --log-level and a flag for each setting in `names`."""
     p.add_argument("--config", help="JSON config file")
     for name in names + ("log_level",):
-        p.add_argument("--" + name.replace("_", "-"), dest=name, help=_FLAG_HELP[name])
+        p.add_argument("--" + name.replace("_", "-"), dest=name, help=_SETTINGS[name][2])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    previous = _handle_stop_signals(_exit_on_signal)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -454,7 +444,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

@@ -89,6 +89,7 @@ class PpmModel:
     _chains: List[Dict[Context, Chain]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_order(self.max_order)
         check_weights(self.weights)
         self._suffixes = [{} for _ in range(N_COMPONENTS)]
         self._chains = [{} for _ in range(N_COMPONENTS)]
@@ -101,7 +102,7 @@ class PpmModel:
         Only the last max_order context tokens are used. Contexts with no
         recorded successors are skipped without charging an escape.
         """
-        ctx = tuple(context[-self.max_order:]) if self.max_order else ()
+        ctx = tuple(context[-self.max_order:])
         return _chain_prob(self._chain(k, self._suffix(k, ctx)), token)
 
     def _suffix(self, k: int, ctx: Context) -> Context:
@@ -264,7 +265,6 @@ class PpmModel:
         if off != len(buf):
             raise ValidationError(f"{path}: {len(buf) - off} trailing bytes after the model")
         try:
-            check_order(max_order)
             return cls(max_order=max_order, weights=weights, counts=counts, vocab=vocab)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
@@ -336,7 +336,7 @@ class CompiledRoute:
 
     def probs(self, seq: Sequence[int]) -> List[float]:
         self.reads += 1
-        key = tuple(seq[-self._order:]) if self._order else ()
+        key = tuple(seq[-self._order:])
         vec = self._lists.get(key)
         if vec is None:
             suffix = self._model._suffix

@@ -1,7 +1,9 @@
 """Per-zone stop ordering via an augmented asymmetric TSP.
 
-Each zone's instance contains its own stops, one representative (median)
-node per downstream zone, the preceding zone's last stop and the depot.
+Each zone's instance has its own stops first, then one representative
+(median) node per downstream zone, the preceding zone's last stop and the
+depot, in that order. The tour starts at the last stop (the depot in the
+first zone); the zone's stops are read off it in tour order.
 Tours come from nearest-neighbour construction improved by Or-opt segment
 relocation and direction-preserving 3-opt segment exchange; plain 2-opt is
 avoided because segment reversal changes cost under asymmetric matrices.
@@ -30,7 +32,6 @@ import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache, partial
 from itertools import cycle
 from pathlib import Path
@@ -43,35 +44,34 @@ from .core import Route, StopSequence, ValidationError, ZoneSequence
 EXTERNAL_SOLVER_TIMEOUT_S = 60  # seconds per instance: one zone's stops and a few extra nodes
 
 
-class NodeTag(Enum):
-    ZONE_STOP = "ZoneStop"
-    REPRESENTATIVE = "Representative"
-    LAST_STOP = "LastStop"
-    DEPOT = "Depot"
-
-
 @dataclass(frozen=True)
 class ZoneTspInstance:
-    """Augmented node set for one zone of a route."""
+    """One zone's ATSP, its node roles given by position.
 
-    node_ids: Tuple[str, ...]
-    tags: Tuple[NodeTag, ...]
+    Nodes 0..len(stop_ids)-1 are the zone's stops, in `stop_ids` order; any
+    later nodes are not stops (`build_instance` puts the representatives,
+    the last stop and the depot there). The tour starts at `start_index`.
+    """
+
+    stop_ids: Tuple[str, ...]
     cost: np.ndarray  # stored as a read-only n x n float64 array
     start_index: int
 
     def __post_init__(self):
-        n = len(self.node_ids)
         cost = np.array(self.cost, dtype=np.float64)
-        if len(self.tags) != n or cost.shape != (n, n):
-            raise ValidationError("instance arrays disagree on node count")
-        if self.tags.count(NodeTag.ZONE_STOP) < 1:
-            raise ValidationError("instance has no zone stops")
+        if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+            raise ValidationError(f"instance cost of shape {cost.shape} is not square")
+        n = len(cost)
+        if not 1 <= len(self.stop_ids) <= n:
+            raise ValidationError(f"instance has {len(self.stop_ids)} zone stops for {n} nodes")
+        if not 0 <= self.start_index < n:
+            raise ValidationError(f"instance start {self.start_index} is not one of {n} nodes")
         cost.setflags(write=False)
         object.__setattr__(self, "cost", cost)
 
     @property
     def n(self) -> int:
-        return len(self.node_ids)
+        return len(self.cost)
 
 
 def build_instance(
@@ -93,23 +93,16 @@ def build_instance(
     stops, later = geometry.zone_stops[zone_order.zones[k]], zone_order.zones[k + 1:]
     depot = route.depot.id
     if k == 0 or prev_last_stop is None or prev_last_stop == depot:
-        # First zone: the depot doubles as the preceding last stop.
-        ends, end_tags = (depot,), (NodeTag.DEPOT,)
+        ends = (depot,)  # first zone: the depot doubles as the preceding last stop
     else:
-        ends, end_tags = (prev_last_stop, depot), (NodeTag.LAST_STOP, NodeTag.DEPOT)
+        ends = (prev_last_stop, depot)
     index = geometry.index
     at = [index[s] for s in stops] + [geometry.median_index[z] for z in later]
     start_index = len(at)
     at += [index[s] for s in ends]
     cost = geometry.cost[np.ix_(at, at)]
     np.fill_diagonal(cost, 0.0)
-    tags = (NodeTag.ZONE_STOP,) * len(stops) + (NodeTag.REPRESENTATIVE,) * len(later)
-    return ZoneTspInstance(
-        node_ids=(*stops, *(f"rn:{z}" for z in later), *ends),
-        tags=tags + end_tags,
-        cost=cost,
-        start_index=start_index,
-    )
+    return ZoneTspInstance(stop_ids=stops, cost=cost, start_index=start_index)
 
 
 # -- local search ------------------------------------------------------------
@@ -252,31 +245,29 @@ def _three_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> int
     return scans
 
 
-def _improve(
-    cost: np.ndarray, tour: List[int], budget: List[int], scans: Optional[List[int]] = None
-) -> List[int]:
+def _improve(cost: np.ndarray, tour: List[int], budget: List[int]) -> int:
     """Run the passes in turn, from Or-opt of 1, 2, 3 nodes to 3-opt, until none can move.
 
-    Each pass scans until a scan finds no move, so it leaves the tour with a
-    failed scan on it. A scan depends only on (cost, tour): the pass would
-    fail again until another pass moves. So the search stops once every pass
-    has failed on the current tour: the last pass that moved, then each of
-    the others in turn. `scans` (a one-item list), if given, counts the scans.
+    Improves `tour` in place and returns the number of scans. Each pass
+    scans until a scan finds no move, so it leaves the tour with a failed
+    scan on it. A scan depends only on (cost, tour): the pass would fail
+    again until another pass moves. So the search stops once every pass has
+    failed on the current tour: the last pass that moved, then each of the
+    others in turn.
     """
     n = len(tour)
     passes = [partial(_or_opt_pass, seg_len) for seg_len in (1, 2, 3) if seg_len < n - 1]
     if n >= 3:
         passes.append(_three_opt_pass)
+    scans = 0
     failed = 0  # passes in a row, the last one run included, that failed on this tour
     for scan_pass in cycle(passes):
         if failed == len(passes) or budget[0] <= 0:
             break
         left = budget[0]
-        ran = scan_pass(cost, tour, budget)
-        if scans is not None:
-            scans[0] += ran
+        scans += scan_pass(cost, tour, budget)
         failed = 1 if budget[0] < left else failed + 1
-    return tour
+    return scans
 
 
 def solve_atsp(instance: ZoneTspInstance, stats: Optional[dict] = None) -> List[int]:
@@ -295,13 +286,14 @@ def solve_atsp(instance: ZoneTspInstance, stats: Optional[dict] = None) -> List[
     if n < 2:
         raise ValidationError("ATSP instance needs at least 2 nodes")
     rows = cost.tolist()  # Python floats index faster than numpy scalars
-    budget, scans = [50 * n], [0]
+    budget, scans = [50 * n], 0
     starts = [instance.start_index]
     if n <= 12:
         starts += [i for i in range(n) if i != instance.start_index]
     best_tour, best_cost = None, math.inf
     for run, start in enumerate(starts, 1):
-        tour = _improve(cost, nearest_neighbor_tour(rows, start), budget, scans)
+        tour = nearest_neighbor_tour(rows, start)
+        scans += _improve(cost, tour, budget)
         c = tour_cost(rows, tour)
         if c < best_cost - 1e-12:
             best_tour, best_cost = tour, c
@@ -310,22 +302,18 @@ def solve_atsp(instance: ZoneTspInstance, stats: Optional[dict] = None) -> List[
     if stats is not None:
         stats["moves"] = 50 * n - budget[0]
         stats["starts"] = run
-        stats["scans"] = scans[0]
+        stats["scans"] = scans
         stats["budget_exhausted"] = budget[0] <= 0
     return best_tour
 
 
 def order_zone_stops(instance: ZoneTspInstance, tour: Sequence[int]) -> List[str]:
-    """Rotate the tour to start at ls, drop every non-zone-stop node."""
+    """The zone's stops in tour order, read from the start node on."""
     if sorted(tour) != list(range(instance.n)):
         raise ValidationError("tour is not a permutation of instance nodes")
     at = tour.index(instance.start_index)
-    rotated = list(tour[at:]) + list(tour[:at])
-    return [
-        instance.node_ids[i]
-        for i in rotated
-        if instance.tags[i] is NodeTag.ZONE_STOP
-    ]
+    stops = instance.stop_ids
+    return [stops[i] for i in tour[at:] + tour[:at] if i < len(stops)]
 
 
 def sequence_stops(

@@ -23,7 +23,7 @@ from zoneseq.core import (
 from zoneseq.ingest import ZoneRun
 from zoneseq.ppm import DEFAULT_ORDER, DEFAULT_WEIGHTS, N_COMPONENTS, PpmModel, tokenize_zone
 from zoneseq.scorer import sequence_deviation
-from zoneseq.tsp import NodeTag, ZoneTspInstance
+from zoneseq.tsp import ZoneTspInstance
 
 
 def make_route(route_id="r1", stops=None, depot=(0.0, 0.0), actual=None,
@@ -449,38 +449,29 @@ def oracle_build_instance(route, zone_order, k, prev_last_stop=None):
         raise ValidationError(f"route {route.route_id}: zone {zone} has no stops")
 
     depot = route.depot
-    node_ids = [s.id for s in zone_stops]
-    tags = [NodeTag.ZONE_STOP] * len(zone_stops)
+    node_ids = [s.id for s in zone_stops]  # None for a representative node
     coords = [(s.lat, s.lng) for s in zone_stops]
-    is_stop = [True] * len(zone_stops)
 
     for later in zone_order.zones[k + 1:]:
         later_stops = [s for s in route.delivery_stops() if s.zone_id == later]
-        node_ids.append(f"rn:{later}")
-        tags.append(NodeTag.REPRESENTATIVE)
+        node_ids.append(None)
         coords.append(representative_node(later_stops))
-        is_stop.append(False)
 
     if k == 0 or prev_last_stop is None or prev_last_stop == depot.id:
         # First zone: the depot doubles as the preceding last stop.
         start_index = len(node_ids)
         node_ids.append(depot.id)
-        tags.append(NodeTag.DEPOT)
         coords.append((depot.lat, depot.lng))
-        is_stop.append(True)
     else:
         ls = route.stops[prev_last_stop]
         start_index = len(node_ids)
         node_ids.append(ls.id)
-        tags.append(NodeTag.LAST_STOP)
         coords.append((ls.lat, ls.lng))
-        is_stop.append(True)
         node_ids.append(depot.id)
-        tags.append(NodeTag.DEPOT)
         coords.append((depot.lat, depot.lng))
-        is_stop.append(True)
 
     n = len(node_ids)
+    is_stop = [nid is not None for nid in node_ids]
     travel = None
     if route.travel_times is not None:
         # One slice of the travel times holds every stop-to-stop edge; the
@@ -498,8 +489,7 @@ def oracle_build_instance(route, zone_order, k, prev_last_stop=None):
             else:
                 cost[i][j] = haversine_m(coords[i], coords[j])
     return ZoneTspInstance(
-        node_ids=tuple(node_ids),
-        tags=tuple(tags),
+        stop_ids=tuple(s.id for s in zone_stops),
         cost=tuple(tuple(row) for row in cost),
         start_index=start_index,
     )

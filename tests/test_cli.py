@@ -623,8 +623,12 @@ def test_failure_names_the_first_failing_route_in_route_id_order(
     assert multiprocessing.active_children() == []
 
 
-def test_sigterm_stops_the_workers_and_their_solvers(tmp_path):
-    data, model, _ = _two_eval_routes(tmp_path)
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_sigterm_stops_the_workers_and_their_solvers(tmp_path, signum):
+    # Three routes on two workers, so one route waits for a worker.
+    data = _synth(tmp_path, n_eval_routes=3)
+    model = tmp_path / "m.zppm"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
     pids, out, err = tmp_path / "pids", tmp_path / "sub.json", tmp_path / "stderr"
     # Each solver run records its pid, its parent's (a pool worker) and its child's.
     solver = tmp_path / "slow_solver.sh"
@@ -634,11 +638,13 @@ def test_sigterm_stops_the_workers_and_their_solvers(tmp_path):
     run = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
            "from zoneseq.cli import main; sys.exit(main(sys.argv[1:]))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    # In a session of its own, as a terminal starts a command: a ^C there
+    # reaches the whole process group, the pool workers included.
     with open(err, "wb") as stderr:
         proc = subprocess.Popen(
             [sys.executable, "-c", run, "sequence", "--dataset", str(data / "eval"),
              "--model", str(model), "--out", str(out), "--external-solver", str(solver)],
-            stdout=subprocess.DEVNULL, stderr=stderr, env=env)
+            stdout=subprocess.DEVNULL, stderr=stderr, env=env, start_new_session=True)
 
     def recorded():
         return [line.split() for line in pids.read_text().splitlines()] if pids.exists() else []
@@ -647,11 +653,16 @@ def test_sigterm_stops_the_workers_and_their_solvers(tmp_path):
         deadline = time.monotonic() + 60
         while len(recorded()) < 2 and time.monotonic() < deadline:
             time.sleep(0.05)
-        proc.send_signal(signal.SIGTERM)
+        before = recorded()
+        if signum == signal.SIGINT:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
         code = proc.wait(timeout=20)
-        assert len({worker for _, worker, _ in recorded()} - {str(proc.pid)}) == 2
+        assert len({worker for _, worker, _ in before} - {str(proc.pid)}) == 2
+        assert recorded() == before  # no solver started after the signal
         assert still_running([int(pid) for pid in pids.read_text().split()], within=5) == []
-        assert code == 128 + signal.SIGTERM
+        assert code == 128 + signum
         assert "Traceback" not in err.read_text()
         assert not out.exists()
     finally:  # leave nothing running, whatever failed
@@ -660,7 +671,10 @@ def test_sigterm_stops_the_workers_and_their_solvers(tmp_path):
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
-        proc.kill()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         proc.wait()
 
 

@@ -1,15 +1,21 @@
-"""Every module-level import in `zoneseq` is read by its module.
+"""Every module-level import in `zoneseq` is read by its module, and every
+definition is used somewhere other than its own definition.
 
-`__init__.py` is left out: its imports are the package's re-exports.
+`__init__.py` is left out of the import check: its imports are the
+package's re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "zoneseq"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zoneseq"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Where a use of a `zoneseq` definition counts.
+USED_IN = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str):
@@ -40,3 +46,69 @@ def test_checker_flags_an_unread_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def uses(tree) -> Counter:
+    """How often each identifier is read as a name or an attribute, imported,
+    or given as a string (as in `monkeypatch.setattr(module, "name", ...)`)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            found[node.value] += 1
+    return found
+
+
+def definitions(tree):
+    """(name, node) of each module-level function, class and assigned name, and each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def unused_definitions(source: str, used: Counter):
+    """Non-dunder names `source` defines that `used` (the uses counted over every
+    scanned file, this one included) has nowhere but in their own definitions."""
+    unused = []
+    for name, node in definitions(ast.parse(source)):
+        dunder = name.startswith("__") and name.endswith("__")
+        if not dunder and used[name] <= uses(node)[name]:
+            unused.append(name)
+    return unused
+
+
+def test_checker_flags_an_unused_definition():
+    source = (
+        "import os\n__version__ = '1'\nLIMIT = 3\nSPARE: int = 4\n"
+        "def run(n):\n    return run(n - 1) if n else LIMIT\n"
+        "def stub(): pass\ndef loop(): return loop()\n"
+        "class Job:\n    def go(self): return self\n    def stop(self): return self.go()\n"
+    )
+    used = uses(ast.parse(source)) + uses(ast.parse("run(2); getattr(Job, 'stub')"))
+    assert unused_definitions(source, used) == ["SPARE", "loop", "stop"]
+
+
+@pytest.fixture(scope="module")
+def used():
+    return sum((uses(ast.parse(p.read_text(encoding="utf-8"))) for p in USED_IN), Counter())
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_defines_nothing_unused(module, used):
+    assert unused_definitions((SRC / module).read_text(encoding="utf-8"), used) == []

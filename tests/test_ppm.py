@@ -318,6 +318,13 @@ def test_model_rejects_nan_weights():
                  counts=[{} for _ in range(4)], vocab=[set() for _ in range(4)])
 
 
+@pytest.mark.parametrize("max_order", [0, 65536])
+def test_model_rejects_order_outside_u16_range(max_order):
+    with pytest.raises(ValidationError, match=f"max_order must be in 1..65535, got {max_order}"):
+        PpmModel(max_order=max_order, weights=(0.25, 0.25, 0.25, 0.25),
+                 counts=[{} for _ in range(4)], vocab=[set() for _ in range(4)])
+
+
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.2, 0.2, 0.2, 0.2, 0.2)])
 def test_model_rejects_wrong_weight_count(weights):
     with pytest.raises(ValidationError, match=f"got {len(weights)}"):

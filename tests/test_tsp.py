@@ -11,7 +11,6 @@ import pytest
 from zoneseq import tsp
 from zoneseq.core import Stop, ValidationError, ZoneSequence, representative_node
 from zoneseq.tsp import (
-    NodeTag,
     ZoneTspInstance,
     build_instance,
     nearest_neighbor_tour,
@@ -32,15 +31,11 @@ from conftest import (
 )
 
 
-def raw_instance(cost, start=0, tags=None):
-    n = len(cost)
-    tags = tags or [NodeTag.ZONE_STOP] * n
-    if NodeTag.DEPOT not in tags:
-        tags = list(tags)
-        tags[-1] = NodeTag.DEPOT
+def raw_instance(cost, start=0, stops=None):
+    """An instance whose first `stops` nodes (default: all but the last) are stops n0, n1, ..."""
+    stops = len(cost) - 1 if stops is None else stops
     return ZoneTspInstance(
-        node_ids=tuple(f"n{i}" for i in range(n)),
-        tags=tuple(tags),
+        stop_ids=tuple(f"n{i}" for i in range(stops)),
         cost=tuple(tuple(float(v) for v in row) for row in cost),
         start_index=start,
     )
@@ -91,9 +86,8 @@ def test_build_instance_last_zone_node_count():
     inst = build_instance(route, order, 2, prev_last_stop="ZB_s0")
     # 2 zone stops + ls + depot, no downstream representatives
     assert inst.n == 4
-    assert inst.tags.count(NodeTag.REPRESENTATIVE) == 0
-    assert inst.tags.count(NodeTag.LAST_STOP) == 1
-    assert inst.tags.count(NodeTag.DEPOT) == 1
+    assert inst.stop_ids == ("ZC_s0", "ZC_s1")
+    assert inst.start_index == 2
 
 
 def test_build_instance_fig4_shape():
@@ -110,17 +104,40 @@ def test_build_instance_fig4_shape():
     route4 = make_route(stops=stops, depot=(0.0, -0.01))
     order2 = ZoneSequence("r1", ("ZA", "ZB", "ZC", "ZD"))
     inst2 = build_instance(route4, order2, 1, prev_last_stop="ZA_s0")
+    # 4 zone stops, 2 representatives, then ls (the start) and the depot
     assert inst2.n == 8
-    assert inst2.tags.count(NodeTag.REPRESENTATIVE) == 2
-    assert inst2.node_ids[inst2.start_index] == "ZA_s0"
+    assert inst2.stop_ids == tuple(f"ZB_s{i}" for i in range(4))
+    assert inst2.start_index == 6
+    g = route4.geometry
+    assert inst2.cost[6, 0] == g.cost[g.index["ZA_s0"], g.index["ZB_s0"]]
 
 
 def test_build_instance_first_zone_depot_once():
     route = three_zone_route()
     order = ZoneSequence("r1", ("ZA", "ZB", "ZC"))
     inst = build_instance(route, order, 0)
-    assert inst.tags.count(NodeTag.DEPOT) == 1
-    assert inst.node_ids[inst.start_index] == "depot"
+    # 2 zone stops, 2 representatives, then the depot alone as the start
+    assert inst.n == 5
+    assert inst.stop_ids == ("ZA_s0", "ZA_s1")
+    assert inst.start_index == 4
+
+
+@pytest.mark.parametrize("stops, start, message", [
+    (1, 2, "start 2 is not one of 2 nodes"),
+    (1, -1, "start -1 is not one of 2 nodes"),
+    (0, 0, "0 zone stops for 2 nodes"),
+    (3, 0, "3 zone stops for 2 nodes"),
+], ids=["start-n", "start-minus-1", "no-stops", "more-stops-than-nodes"])
+def test_instance_rejects_a_layout_outside_its_nodes(stops, start, message):
+    with pytest.raises(ValidationError, match=message):
+        raw_instance([[0, 1], [2, 0]], start=start, stops=stops)
+
+
+@pytest.mark.parametrize("cost", [[[0, 1, 2], [3, 0, 4]], [0, 1], 7],
+                         ids=["not-square", "1-d", "0-d"])
+def test_instance_rejects_a_cost_that_is_not_square(cost):
+    with pytest.raises(ValidationError, match="is not square"):
+        ZoneTspInstance(stop_ids=("a",), cost=cost, start_index=0)
 
 
 def test_build_instance_k_out_of_range():
@@ -172,8 +189,7 @@ def test_build_instance_matches_oracle_fuzz():
                 prev_last = "depot"
             got = build_instance(route, order, k, prev_last)
             want = oracle_build_instance(route, order, k, prev_last)
-            assert got.node_ids == want.node_ids, (case, k)
-            assert got.tags == want.tags
+            assert got.stop_ids == want.stop_ids, (case, k)
             assert got.start_index == want.start_index
             assert got.cost.tobytes() == want.cost.tobytes(), (case, k)
             assert not got.cost.flags.writeable
@@ -260,7 +276,8 @@ def test_local_search_matches_loop_oracle_fuzz(monkeypatch):
             tour = nearest_neighbor_tour(cost, start)
             want_budget, got_budget = [budget], [budget]
             want = oracle_improve(cost, list(tour), want_budget)
-            got = tsp._improve(cost, list(tour), got_budget)
+            got = list(tour)
+            tsp._improve(cost, got, got_budget)
             assert (got, got_budget) == (want, want_budget), (case, n, start, budget)
 
 
@@ -294,9 +311,9 @@ def test_solve_atsp_stats_match_oracle_counts():
 
 
 def test_solve_atsp_stats_flag_exhausted_budget(monkeypatch):
-    def spend_whole_budget(cost, tour, budget, scans):
+    def spend_whole_budget(cost, tour, budget):
         budget[0] = 0
-        return tour
+        return 0
 
     monkeypatch.setattr(tsp, "_improve", spend_whole_budget)
     stats = {}
@@ -308,17 +325,15 @@ def test_solve_atsp_stats_flag_exhausted_budget(monkeypatch):
 
 
 def test_order_zone_stops_filters_and_rotates():
-    tags = [NodeTag.LAST_STOP, NodeTag.ZONE_STOP, NodeTag.ZONE_STOP,
-            NodeTag.REPRESENTATIVE, NodeTag.DEPOT]
-    inst = raw_instance([[0] * 5] * 5, start=0, tags=tags)
-    assert order_zone_stops(inst, [0, 1, 2, 3, 4]) == ["n1", "n2"]
+    # 2 stops, a representative, the last stop (the start) and the depot
+    inst = raw_instance([[0] * 5] * 5, start=3, stops=2)
+    assert order_zone_stops(inst, [3, 1, 4, 2, 0]) == ["n1", "n0"]
     # rotation: same cyclic tour starting elsewhere gives the same answer
-    assert order_zone_stops(inst, [3, 4, 0, 1, 2]) == ["n1", "n2"]
+    assert order_zone_stops(inst, [2, 0, 3, 1, 4]) == ["n1", "n0"]
 
 
 def test_order_zone_stops_single_stop():
-    tags = [NodeTag.ZONE_STOP, NodeTag.DEPOT]
-    inst = raw_instance([[0, 1], [1, 0]], start=1, tags=tags)
+    inst = raw_instance([[0, 1], [1, 0]], start=1)
     assert order_zone_stops(inst, [0, 1]) == ["n0"]
 
 
@@ -439,8 +454,7 @@ def test_external_solver_adapter(tmp_path):
         "    f.write('-1\\n')\n"
     )
     stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
-    tags = [NodeTag.ZONE_STOP, NodeTag.ZONE_STOP, NodeTag.DEPOT]
-    inst = raw_instance([[0, 1, 2], [3, 0, 4], [5, 6, 0]], start=2, tags=tags)
+    inst = raw_instance([[0, 1, 2], [3, 0, 4], [5, 6, 0]], start=2)
     tour = solve_atsp_external(inst, str(stub))
     assert tour == [2, 1, 0]
     # identical post-processing path as the built-in solver
