@@ -10,7 +10,6 @@ from .core import (
     Quality,
     Route,
     Stop,
-    StopKind,
     StopSequence,
     TravelTimeMatrix,
     ValidationError,

@@ -24,14 +24,12 @@ EARTH_RADIUS_M = 6_371_000.0
 # Sentinel zone for the depot; never appears as a sequence element.
 DEPOT_ZONE = "stz"
 
+# The reserved stop id of every route's depot.
+DEPOT_STOP_ID = "depot"
+
 
 class ValidationError(ValueError):
     """Raised when a route, sequence or matrix fails a structural check."""
-
-
-class StopKind(Enum):
-    DEPOT = "Depot"
-    DELIVERY = "Delivery"
 
 
 class Quality(Enum):
@@ -48,7 +46,6 @@ class Stop:
     lat: float
     lng: float
     zone_id: Optional[str] = None
-    kind: StopKind = StopKind.DELIVERY
 
     def __post_init__(self):
         if not -90.0 <= self.lat <= 90.0:
@@ -133,7 +130,11 @@ class ZoneSequence:
 
 @dataclass(frozen=True)
 class Route:
-    """A set of stops plus optional travel-time matrix and actual sequence."""
+    """A set of stops plus optional travel-time matrix and actual sequence.
+
+    The depot is the stop under DEPOT_STOP_ID; every other stop is a
+    delivery stop.
+    """
 
     route_id: str
     stops: Dict[str, Stop]
@@ -142,11 +143,8 @@ class Route:
     quality: Optional[Quality] = None
 
     def __post_init__(self):
-        depots = [s for s in self.stops.values() if s.kind is StopKind.DEPOT]
-        if len(depots) != 1:
-            raise ValidationError(
-                f"route {self.route_id}: expected exactly 1 depot, got {len(depots)}"
-            )
+        if DEPOT_STOP_ID not in self.stops:
+            raise ValidationError(f"route {self.route_id}: no depot stop {DEPOT_STOP_ID!r}")
         for sid, stop in self.stops.items():
             if sid != stop.id:
                 raise ValidationError(f"route {self.route_id}: key {sid} != stop id {stop.id}")
@@ -155,7 +153,7 @@ class Route:
                 raise ValidationError(
                     f"route {self.route_id}: actual sequence is not a permutation of stops"
                 )
-            if self.actual.ids[0] != depots[0].id:
+            if self.actual.ids[0] != DEPOT_STOP_ID:
                 raise ValidationError(
                     f"route {self.route_id}: actual sequence does not start at the depot"
                 )
@@ -167,53 +165,56 @@ class Route:
 
     @property
     def depot(self) -> Stop:
-        return next(s for s in self.stops.values() if s.kind is StopKind.DEPOT)
+        return self.stops[DEPOT_STOP_ID]
 
     def delivery_stops(self) -> List[Stop]:
-        return [s for s in self.stops.values() if s.kind is StopKind.DELIVERY]
+        return [s for sid, s in self.stops.items() if sid != DEPOT_STOP_ID]
 
     def zones(self) -> List[str]:
         """Distinct zone ids of the delivery stops, sorted for determinism."""
-        return sorted({s.zone_id for s in self.delivery_stops() if s.zone_id})
+        return list(self.zone_stops)
 
     @cached_property
-    def geometry(self) -> RouteGeometry:
-        """Every edge cost of the route, computed on first use."""
-        has_times = self.travel_times is not None
-        stop_ids = self.travel_times.ids if has_times else tuple(self.stops)
-        zone_stops: Dict[str, List[Stop]] = {}
+    def zone_stops(self) -> Dict[str, Tuple[str, ...]]:
+        """Zone id -> the sorted ids of its delivery stops, in sorted zone order."""
+        by_zone: Dict[str, List[str]] = {}
         for stop in sorted(self.delivery_stops(), key=lambda s: s.id):
             if stop.zone_id:
-                zone_stops.setdefault(stop.zone_id, []).append(stop)
-        zones = sorted(zone_stops)
-        coords = [(self.stops[sid].lat, self.stops[sid].lng) for sid in stop_ids]
-        medians = [representative_node(zone_stops[z]) for z in zones]
-        stop_cost = self.travel_times.t if has_times else haversine_matrix(coords)
+                by_zone.setdefault(stop.zone_id, []).append(stop.id)
+        return {z: tuple(by_zone[z]) for z in sorted(by_zone)}
+
+    @cached_property
+    def stop_cost(self) -> Tuple[Dict[str, int], np.ndarray]:
+        """(stop id -> row, read-only cost between every two stops).
+
+        The costs are the travel times, read as they are, or haversine
+        meters over the stops in `stops` order when the route has none.
+        """
+        if self.travel_times is not None:
+            return self.travel_times.index, self.travel_times.t
+        ids = tuple(self.stops)
+        cost = haversine_matrix([(self.stops[sid].lat, self.stops[sid].lng) for sid in ids])
+        cost.setflags(write=False)
+        return {sid: i for i, sid in enumerate(ids)}, cost
+
+    @cached_property
+    def geometry(self) -> np.ndarray:
+        """The read-only cost of every edge between the route's points.
+
+        Rows and columns are the `stop_cost` rows, then one median point per
+        zone in `zone_stops` order. Every cost that touches a median is
+        haversine.
+        """
+        index, stop_cost = self.stop_cost
+        coords = [(self.stops[sid].lat, self.stops[sid].lng) for sid in index]
+        medians = [
+            representative_node(self.stops[sid] for sid in ids)
+            for ids in self.zone_stops.values()
+        ]
         across = haversine_matrix(coords, medians)
         cost = np.block([[stop_cost, across], [across.T, haversine_matrix(medians)]])
         cost.setflags(write=False)
-        return RouteGeometry(
-            index={sid: i for i, sid in enumerate(stop_ids)},
-            median_index={z: len(stop_ids) + i for i, z in enumerate(zones)},
-            zone_stops={z: tuple(s.id for s in zone_stops[z]) for z in zones},
-            cost=cost,
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class RouteGeometry:
-    """The read-only `cost` of every edge between a route's points.
-
-    Rows and columns are the stops (in travel-time order when the route has
-    travel times), then one median point per zone. Stop-to-stop costs are
-    travel times, or haversine meters without them; every cost that touches
-    a median is haversine.
-    """
-
-    index: Dict[str, int]  # stop id -> row
-    median_index: Dict[str, int]  # zone id -> row of its median point
-    zone_stops: Dict[str, Tuple[str, ...]]  # zone id -> its stop ids, sorted
-    cost: np.ndarray
+        return cost
 
 
 def representative_node(stops) -> Tuple[float, float]:

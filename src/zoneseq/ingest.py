@@ -16,7 +16,7 @@ The depot is stored under the reserved stop id "depot".
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -25,21 +25,19 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .core import (
+    DEPOT_STOP_ID,
     Quality,
     Route,
     Stop,
-    StopKind,
     StopSequence,
     TravelTimeMatrix,
     ValidationError,
     ZoneSequence,
-    haversine_matrix,
     read_json,
     write_file,
     write_json,
 )
 
-DEPOT_STOP_ID = "depot"
 OPTIONAL_FILES = ("actual_sequences.json", "travel_times.json", "quality.json")
 
 log = logging.getLogger("zoneseq")
@@ -72,11 +70,8 @@ def impute_zone(route: Route, stop: Stop) -> str:
         raise ValidationError(
             f"route {route.route_id}: no zoned stop available to impute {stop.id}"
         )
-    times = route.travel_times
-    if times is None:
-        costs = haversine_matrix([(stop.lat, stop.lng)], [(s.lat, s.lng) for s in candidates])[0]
-    else:
-        costs = times.t[times.index[stop.id], [times.index[s.id] for s in candidates]]
+    index, cost = route.stop_cost
+    costs = cost[index[stop.id], [index[s.id] for s in candidates]]
     _, best = min(zip(costs.tolist(), candidates), key=lambda cs: (cs[0], cs[1].id))
     return best.zone_id
 
@@ -159,7 +154,6 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
             id=DEPOT_STOP_ID,
             lat=_coordinate(DEPOT_STOP_ID, depot_raw, "lat"),
             lng=_coordinate(DEPOT_STOP_ID, depot_raw, "lng"),
-            kind=StopKind.DEPOT,
         )
     }
     for sid, s in _object(body.get("stops", {}), "'stops'").items():
@@ -221,19 +215,12 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
 
     missing = [s for s in route.delivery_stops() if not s.zone_id]
     if missing:
+        # Each stop is imputed against the unrepaired route: a stop repaired
+        # first must not become a candidate for the next.
         repaired = dict(stops)
         for stop in missing:
-            zone = impute_zone(route, stop)
-            repaired[stop.id] = Stop(
-                id=stop.id, lat=stop.lat, lng=stop.lng, zone_id=zone
-            )
-        route = Route(
-            route_id=route_id,
-            stops=repaired,
-            travel_times=matrix,
-            actual=actual,
-            quality=quality,
-        )
+            repaired[stop.id] = replace(stop, zone_id=impute_zone(route, stop))
+        route = replace(route, stops=repaired)
     return route
 
 
@@ -310,8 +297,7 @@ def zone_runs(route: Route, actual: StopSequence) -> List[ZoneRun]:
 
     One ZoneRun is built per run; `first_position` is the run's index.
     """
-    stops = (route.stops[sid] for sid in actual.ids)
-    zones = (stop.zone_id for stop in stops if stop.kind is not StopKind.DEPOT)
+    zones = (route.stops[sid].zone_id for sid in actual.ids if sid != DEPOT_STOP_ID)
     return [
         ZoneRun(zone, len(list(run)), i) for i, (zone, run) in enumerate(groupby(zones))
     ]

@@ -143,18 +143,11 @@ def erp(
 
 
 def _normalized_matrix(route: Route) -> Tuple[Dict[str, int], np.ndarray]:
-    """Stop-id index and the route's cost matrix divided by its maximum.
+    """Stop-id index and `Route.stop_cost` divided by its maximum.
 
-    The matrix is the travel times, or else the stop block of
-    `Route.geometry` (haversine meters); it is all zeros when its maximum
-    is not positive. Travel times are read directly: scoring needs none of
-    the geometry's median rows.
+    The matrix is all zeros when its maximum is not positive.
     """
-    if route.travel_times is not None:
-        index, cost = route.travel_times.index, route.travel_times.t
-    else:
-        index = route.geometry.index
-        cost = route.geometry.cost[:len(index), :len(index)]
+    index, cost = route.stop_cost
     max_entry = cost.max()
     if max_entry <= 0:
         return index, np.zeros_like(cost)

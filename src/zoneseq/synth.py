@@ -18,17 +18,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .core import (
+    DEPOT_STOP_ID,
     Quality,
     Route,
     Stop,
-    StopKind,
     StopSequence,
     TravelTimeMatrix,
     ValidationError,
     haversine_m,
     haversine_matrix,
 )
-from .ingest import DEPOT_STOP_ID, Dataset
+from .ingest import Dataset
 
 # haversine meters -> seconds at a nominal driving speed
 _SPEED_M_PER_S = 8.0
@@ -106,7 +106,7 @@ def _route(cfg, rng, route_id, templates, centers, depot) -> Route:
             order[i], order[i + 1] = order[i + 1], order[i]
 
     stops: Dict[str, Stop] = {
-        DEPOT_STOP_ID: Stop(DEPOT_STOP_ID, depot[0], depot[1], kind=StopKind.DEPOT)
+        DEPOT_STOP_ID: Stop(DEPOT_STOP_ID, depot[0], depot[1])
     }
     by_zone: Dict[str, List[str]] = {}
     idx = 0

@@ -86,21 +86,22 @@ def build_instance(
     """
     if not 0 <= k < len(zone_order.zones):
         raise ValidationError(f"zone index {k} out of range for {zone_order.zones}")
-    geometry = route.geometry
+    zone_stops = route.zone_stops
     for zone in zone_order.zones[k:]:
-        if zone not in geometry.zone_stops:
+        if zone not in zone_stops:
             raise ValidationError(f"route {route.route_id}: zone {zone} has no stops")
-    stops, later = geometry.zone_stops[zone_order.zones[k]], zone_order.zones[k + 1:]
+    stops, later = zone_stops[zone_order.zones[k]], zone_order.zones[k + 1:]
     depot = route.depot.id
     if k == 0 or prev_last_stop is None or prev_last_stop == depot:
         ends = (depot,)  # first zone: the depot doubles as the preceding last stop
     else:
         ends = (prev_last_stop, depot)
-    index = geometry.index
-    at = [index[s] for s in stops] + [geometry.median_index[z] for z in later]
+    index, _ = route.stop_cost
+    median_row = {z: len(index) + i for i, z in enumerate(zone_stops)}
+    at = [index[s] for s in stops] + [median_row[z] for z in later]
     start_index = len(at)
     at += [index[s] for s in ends]
-    cost = geometry.cost[np.ix_(at, at)]
+    cost = route.geometry[np.ix_(at, at)]
     np.fill_diagonal(cost, 0.0)
     return ZoneTspInstance(stop_ids=stops, cost=cost, start_index=start_index)
 

@@ -9,10 +9,10 @@ import pytest
 
 from zoneseq import synth
 from zoneseq.core import (
+    DEPOT_STOP_ID,
     DEPOT_ZONE,
     Route,
     Stop,
-    StopKind,
     StopSequence,
     TravelTimeMatrix,
     ValidationError,
@@ -29,7 +29,7 @@ from zoneseq.tsp import ZoneTspInstance
 def make_route(route_id="r1", stops=None, depot=(0.0, 0.0), actual=None,
                travel_times=None, quality=None):
     """Build a Route from (id, lat, lng, zone) tuples; depot id is 'depot'."""
-    stop_map = {"depot": Stop("depot", depot[0], depot[1], kind=StopKind.DEPOT)}
+    stop_map = {"depot": Stop("depot", depot[0], depot[1])}
     for sid, lat, lng, zone in stops or []:
         stop_map[sid] = Stop(sid, lat, lng, zone_id=zone)
     seq = None
@@ -169,10 +169,9 @@ def oracle_zone_runs(route, actual):
     """Reference zone runs: the run so far rebuilt for every stop."""
     runs = []
     for sid in actual.ids:
-        stop = route.stops[sid]
-        if stop.kind is StopKind.DEPOT:
+        if sid == DEPOT_STOP_ID:
             continue
-        zone = stop.zone_id
+        zone = route.stops[sid].zone_id
         if runs and runs[-1].zone_id == zone:
             last = runs[-1]
             runs[-1] = ZoneRun(zone, last.stop_count + 1, last.first_position)

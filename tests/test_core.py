@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from zoneseq.core import (
+    Route,
     Stop,
-    StopKind,
     StopSequence,
     TravelTimeMatrix,
     ValidationError,
@@ -14,13 +14,14 @@ from zoneseq.core import (
     haversine_matrix,
     representative_node,
 )
+from zoneseq.ingest import zone_runs
 from conftest import make_route
 
 
 def cost(route, from_id, to_id):
-    """The route's geometry cost between two stops."""
-    geometry = route.geometry
-    return geometry.cost[geometry.index[from_id], geometry.index[to_id]]
+    """The route's stop-to-stop cost between two stops."""
+    index, matrix = route.stop_cost
+    return matrix[index[from_id], index[to_id]]
 
 
 def test_haversine_identity():
@@ -71,14 +72,19 @@ def test_coordinates_validated():
         Stop("s", 0.0, -181.0)
 
 
-def test_route_requires_single_depot():
-    from zoneseq.core import Route
-    stops = {
-        "d1": Stop("d1", 0, 0, kind=StopKind.DEPOT),
-        "d2": Stop("d2", 1, 1, kind=StopKind.DEPOT),
-    }
-    with pytest.raises(ValidationError, match="depot"):
+def test_route_requires_the_depot_id():
+    stops = {"d1": Stop("d1", 0, 0), "a": Stop("a", 1, 1, zone_id="Z")}
+    with pytest.raises(ValidationError, match="route r: no depot stop 'depot'"):
         Route(route_id="r", stops=stops)
+
+
+def test_depot_with_a_zone_is_neither_a_delivery_stop_nor_a_zone():
+    stops = {"depot": Stop("depot", 0, 0, zone_id="X"), "a": Stop("a", 1, 1, zone_id="Y")}
+    route = Route(route_id="r1", stops=stops, actual=StopSequence("r1", ("depot", "a")))
+    assert [s.id for s in route.delivery_stops()] == ["a"]
+    assert route.zones() == ["Y"]
+    assert route.zone_stops == {"Y": ("a",)}
+    assert [run.zone_id for run in zone_runs(route, route.actual)] == ["Y"]
 
 
 def test_actual_must_be_depot_first_permutation():
@@ -140,20 +146,37 @@ def test_geometry_layout_and_medians():
         route = make_route(stops=stops, travel_times=travel_times)
         geometry = route.geometry
         assert route.geometry is geometry  # computed once
-        assert geometry.zone_stops == {"X": ("c",), "Y": ("a", "b", "d")}
-        assert sorted(geometry.index.values()) == list(range(5))
-        assert geometry.median_index == {"X": 5, "Y": 6}
-        assert geometry.cost.shape == (7, 7)
-        assert not geometry.cost.flags.writeable
+        assert route.zone_stops == {"X": ("c",), "Y": ("a", "b", "d")}
+        assert route.zones() == ["X", "Y"]
+        index, _ = route.stop_cost
+        assert sorted(index.values()) == list(range(5))
+        assert geometry.shape == (7, 7)
+        assert not geometry.flags.writeable
+        median_x = representative_node([route.stops["c"]])
         median_y = representative_node(route.stops[s] for s in "abd")
         assert median_y == (2.0, 3.0)
         for a, stop in route.stops.items():
             d = haversine_m((stop.lat, stop.lng), median_y)
             assert cost(route, a, a) == 0.0
-            assert geometry.cost[geometry.index[a], 6] == d
-            assert geometry.cost[6, geometry.index[a]] == d
+            assert geometry[index[a], 5] == haversine_m((stop.lat, stop.lng), median_x)
+            assert geometry[index[a], 6] == d
+            assert geometry[6, index[a]] == d
             if travel_times is not None:
                 assert [cost(route, a, b) for b in ids] == [tt[a][b] for b in ids]
+
+
+def test_stop_cost_is_the_travel_times_or_the_geometry_stop_block():
+    tt = {a: {b: 0 if a == b else 3 for b in ("a", "depot")} for a in ("a", "depot")}
+    route = make_route(stops=[("a", 1, 1, "Z")], travel_times=tt)
+    assert route.stop_cost[0] is route.travel_times.index
+    assert route.stop_cost[1] is route.travel_times.t
+    route = make_route(stops=[("a", 1.0, 1.0, "Z"), ("b", 2.0, 0.5, "Z"), ("c", 0.5, 3.0, "W")])
+    index, matrix = route.stop_cost
+    assert list(index) == list(route.stops)
+    assert not matrix.flags.writeable
+    assert "geometry" not in route.__dict__
+    n = len(index)
+    assert matrix.tobytes() == route.geometry[:n, :n].tobytes()
 
 
 NAN, INF = float("nan"), float("inf")

@@ -66,7 +66,8 @@ def uses(tree) -> Counter:
 
 
 def definitions(tree):
-    """(name, node) of each module-level function, class and assigned name, and each method."""
+    """(name, node) of each module-level function, class and assigned name, and each
+    method and annotated class field."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
@@ -74,6 +75,8 @@ def definitions(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     yield item.name, item
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield item.target.id, item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -98,10 +101,11 @@ def test_checker_flags_an_unused_definition():
         "import os\n__version__ = '1'\nLIMIT = 3\nSPARE: int = 4\n"
         "def run(n):\n    return run(n - 1) if n else LIMIT\n"
         "def stub(): pass\ndef loop(): return loop()\n"
-        "class Job:\n    def go(self): return self\n    def stop(self): return self.go()\n"
+        "class Job:\n    name: str\n    owner: str = ''\n"
+        "    def go(self): return self.name\n    def stop(self): return self.go()\n"
     )
     used = uses(ast.parse(source)) + uses(ast.parse("run(2); getattr(Job, 'stub')"))
-    assert unused_definitions(source, used) == ["SPARE", "loop", "stop"]
+    assert unused_definitions(source, used) == ["SPARE", "loop", "owner", "stop"]
 
 
 @pytest.fixture(scope="module")

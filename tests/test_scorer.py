@@ -215,6 +215,7 @@ def test_route_score_haversine_fallback():
                        actual=["depot", "a", "b", "c"])
     rs = route_score(route, StopSequence("r1", ("depot", "a", "c", "b")))
     assert rs.score > 0.0
+    assert "geometry" not in route.__dict__  # scoring needs no median rows
 
 
 def test_one_swap_beats_random_shuffle_mostly():

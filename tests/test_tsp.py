@@ -108,8 +108,8 @@ def test_build_instance_fig4_shape():
     assert inst2.n == 8
     assert inst2.stop_ids == tuple(f"ZB_s{i}" for i in range(4))
     assert inst2.start_index == 6
-    g = route4.geometry
-    assert inst2.cost[6, 0] == g.cost[g.index["ZA_s0"], g.index["ZB_s0"]]
+    index, _ = route4.stop_cost
+    assert inst2.cost[6, 0] == route4.geometry[index["ZA_s0"], index["ZB_s0"]]
 
 
 def test_build_instance_first_zone_depot_once():
@@ -184,7 +184,7 @@ def test_build_instance_matches_oracle_fuzz():
         for k, zone in enumerate(order.zones):
             prev_last = None
             if k > 0 and rng.random() < 0.8:
-                prev_last = rng.choice(route.geometry.zone_stops[order.zones[k - 1]])
+                prev_last = rng.choice(route.zone_stops[order.zones[k - 1]])
             elif rng.random() < 0.5:
                 prev_last = "depot"
             got = build_instance(route, order, k, prev_last)
