@@ -16,9 +16,9 @@ from .core import (
     ZoneSequence,
     haversine_m,
 )
-from .ingest import Dataset, collapse_to_zsgt, load_dataset, zone_runs, zsgt
+from .ingest import Dataset, load_dataset, zsgt
 from .ppm import PpmModel, tokenize_zone, train
-from .rollout import RolloutState, rollout_sequence
+from .rollout import rollout_sequence
 from .scorer import ScoreReport, dataset_score, route_score
 from .synth import SynthConfig, generate
 from .tsp import sequence_stops, solve_atsp

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,19 +46,6 @@ log = logging.getLogger("zoneseq")
 @dataclass(frozen=True)
 class Dataset:
     routes: Dict[str, Route]
-
-
-@dataclass(frozen=True)
-class ZoneRun:
-    """A maximal run of consecutive same-zone stops in an actual sequence."""
-
-    zone_id: str
-    stop_count: int
-    first_position: int
-
-    def __post_init__(self):
-        if self.stop_count < 1:
-            raise ValidationError(f"zone run {self.zone_id}: stop_count must be >= 1")
 
 
 def impute_zone(route: Route, stop: Stop) -> str:
@@ -220,7 +207,11 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
         repaired = dict(stops)
         for stop in missing:
             repaired[stop.id] = replace(stop, zone_id=impute_zone(route, stop))
+        stop_cost = route.stop_cost
         route = replace(route, stops=repaired)
+        # The stop costs read no zone id, so the repaired route keeps the
+        # ones imputation built rather than computing them again.
+        object.__setattr__(route, "stop_cost", stop_cost)
     return route
 
 
@@ -292,39 +283,24 @@ def _travel_time_chunks(matrices: Dict[str, TravelTimeMatrix]):
     yield "{}" if opening == "{\n " else "\n}"
 
 
-def zone_runs(route: Route, actual: StopSequence) -> List[ZoneRun]:
-    """Maximal runs of equal zone id in actual order, depot excluded.
-
-    One ZoneRun is built per run; `first_position` is the run's index.
-    """
-    zones = (route.stops[sid].zone_id for sid in actual.ids if sid != DEPOT_STOP_ID)
-    return [
-        ZoneRun(zone, len(list(run)), i) for i, (zone, run) in enumerate(groupby(zones))
-    ]
-
-
-def collapse_to_zsgt(route_id: str, runs: List[ZoneRun]) -> ZoneSequence:
-    """Lossy collapse: keep, per zone, the run with the most stops.
-
-    Ties keep the earlier run (kept runs usually correspond to the first
-    appearance). Output order follows the kept runs' positions.
-    """
-    if not runs:
-        raise ValidationError(f"route {route_id}: no zone runs to collapse")
-    best: Dict[str, ZoneRun] = {}
-    for run in runs:
-        cur = best.get(run.zone_id)
-        if cur is None or run.stop_count > cur.stop_count:
-            best[run.zone_id] = run
-    kept = sorted(best.values(), key=lambda r: r.first_position)
-    return ZoneSequence(route_id=route_id, zones=tuple(r.zone_id for r in kept))
-
-
 def zsgt(route: Route) -> ZoneSequence:
-    """Approximate ground-truth zone sequence for a route with an actual."""
+    """Approximate ground-truth zone sequence (ZSgt) of a route with an actual.
+
+    The actual's delivery stops fall into maximal runs of one zone id. Each
+    zone keeps its longest run (the earlier one on a tie), and the zones
+    follow the order of their kept runs, so the collapse is lossy.
+    """
     if route.actual is None:
         raise ValidationError(f"route {route.route_id}: no actual sequence")
-    return collapse_to_zsgt(route.route_id, zone_runs(route, route.actual))
+    zones = (route.stops[sid].zone_id for sid in route.actual.ids if sid != DEPOT_STOP_ID)
+    kept: Dict[str, Tuple[int, int]] = {}  # zone -> (stops, position) of its longest run
+    for position, (zone, run) in enumerate(groupby(zones)):
+        stops = sum(1 for _ in run)
+        if zone not in kept or stops > kept[zone][0]:
+            kept[zone] = (stops, position)
+    if not kept:
+        raise ValidationError(f"route {route.route_id}: no zone runs to collapse")
+    return ZoneSequence(route.route_id, tuple(sorted(kept, key=lambda z: kept[z][1])))
 
 
 def training_corpus(dataset: Dataset, include_low: bool = False) -> List[ZoneSequence]:

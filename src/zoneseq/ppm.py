@@ -176,25 +176,6 @@ class PpmModel:
             cache[key] = p
         return p
 
-    def compile_route(self, zones: Sequence[str]) -> "CompiledRoute":
-        """Per-route view answering `prob` for all of a route's zones at once."""
-        return CompiledRoute(self, zones)
-
-    def seq_reward(
-        self,
-        zones: Sequence[str],
-        sentinel: Optional[str] = DEPOT_ZONE,
-    ) -> float:
-        """Sum of sliding-window conditional probabilities over a sequence."""
-        if not zones:
-            raise ValidationError("cannot score an empty zone sequence")
-        full = ([sentinel] if sentinel else []) + list(zones)
-        start = 1 if sentinel else 0
-        return sum(
-            self.prob(full[max(0, i - self.max_order):i], full[i])
-            for i in range(start, len(full))
-        )
-
     # -- serialization -------------------------------------------------------
 
     MAGIC = b"ZPPM"

@@ -7,51 +7,34 @@ additive over one whole sequence and the classic rollout improvement
 guarantee applies. Ties break lexicographically on zone id everywhere,
 which makes runs reproducible.
 
-The search runs on zone indices of a route compiled once by
-``PpmModel.compile_route``: zones are numbered in id order, so the first
+The search runs on zone indices of a route compiled once into a
+``CompiledRoute``: zones are numbered in id order, so the first
 maximum of a probability list over a sorted index list is also the
 lexicographically smallest zone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .core import ValidationError, ZoneSequence
 from .ppm import CompiledRoute, PpmModel
 
 
-@dataclass(frozen=True)
-class RolloutState:
-    """Partial zone sequence (prefix) plus the set of unvisited zones."""
+def _greedy(route: CompiledRoute, seq: List[int], remaining: List[int], total: float) -> float:
+    """`total` plus the reward of the greedy completion of index sequence `seq`.
 
-    prefix: Tuple[str, ...]
-    remaining: FrozenSet[str]
-
-    def __post_init__(self):
-        if set(self.prefix) & self.remaining:
-            raise ValidationError("prefix and remaining overlap")
-
-
-def _greedy(
-    route: CompiledRoute, seq: List[int], remaining: List[int], total: float = 0.0
-) -> Tuple[List[int], float]:
-    """Greedy completion of index sequence `seq` over sorted `remaining`.
-
-    Returns the appended indices and `total` plus their sliding-window
-    probabilities, added in sequence order.
+    The completion repeatedly appends the most probable zone of sorted
+    `remaining`; its sliding-window probabilities are added in sequence order.
     """
     seq, remaining = list(seq), list(remaining)
-    out: List[int] = []
     while remaining:
         vec = route.probs(seq)
         best = max(remaining, key=vec.__getitem__)
         total += vec[best]
-        out.append(best)
         seq.append(best)
         remaining.remove(best)
-    return out, total
+    return total
 
 
 def _lookahead(route: CompiledRoute, seq: List[int], remaining: List[int]) -> int:
@@ -60,22 +43,10 @@ def _lookahead(route: CompiledRoute, seq: List[int], remaining: List[int]) -> in
     best_zone, best_score = None, None
     for zone in remaining:
         rest = [z for z in remaining if z != zone]
-        _, score = _greedy(route, seq + [zone], rest, vec[zone])
+        score = _greedy(route, seq + [zone], rest, vec[zone])
         if best_score is None or score > best_score:
             best_zone, best_score = zone, score
     return best_zone
-
-
-def greedy_completion(model: PpmModel, state: RolloutState) -> List[str]:
-    """Greedy baseline policy: repeatedly take the most probable next zone.
-
-    Returns only the appended zones, not the prefix.
-    """
-    route = model.compile_route(state.prefix + tuple(state.remaining))
-    index = {z: i for i, z in enumerate(route.zones)}
-    seq = [route.sentinel] + [index[z] for z in state.prefix]
-    out, _ = _greedy(route, seq, sorted(index[z] for z in state.remaining))
-    return [route.zones[i] for i in out]
 
 
 def rollout_sequence(
@@ -93,7 +64,7 @@ def rollout_sequence(
     """
     if not zones:
         raise ValidationError(f"route {route_id}: empty zone set")
-    route = model.compile_route(zones)
+    route = CompiledRoute(model, zones)
     seq = [route.sentinel]
     remaining = list(range(len(route.zones)))
     while remaining:

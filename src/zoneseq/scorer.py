@@ -18,7 +18,7 @@ dynamic-programming table one anti-diagonal at a time with numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,8 +72,14 @@ def sequence_deviation(actual: Sequence[str], submitted: Sequence[str]) -> float
     return 2.0 * total / (n * (n - 1))
 
 
-def _erp(cost: np.ndarray, gap_a: np.ndarray, gap_b: np.ndarray) -> Tuple[float, int]:
-    """ERP over an n x m substitution-cost grid and the two gap-cost vectors.
+def erp(cost: np.ndarray, gap_a: np.ndarray, gap_b: np.ndarray) -> Tuple[float, int]:
+    """Edit distance with real penalty between two stop sequences, as (cost, edits).
+
+    `cost[i, j]` is the normalized, finite cost between the actual's i-th
+    and the submission's j-th stop. A gap costs the stop's distance to the
+    depot: `gap_a[i]` for the actual's i-th stop, `gap_b[j]` for the
+    submission's j-th. `edits` counts the nonzero-cost steps of one optimal
+    path, found by backtracking with matches preferred on ties.
 
     D[i][0] and D[0][j] are running sums of gap_a and gap_b from 0.0, and
     D[i][j] = min(D[i-1][j-1] + cost[i-1][j-1], D[i-1][j] + gap_a[i-1],
@@ -122,26 +128,6 @@ def _erp(cost: np.ndarray, gap_a: np.ndarray, gap_b: np.ndarray) -> Tuple[float,
     return float(D[n, m]), edits
 
 
-def erp(
-    actual: Sequence[str],
-    submitted: Sequence[str],
-    dist: Callable[[str, str], float],
-    gap_ref: str,
-) -> Tuple[float, int]:
-    """Edit distance with real penalty between two stop sequences.
-
-    `dist` must already be normalized by the route's largest cost and finite.
-    Gaps are charged by distance to `gap_ref` (the depot). Returns
-    (cost, edits) where edits counts the non-zero-cost operations on one
-    optimal path; ties during backtracking prefer matches.
-    """
-    n, m = len(actual), len(submitted)
-    cost = np.array([[dist(a, b) for b in submitted] for a in actual], dtype=np.float64)
-    gap_a = np.array([dist(sid, gap_ref) for sid in actual], dtype=np.float64)
-    gap_b = np.array([dist(sid, gap_ref) for sid in submitted], dtype=np.float64)
-    return _erp(cost.reshape(n, m), gap_a, gap_b)
-
-
 def _normalized_matrix(route: Route) -> Tuple[Dict[str, int], np.ndarray]:
     """Stop-id index and `Route.stop_cost` divided by its maximum.
 
@@ -173,7 +159,7 @@ def route_score(route: Route, submitted: StopSequence) -> RouteScore:
     rows = [index[sid] for sid in actual_ids]
     cols = [index[sid] for sid in submitted_ids]
     gaps = dist[:, index[depot_id]]
-    cost, edits = _erp(dist[np.ix_(rows, cols)], gaps[rows], gaps[cols])
+    cost, edits = erp(dist[np.ix_(rows, cols)], gaps[rows], gaps[cols])
     score = 0.0 if edits == 0 else sd * cost / edits
     return RouteScore(
         route_id=route.route_id, sd=sd, erp_cost=cost, erp_edits=edits, score=score

@@ -327,11 +327,15 @@ def sequence_stops(
     Solves one augmented ATSP per zone, threading each zone's last stop
     into the next instance as its fixed start.
     """
-    route_zones = set(route.zones())
-    if set(zone_order.zones) != route_zones:
-        missing = route_zones - set(zone_order.zones)
+    route_zones, ordered_zones = set(route.zones()), set(zone_order.zones)
+    missing, unknown = route_zones - ordered_zones, ordered_zones - route_zones
+    if missing:
         raise ValidationError(
             f"route {route.route_id}: zone order missing zones {sorted(missing)}"
+        )
+    if unknown:
+        raise ValidationError(
+            f"route {route.route_id}: zone order has zones not in the route {sorted(unknown)}"
         )
     ids: List[str] = [route.depot.id]
     prev_last = route.depot.id

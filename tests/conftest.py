@@ -20,8 +20,14 @@ from zoneseq.core import (
     haversine_m,
     representative_node,
 )
-from zoneseq.ingest import ZoneRun
-from zoneseq.ppm import DEFAULT_ORDER, DEFAULT_WEIGHTS, N_COMPONENTS, PpmModel, tokenize_zone
+from zoneseq.ppm import (
+    DEFAULT_ORDER,
+    DEFAULT_WEIGHTS,
+    N_COMPONENTS,
+    CompiledRoute,
+    PpmModel,
+    tokenize_zone,
+)
 from zoneseq.scorer import sequence_deviation
 from zoneseq.tsp import ZoneTspInstance
 
@@ -165,39 +171,62 @@ def oracle_train(corpus, max_order=DEFAULT_ORDER, weights=DEFAULT_WEIGHTS,
     return PpmModel(max_order=max_order, weights=tuple(weights), counts=counts, vocab=vocab)
 
 
+def oracle_seq_reward(model, zones, sentinel=DEPOT_ZONE):
+    """Sum of `model.prob` over a sequence's sliding windows, after `sentinel` if any."""
+    full = ([sentinel] if sentinel else []) + list(zones)
+    start = 1 if sentinel else 0
+    return sum(
+        model.prob(full[max(0, i - model.max_order):i], full[i]) for i in range(start, len(full))
+    )
+
+
 def oracle_zone_runs(route, actual):
-    """Reference zone runs: the run so far rebuilt for every stop."""
+    """Reference zone runs as [zone, stop count] pairs: the run so far
+    rebuilt for every stop."""
     runs = []
     for sid in actual.ids:
         if sid == DEPOT_STOP_ID:
             continue
         zone = route.stops[sid].zone_id
-        if runs and runs[-1].zone_id == zone:
-            last = runs[-1]
-            runs[-1] = ZoneRun(zone, last.stop_count + 1, last.first_position)
+        if runs and runs[-1][0] == zone:
+            runs[-1] = [zone, runs[-1][1] + 1]
         else:
-            runs.append(ZoneRun(zone, 1, len(runs)))
+            runs.append([zone, 1])
     return runs
 
 
-def exhaustive_best_reward(model, zones, sentinel="stz"):
-    """Max seq_reward over all zone orders, via DFS with shared prob cache."""
-    cache = {}
-    K = model.max_order
-    best = [float("-inf")]
+def oracle_zsgt(route):
+    """Reference ZSgt: per zone the run with the most stops (the earliest of
+    equal runs), the kept runs in actual order."""
+    runs = oracle_zone_runs(route, route.actual)
+    kept = {}
+    for position, (zone, stops) in enumerate(runs):
+        if zone not in kept or stops > runs[kept[zone]][1]:
+            kept[zone] = position
+    return ZoneSequence(route.route_id, tuple(runs[p][0] for p in sorted(kept.values())))
 
-    def dfs(prefix, remaining, acc):
+
+def exhaustive_best_reward(model, zones):
+    """Max sequence reward over all zone orders, by DFS over one compiled route.
+
+    Each prefix reads its probability list once; the lists equal
+    `model.prob` bit for bit, so each order sums what `oracle_seq_reward`
+    does, in the same order.
+    """
+    route = CompiledRoute(model, zones)
+    best = float("-inf")
+
+    def dfs(seq, remaining, acc):
+        nonlocal best
         if not remaining:
-            if acc > best[0]:
-                best[0] = acc
+            best = max(best, acc)
             return
-        ctx = ([sentinel] + prefix)[-K:]
-        for z in remaining:
-            dfs(prefix + [z], remaining - {z},
-                acc + model.prob(ctx, z, cache=cache))
+        probs = route.probs(seq)
+        for i, z in enumerate(remaining):
+            dfs(seq + [z], remaining[:i] + remaining[i + 1:], acc + probs[z])
 
-    dfs([], frozenset(zones), 0.0)
-    return best[0]
+    dfs([route.sentinel], list(range(len(route.zones))), 0.0)
+    return best
 
 
 def oracle_greedy_completion(model, prefix, remaining, sentinel="stz", cache=None):
@@ -345,6 +374,18 @@ def oracle_improve(cost: np.ndarray, tour: List[int], budget: List[int]) -> List
 
 # Reference scorer: the per-cell loop form of ERP and the per-pair
 # normalization that `zoneseq.scorer` computes over one dense matrix.
+
+
+def erp_arrays(actual, submitted, dist, gap_ref):
+    """`scorer.erp`'s arrays for two stop sequences under a cost callable: the
+    substitution costs, then each sequence's gap costs, charged by `dist` to
+    `gap_ref` (the depot)."""
+    cost = np.array([[dist(a, b) for b in submitted] for a in actual], dtype=np.float64)
+    gap_a, gap_b = (
+        np.array([dist(sid, gap_ref) for sid in ids], dtype=np.float64)
+        for ids in (actual, submitted)
+    )
+    return cost.reshape(len(actual), len(submitted)), gap_a, gap_b
 
 
 def oracle_erp(actual, submitted, dist, gap_ref):

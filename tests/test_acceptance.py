@@ -13,11 +13,14 @@ import pytest
 
 from zoneseq import cli, ingest, ppm, rollout, scorer, synth, tsp
 from zoneseq.ppm import train
-from zoneseq.rollout import RolloutState, greedy_completion, rollout_sequence
+from zoneseq.rollout import rollout_sequence
 from zoneseq.synth import SynthConfig
 from conftest import (
     brute_force_atsp,
+    erp_arrays,
     exhaustive_best_reward,
+    oracle_greedy_completion,
+    oracle_seq_reward,
     patterned_instance,
     random_corpus,
 )
@@ -67,9 +70,8 @@ def test_criterion_2_rollout_improvement_and_near_optimality():
             model = train(corpus)
             zones = set(zone_list)
         out = rollout_sequence(model, "r", zones)
-        greedy = greedy_completion(
-            model, RolloutState(prefix=(), remaining=frozenset(zones)))
-        if model.seq_reward(list(out.zones)) < model.seq_reward(greedy) - 1e-12:
+        greedy = oracle_greedy_completion(model, [], zones)
+        if oracle_seq_reward(model, out.zones) < oracle_seq_reward(model, greedy) - 1e-12:
             ok = False
             break
     hits = 0
@@ -78,7 +80,7 @@ def test_criterion_2_rollout_improvement_and_near_optimality():
         model = train(corpus)
         out = rollout_sequence(model, "r", zones)
         best = exhaustive_best_reward(model, zones)
-        if model.seq_reward(list(out.zones)) >= 0.95 * best:
+        if oracle_seq_reward(model, out.zones) >= 0.95 * best:
             hits += 1
     elapsed = time.perf_counter() - t0
     report(2, "rollout improvement",
@@ -116,8 +118,8 @@ def test_criterion_4_scorer_fixtures():
               "a": {"d": 4.0, "a": 0.0, "b": 10.0},
               "b": {"d": 6.0, "a": 2.0, "b": 0.0}}
     dist = lambda x, y: matrix[x][y] / 10.0
-    ok &= scorer.erp(["a", "b"], ["a", "b"], dist, "d") == (0.0, 0)
-    cost, edits = scorer.erp(["a", "b"], ["b", "a"], dist, "d")
+    ok &= scorer.erp(*erp_arrays(["a", "b"], ["a", "b"], dist, "d")) == (0.0, 0)
+    cost, edits = scorer.erp(*erp_arrays(["a", "b"], ["b", "a"], dist, "d"))
     ok &= abs(cost - 0.8) < 1e-12 and edits == 2
     report(4, "scorer fixtures", ok)
 

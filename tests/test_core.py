@@ -14,7 +14,7 @@ from zoneseq.core import (
     haversine_matrix,
     representative_node,
 )
-from zoneseq.ingest import zone_runs
+from zoneseq.ingest import zsgt
 from conftest import make_route
 
 
@@ -84,7 +84,7 @@ def test_depot_with_a_zone_is_neither_a_delivery_stop_nor_a_zone():
     assert [s.id for s in route.delivery_stops()] == ["a"]
     assert route.zones() == ["Y"]
     assert route.zone_stops == {"Y": ("a",)}
-    assert [run.zone_id for run in zone_runs(route, route.actual)] == ["Y"]
+    assert zsgt(route).zones == ("Y",)
 
 
 def test_actual_must_be_depot_first_permutation():

@@ -1,8 +1,9 @@
 """Every module-level import in `zoneseq` is read by its module, and every
-definition is used somewhere other than its own definition.
+definition is used by the program, somewhere other than its own definition.
 
 `__init__.py` is left out of the import check: its imports are the
-package's re-exports.
+package's re-exports. Those re-exports, and the tests, are not uses of a
+definition: a definition that only tests call is dead code.
 """
 
 import ast
@@ -14,8 +15,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "zoneseq"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def program_files(*dirs):
+    """The Python files under `dirs` that are not tests."""
+    return sorted(
+        p for d in dirs for p in d.rglob("*.py")
+        if not p.name.startswith("test_") and p.name != "conftest.py"
+    )
+
+
 # Where a use of a `zoneseq` definition counts.
-USED_IN = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+USED_IN = program_files(ROOT / "src", ROOT / "perfbench")
 
 
 def unused_imports(source: str):
@@ -108,9 +119,35 @@ def test_checker_flags_an_unused_definition():
     assert unused_definitions(source, used) == ["SPARE", "loop", "owner", "stop"]
 
 
+def program_uses(files) -> Counter:
+    """`uses` summed over `files`, without the imports of an `__init__.py`
+    (its re-exports)."""
+    found = Counter()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "__init__.py":
+            tree.body = [node for node in tree.body if not isinstance(node, ast.ImportFrom)]
+        found += uses(tree)
+    return found
+
+
+def test_checker_counts_no_test_and_no_reexport(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    source = "def api(): pass\ndef tested(): pass\ndef helper(): pass\n"
+    (package / "mod.py").write_text(source)
+    (package / "__init__.py").write_text("from .mod import api, tested\n")
+    (package / "main.py").write_text("from .mod import helper\nhelper()\n")
+    (tmp_path / "test_mod.py").write_text("from pkg.mod import tested\ntested()\n")
+    (tmp_path / "conftest.py").write_text("from pkg import api\napi()\n")
+    files = program_files(tmp_path)
+    assert [p.name for p in files] == ["__init__.py", "main.py", "mod.py"]
+    assert unused_definitions(source, program_uses(files)) == ["api", "tested"]
+
+
 @pytest.fixture(scope="module")
 def used():
-    return sum((uses(ast.parse(p.read_text(encoding="utf-8"))) for p in USED_IN), Counter())
+    return program_uses(USED_IN)
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))

@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from zoneseq import ingest
+from zoneseq import core, ingest
 from zoneseq.core import Quality, TravelTimeMatrix, ValidationError, haversine_m
-from zoneseq.ingest import ZoneRun, collapse_to_zsgt, impute_zone, zone_runs, zsgt
-from conftest import make_route, oracle_zone_runs
+from zoneseq.ingest import impute_zone, zsgt
+from conftest import make_route, oracle_zsgt
 
 
 def write_fixture(tmp_path, routes, actuals=None, travel=None, quality=None):
@@ -237,6 +237,28 @@ def test_zone_imputation_on_load(tmp_path):
     assert ds.routes["r1"].stops["x"].zone_id == "Z1"
 
 
+def test_imputed_route_computes_its_haversine_stops_once(tmp_path, monkeypatch):
+    # 20 delivery stops and no travel times; one stop has a blank zone id
+    stops = {f"s{i:02d}": {"lat": 0.001 * i, "lng": 0.002 * i, "zone_id": f"Z{i // 5}"}
+             for i in range(20)}
+    stops["s07"]["zone_id"] = ""
+    write_fixture(tmp_path, {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": stops}})
+    calls = []
+    haversine_matrix = core.haversine_matrix
+
+    def counted(points, targets=None):
+        calls.append(len(points))
+        return haversine_matrix(points, targets)
+
+    monkeypatch.setattr(core, "haversine_matrix", counted)
+    route = ingest.load_dataset(tmp_path).routes["r1"]
+    index, cost = route.stop_cost
+    assert calls == [21]
+    assert route.stops["s07"].zone_id == "Z1"  # s06 and s08 are its nearest stops
+    expected = haversine_matrix([(route.stops[sid].lat, route.stops[sid].lng) for sid in index])
+    assert np.array_equal(cost, expected)
+
+
 def test_impute_zone_forced():
     route = make_route(stops=[("a", 0, 0.1, "Z1"), ("x", 0, 0.9, None)])
     assert impute_zone(route, route.stops["x"]) == "Z1"
@@ -283,55 +305,30 @@ def test_impute_zone_no_candidates():
 # -- zone runs and the lossy collapse ---------------------------------------
 
 
-def fig2_route():
-    """Run pattern ABCDEFGFGHIJKLE with E(2nd) = 1 stop and G(1st) >= G(2nd)."""
-    run_zones = list("ABCDEFGFGHIJKLE")
-    counts = []
-    seen = {}
-    for z in run_zones:
-        seen[z] = seen.get(z, 0) + 1
-        if z == "E":
-            counts.append(2 if seen[z] == 1 else 1)
-        elif z == "G" and seen[z] == 1:
-            counts.append(2)
-        else:
-            counts.append(1)
+def run_route(runs):
+    """A route whose actual visits the given (zone, stop count) runs in order."""
     stops, actual = [], ["depot"]
-    idx = 0
-    for z, c in zip(run_zones, counts):
-        for _ in range(c):
-            sid = f"s{idx}"
-            idx += 1
-            stops.append((sid, 0.001 * idx, 0.001 * idx, z))
+    for zone, count in runs:
+        for _ in range(count):
+            sid = f"s{len(stops)}"
+            stops.append((sid, 0.001 * len(stops), 0.001 * len(stops), zone))
             actual.append(sid)
     return make_route(stops=stops, actual=actual)
 
 
-def test_zone_runs_fig2_pattern():
-    route = fig2_route()
-    runs = zone_runs(route, route.actual)
-    assert "".join(r.zone_id for r in runs) == "ABCDEFGFGHIJKLE"
-
-
 def test_collapse_fig2_pattern():
-    route = fig2_route()
-    zs = zsgt(route)
-    assert "".join(zs.zones) == "ABCDEFGHIJKL"
+    # Run pattern ABCDEFGFGHIJKLE with E(2nd) = 1 stop and G(1st) >= G(2nd).
+    runs = [(z, 1) for z in "ABCDEFGFGHIJKLE"]
+    runs[4], runs[6] = ("E", 2), ("G", 2)
+    assert "".join(zsgt(run_route(runs)).zones) == "ABCDEFGHIJKL"
 
 
 def test_zone_runs_all_same_zone():
-    route = make_route(stops=[("a", 0, 0, "Z"), ("b", 0, 0.1, "Z")],
-                       actual=["depot", "a", "b"])
-    runs = zone_runs(route, route.actual)
-    assert len(runs) == 1 and runs[0].stop_count == 2
+    assert zsgt(run_route([("Z", 2)])).zones == ("Z",)
 
 
 def test_zone_runs_alternating():
-    route = make_route(stops=[("a", 0, 0, "A"), ("b", 0, 0.1, "B"),
-                              ("c", 0, 0.2, "A")],
-                       actual=["depot", "a", "b", "c"])
-    runs = zone_runs(route, route.actual)
-    assert [(r.zone_id, r.stop_count) for r in runs] == [("A", 1), ("B", 1), ("A", 1)]
+    assert zsgt(run_route([("A", 1), ("B", 1), ("A", 1)])).zones == ("A", "B")
 
 
 def test_zone_runs_matches_oracle_fuzz():
@@ -351,22 +348,19 @@ def test_zone_runs_matches_oracle_fuzz():
             order = [sid for sid, *_ in stops]
             rng.shuffle(order)
             route = make_route(stops=stops, actual=["depot"] + order)
-            assert zone_runs(route, route.actual) == oracle_zone_runs(route, route.actual), shape
+            assert zsgt(route) == oracle_zsgt(route), shape
 
 
 def test_collapse_no_repeats_is_identity():
-    runs = [ZoneRun("A", 2, 0), ZoneRun("B", 1, 1)]
-    assert collapse_to_zsgt("r", runs).zones == ("A", "B")
+    assert zsgt(run_route([("A", 2), ("B", 1)])).zones == ("A", "B")
 
 
 def test_collapse_keeps_max_count_run():
-    runs = [ZoneRun("A", 2, 0), ZoneRun("B", 1, 1), ZoneRun("A", 5, 2)]
-    assert collapse_to_zsgt("r", runs).zones == ("B", "A")
+    assert zsgt(run_route([("A", 2), ("B", 1), ("A", 5)])).zones == ("B", "A")
 
 
 def test_collapse_tie_keeps_earlier_run():
-    runs = [ZoneRun("A", 2, 0), ZoneRun("B", 1, 1), ZoneRun("A", 2, 2)]
-    assert collapse_to_zsgt("r", runs).zones == ("A", "B")
+    assert zsgt(run_route([("A", 2), ("B", 1), ("A", 2)])).zones == ("A", "B")
 
 
 def test_collapse_properties_fuzz():
@@ -375,12 +369,12 @@ def test_collapse_properties_fuzz():
         zones = [rng.choice("ABCDE") for _ in range(rng.randint(1, 12))]
         runs = []
         for z in zones:
-            if runs and runs[-1].zone_id == z:
+            if runs and runs[-1][0] == z:
                 continue
-            runs.append(ZoneRun(z, rng.randint(1, 4), len(runs)))
-        zs = collapse_to_zsgt("r", runs)
+            runs.append((z, rng.randint(1, 4)))
+        zs = zsgt(run_route(runs))
         assert len(set(zs.zones)) == len(zs.zones)
-        assert set(zs.zones) == {r.zone_id for r in runs}
+        assert set(zs.zones) == {z for z, _ in runs}
 
 
 def test_training_corpus_excludes_low_quality(tmp_path):

@@ -11,9 +11,15 @@ from zoneseq import ppm
 from zoneseq.cli import main
 from zoneseq.core import ValidationError, ZoneSequence
 from zoneseq.ingest import load_dataset
-from zoneseq.ppm import EMPTY_TOKEN, PpmModel, tokenize_zone, train
+from zoneseq.ppm import EMPTY_TOKEN, CompiledRoute, PpmModel, tokenize_zone, train
 from zoneseq.rollout import rollout_sequence
-from conftest import oracle_component_prob, oracle_prob, oracle_train, random_corpus
+from conftest import (
+    oracle_component_prob,
+    oracle_prob,
+    oracle_seq_reward,
+    oracle_train,
+    random_corpus,
+)
 
 
 def test_tokenize_dashed_decimal_id():
@@ -194,26 +200,12 @@ def test_prob_deterministic():
 # -- sequence reward ---------------------------------------------------------
 
 
-def test_seq_reward_single_term():
-    m = train([ZoneSequence("r", ("A", "B"))], max_order=2)
-    assert m.seq_reward(["A"]) == pytest.approx(m.prob(["stz"], "A"))
-
-
-def test_seq_reward_concatenation():
-    rng = random.Random(3)
-    m = train(random_corpus(rng))
-    seq = ["A-1.1X", "B-2.2Y", "A-0.0X"]
-    extended = seq + ["C-1.2Z"]
-    ctx = (["stz"] + seq)[-m.max_order:]
-    assert m.seq_reward(extended) == pytest.approx(
-        m.seq_reward(seq) + m.prob(ctx, "C-1.2Z")
-    )
-
-
 def test_seq_reward_toy_value(single_component_model):
     m = single_component_model
-    # hand-sum from the prob fixtures: P(A|[]) + P(B|[A]) = (2*3-1)/(2*5) + 3/4
-    assert m.seq_reward(["A", "B"], sentinel=None) == pytest.approx(0.5 + 0.75)
+    # the terms of the reward of [A, B]: P(A|[]) = (2*3-1)/(2*5) and P(B|[A]) = 3/4
+    assert m.prob([], "A") == pytest.approx(0.5)
+    assert m.prob(["A"], "B") == pytest.approx(0.75)
+    assert oracle_seq_reward(m, ["A", "B"], sentinel=None) == pytest.approx(0.5 + 0.75)
 
 
 # -- serialization -----------------------------------------------------------
@@ -349,7 +341,7 @@ def test_chain_paths_match_oracle_fuzz():
                   max_order=order, weights=weights)
         zones = {f"{c}-{rng.randint(0, 3)}.{rng.randint(0, 3)}{rng.choice('XYQ')}"
                  for c in "ABCDEFG"[:rng.randint(1, 7)]}
-        route = m.compile_route(zones)
+        route = CompiledRoute(m, zones)
         ids = route.zones + ("stz",)
         seqs = [[]] + [[rng.randrange(len(ids)) for _ in range(rng.randint(1, order + 2))]
                        for _ in range(15)]
@@ -374,8 +366,8 @@ def test_compiled_routes_share_no_route_state(tmp_path):
     path = tmp_path / "m.zppm"
     m.save(path)
     zone_sets = [["A-0.0X", "B-1.1Y", "C-2.2X", "Q-9.9Q"], ["A-1.1Y", "B-0.0X", "C-2.2Y"]]
-    shared = [m.compile_route(zones) for zones in zone_sets]
-    alone = [PpmModel.load(path).compile_route(zones) for zones in zone_sets]
+    shared = [CompiledRoute(m, zones) for zones in zone_sets]
+    alone = [CompiledRoute(PpmModel.load(path), zones) for zones in zone_sets]
     for _ in range(300):
         i = rng.randrange(len(zone_sets))
         seq = [rng.randrange(len(zone_sets[i]) + 1) for _ in range(rng.randint(0, 4))]

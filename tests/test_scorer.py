@@ -11,7 +11,13 @@ from zoneseq.scorer import (
     route_score,
     sequence_deviation,
 )
-from conftest import make_route, oracle_erp, oracle_normalized_dist, oracle_route_score
+from conftest import (
+    erp_arrays,
+    make_route,
+    oracle_erp,
+    oracle_normalized_dist,
+    oracle_route_score,
+)
 
 
 # -- sequence deviation ------------------------------------------------------
@@ -80,7 +86,7 @@ def hand_dist(x, y):
 
 
 def test_erp_identity():
-    cost, edits = erp(["a", "b"], ["a", "b"], hand_dist, "d")
+    cost, edits = erp(*erp_arrays(["a", "b"], ["a", "b"], hand_dist, "d"))
     assert cost == 0.0 and edits == 0
 
 
@@ -96,15 +102,15 @@ def test_erp_hand_filled_dp_table():
     # D[1][2] = min(0.6+d(a,a)=0.6, 1.0+0.4, 1.0+0.4)  = 0.6
     # D[2][1] = min(0.4+d(b,b)=0.4, 1.0+0.6, 1.0+0.6)  = 0.4
     # D[2][2] = min(1.0+0.2, 0.6+0.6, 0.4+0.4)         = 0.8
-    cost, edits = erp(["a", "b"], ["b", "a"], hand_dist, "d")
+    cost, edits = erp(*erp_arrays(["a", "b"], ["b", "a"], hand_dist, "d"))
     assert cost == pytest.approx(0.8)
     # optimal path: gap(a) 0.4 -> match(b,b) 0.0 -> gap(a) 0.4: two costed ops
     assert edits == 2
 
 
 def test_erp_asymmetric_matrix_no_crash():
-    cost_ab, _ = erp(["a", "b"], ["b", "a"], hand_dist, "d")
-    cost_ba, _ = erp(["b", "a"], ["a", "b"], hand_dist, "d")
+    cost_ab, _ = erp(*erp_arrays(["a", "b"], ["b", "a"], hand_dist, "d"))
+    cost_ba, _ = erp(*erp_arrays(["b", "a"], ["a", "b"], hand_dist, "d"))
     assert cost_ab >= 0 and cost_ba >= 0
 
 
@@ -130,7 +136,7 @@ def test_erp_matches_recursive_oracle():
 
     for A, B in [(("a", "b"), ("b", "a")), (("a", "b"), ("a", "b")),
                  (("b", "a"), ("a", "b"))]:
-        cost, _ = erp(list(A), list(B), hand_dist, "d")
+        cost, _ = erp(*erp_arrays(list(A), list(B), hand_dist, "d"))
         assert cost == pytest.approx(oracle(A, B))
 
 
@@ -153,7 +159,7 @@ def test_erp_matches_loop_oracle_fuzz():
         actual = rng.sample(ids[1:], n)
         submitted = rng.sample(ids[1:], m)
         dist = lambda a, b: costs[a][b]
-        assert erp(actual, submitted, dist, "g") == oracle_erp(
+        assert erp(*erp_arrays(actual, submitted, dist, "g")) == oracle_erp(
             actual, submitted, dist, "g"
         ), (case, n, m)
     assert unequal >= 900
@@ -205,7 +211,7 @@ def test_route_score_composes_components():
     rs = route_score(route, submitted)
     sd = sequence_deviation(["a", "b"], ["b", "a"])
     dist = oracle_normalized_dist(route)
-    cost, edits = erp(["a", "b"], ["b", "a"], dist, "depot")
+    cost, edits = erp(*erp_arrays(["a", "b"], ["b", "a"], dist, "depot"))
     assert rs.score == pytest.approx(sd * cost / edits)
 
 

@@ -3,7 +3,7 @@ import pytest
 from zoneseq import ingest, ppm, synth
 from zoneseq.core import ValidationError
 from zoneseq.synth import SynthConfig, generate
-from conftest import zone_templates
+from conftest import oracle_seq_reward, zone_templates
 
 
 SMALL = dict(n_train_routes=15, n_eval_routes=4, zones_per_route=(4, 6),
@@ -72,4 +72,4 @@ def test_strong_pattern_learnable():
     model = ppm.train(ingest.training_corpus(train))
     for template in zone_templates(cfg):
         order = template[:cfg.zones_per_route[0]]
-        assert model.seq_reward(order) > model.seq_reward(order[::-1])
+        assert oracle_seq_reward(model, order) > oracle_seq_reward(model, order[::-1])

@@ -377,8 +377,11 @@ def test_sequence_stops_permutation_fuzz():
 
 def test_sequence_stops_missing_zone_errors():
     route = three_zone_route()
-    with pytest.raises(ValidationError, match="ZC"):
+    with pytest.raises(ValidationError, match=r"route r1: zone order missing zones \['ZC'\]"):
         sequence_stops(route, ZoneSequence("r1", ("ZA", "ZB")))
+    with pytest.raises(ValidationError,
+                       match=r"route r1: zone order has zones not in the route \['ZD'\]"):
+        sequence_stops(route, ZoneSequence("r1", ("ZA", "ZB", "ZC", "ZD")))
 
 
 # -- TSPLIB adapter ----------------------------------------------------------
