@@ -130,26 +130,32 @@ def _load_settings(args) -> dict:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    settings = _load_settings(args)
-    dataset = ingest.load_dataset(args.dataset)
-    corpus = ingest.training_corpus(dataset, include_low=args.include_low)
+def _train(dataset, model_path, settings, include_low):
+    """Train on `dataset`'s ZSgt corpus and save the model: (model, corpus size, seconds)."""
+    corpus = ingest.training_corpus(dataset, include_low=include_low)
     if not corpus:
         raise ValidationError("dataset has no routes with actual sequences to train on")
     t0 = time.perf_counter()
     model = ppm.train(corpus, max_order=settings["order"], weights=settings["weights"])
     elapsed = time.perf_counter() - t0
-    model.save(args.model)
-    print(f"trained on {len(corpus)} zone sequences in {elapsed:.2f}s -> {args.model}")
+    model.save(model_path)
+    return model, len(corpus), elapsed
+
+
+def cmd_train(args) -> int:
+    settings = _load_settings(args)
+    dataset = ingest.load_dataset(args.dataset)
+    _, n, elapsed = _train(dataset, args.model, settings, args.include_low)
+    print(f"trained on {n} zone sequences in {elapsed:.2f}s -> {args.model}")
     return EXIT_OK
 
 
 def _rollout_zone_order(model):
-    return lambda route: rollout.rollout_sequence(model, route.route_id, route.zones())
+    return lambda route: rollout.rollout_sequence(model, route.route_id, list(route.zone_stops))
 
 
 def _alphabetical_zone_order(route) -> ZoneSequence:
-    return ZoneSequence(route_id=route.route_id, zones=tuple(sorted(route.zones())))
+    return ZoneSequence(route_id=route.route_id, zones=tuple(route.zone_stops))
 
 
 def _sequence_route(
@@ -347,9 +353,7 @@ def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, fl
     out_dir = Path(out_dir)
     train_ds = ingest.load_dataset(dataset_dir / "train")
     eval_ds = ingest.load_dataset(dataset_dir / "eval")
-    corpus = ingest.training_corpus(train_ds, include_low=include_low)
-    model = ppm.train(corpus, max_order=settings["order"], weights=settings["weights"])
-    model.save(out_dir / "model.zppm")
+    model, _, _ = _train(train_ds, out_dir / "model.zppm", settings, include_low)
 
     zone_orders = {
         "method": _rollout_zone_order(model),

@@ -11,11 +11,12 @@ import json
 import math
 import os
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,20 +39,13 @@ class Quality(Enum):
     LOW = "Low"
 
 
-@dataclass(frozen=True)
-class Stop:
+class Stop(NamedTuple):
     """A delivery location (or the depot) with WGS84 coordinates."""
 
     id: str
     lat: float
     lng: float
     zone_id: Optional[str] = None
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValidationError(f"stop {self.id}: lat {self.lat} out of [-90, 90]")
-        if not -180.0 <= self.lng <= 180.0:
-            raise ValidationError(f"stop {self.id}: lng {self.lng} out of [-180, 180]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +127,9 @@ class Route:
     """A set of stops plus optional travel-time matrix and actual sequence.
 
     The depot is the stop under DEPOT_STOP_ID; every other stop is a
-    delivery stop.
+    delivery stop. A delivery stop without a zone id takes the zone of the
+    nearest delivery stop given with one, by `stop_cost` (the smaller stop
+    id on a tie).
     """
 
     route_id: str
@@ -148,6 +144,10 @@ class Route:
         for sid, stop in self.stops.items():
             if sid != stop.id:
                 raise ValidationError(f"route {self.route_id}: key {sid} != stop id {stop.id}")
+            if not -90.0 <= stop.lat <= 90.0:
+                raise ValidationError(f"stop {sid}: lat {stop.lat} out of [-90, 90]")
+            if not -180.0 <= stop.lng <= 180.0:
+                raise ValidationError(f"stop {sid}: lng {stop.lng} out of [-180, 180]")
         if self.actual is not None:
             if set(self.actual.ids) != set(self.stops):
                 raise ValidationError(
@@ -162,6 +162,21 @@ class Route:
                 raise ValidationError(
                     f"route {self.route_id}: travel time matrix ids do not match stops"
                 )
+        missing = [s.id for s in self.delivery_stops() if not s.zone_id]
+        if missing:
+            zoned = sorted((s for s in self.delivery_stops() if s.zone_id), key=lambda s: s.id)
+            if not zoned:
+                raise ValidationError(
+                    f"route {self.route_id}: no zoned stop available to impute {missing[0]}"
+                )
+            # argmin takes the first of equal costs: the smaller stop id.
+            index, cost = self.stop_cost  # cached, and it reads no zone id
+            nearest = cost[np.ix_([index[sid] for sid in missing],
+                                  [index[s.id] for s in zoned])].argmin(axis=1)
+            stops = dict(self.stops)
+            for sid, j in zip(missing, nearest.tolist()):
+                stops[sid] = stops[sid]._replace(zone_id=zoned[j].zone_id)
+            object.__setattr__(self, "stops", stops)
 
     @property
     def depot(self) -> Stop:
@@ -170,17 +185,12 @@ class Route:
     def delivery_stops(self) -> List[Stop]:
         return [s for sid, s in self.stops.items() if sid != DEPOT_STOP_ID]
 
-    def zones(self) -> List[str]:
-        """Distinct zone ids of the delivery stops, sorted for determinism."""
-        return list(self.zone_stops)
-
     @cached_property
     def zone_stops(self) -> Dict[str, Tuple[str, ...]]:
         """Zone id -> the sorted ids of its delivery stops, in sorted zone order."""
         by_zone: Dict[str, List[str]] = {}
         for stop in sorted(self.delivery_stops(), key=lambda s: s.id):
-            if stop.zone_id:
-                by_zone.setdefault(stop.zone_id, []).append(stop.id)
+            by_zone.setdefault(stop.zone_id, []).append(stop.id)
         return {z: tuple(by_zone[z]) for z in sorted(by_zone)}
 
     @cached_property
@@ -222,10 +232,8 @@ def representative_node(stops) -> Tuple[float, float]:
     stops = list(stops)
     if not stops:
         raise ValidationError("cannot take the median of an empty zone")
-    return (
-        statistics.median(s.lat for s in stops),
-        statistics.median(s.lng for s in stops),
-    )
+    _, lats, lngs, _ = zip(*stops)
+    return statistics.median(lats), statistics.median(lngs)
 
 
 def haversine_m(a: Tuple[float, float], b: Tuple[float, float]) -> float:
@@ -269,15 +277,25 @@ def haversine_matrix(points, targets=None) -> np.ndarray:
 def read_json(path, what: str) -> dict:
     """The JSON object in the file at `path`, called `what` in errors.
 
-    Malformed JSON, bytes that are not UTF-8, nesting too deep to decode and
-    a top level that is not an object are ValidationErrors naming the file;
-    a file that cannot be read raises OSError.
+    Malformed JSON, bytes that are not UTF-8, nesting too deep to decode, a
+    key twice in one object and a top level that is not an object are
+    ValidationErrors naming the file; a file that cannot be read raises OSError.
     """
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise ValidationError(f"{what} {path} has the key {key!r} twice")
+        return obj
+
     with open(path, "r", encoding="utf-8") as f:
         try:
-            raw = json.load(f)
+            raw = json.load(f, object_pairs_hook=unique_keys)
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
+        except ValidationError:  # unique_keys found a key twice
+            raise
         except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
         except RecursionError:

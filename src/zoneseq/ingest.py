@@ -1,4 +1,4 @@
-"""Dataset loading, zone-id repair and ground-truth zone sequence extraction.
+"""Dataset loading and writing, and ground-truth zone sequence extraction.
 
 Directory layout (JSON, UTF-8), field-compatible with the public Challenge
 datasets:
@@ -10,13 +10,14 @@ datasets:
   travel_times.json      route_id -> {from_id: {to_id: seconds}}, optional.
   quality.json           route_id -> "High"|"Medium"|"Low", optional.
 
-The depot is stored under the reserved stop id "depot".
+The depot is stored under the reserved stop id "depot". A stop's missing
+zone id is imputed by `core.Route` itself, when the route is built.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -48,33 +49,22 @@ class Dataset:
     routes: Dict[str, Route]
 
 
-def impute_zone(route: Route, stop: Stop) -> str:
-    """Zone id of the nearest zoned delivery stop; ties go to the smaller stop id."""
-    candidates = [
-        s for s in route.delivery_stops() if s.zone_id and s.id != stop.id
-    ]
-    if not candidates:
-        raise ValidationError(
-            f"route {route.route_id}: no zoned stop available to impute {stop.id}"
-        )
-    index, cost = route.stop_cost
-    costs = cost[index[stop.id], [index[s.id] for s in candidates]]
-    _, best = min(zip(costs.tolist(), candidates), key=lambda cs: (cs[0], cs[1].id))
-    return best.zone_id
-
-
 def load_dataset(dir_path) -> Dataset:
     """Load and fully validate a dataset directory.
 
-    Every delivery stop with a missing zone id is imputed from its nearest
-    zoned neighbour before validation completes.
+    Every route id of an optional file must be in routes.json.
     """
     dir_path = Path(dir_path)
     raw_routes = read_json(dir_path / "routes.json", "dataset file")
-    actuals, matrices, qualities = (
+    optional = [
         read_json(dir_path / name, "dataset file") if (dir_path / name).exists() else {}
         for name in OPTIONAL_FILES
-    )
+    ]
+    for name, raw in zip(OPTIONAL_FILES, optional):
+        unknown = sorted(raw.keys() - raw_routes.keys())
+        if unknown:
+            raise ValidationError(f"dataset file {dir_path / name} has unknown route {unknown[0]}")
+    actuals, matrices, qualities = optional
 
     routes: Dict[str, Route] = {}
     for route_id, body in raw_routes.items():
@@ -88,7 +78,7 @@ def load_dataset(dir_path) -> Dataset:
             )
         except ValidationError as exc:
             prefix = f"route {route_id}: "
-            if str(exc).startswith(prefix):  # Route and impute_zone name it already
+            if str(exc).startswith(prefix):  # Route names it already
                 raise
             raise ValidationError(prefix + str(exc)) from None
     return Dataset(routes=routes)
@@ -186,33 +176,20 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
             raise ValidationError(
                 "travel time matrix has a malformed or non-numeric entry"
             ) from None
+        for a in ids:
+            if len(matrix_raw[a]) > len(ids):  # it holds every id, so a key more
+                extra = sorted(set(matrix_raw[a]).difference(ids, stops))
+                if extra:
+                    raise ValidationError(f"travel time row {a!r} has a non-stop key {extra[0]!r}")
         matrix = TravelTimeMatrix(ids=ids, t=t.reshape(len(ids), len(ids)))
 
-    quality = _quality(quality_raw)
-
-    # Build once without imputation to get a valid Route to measure from,
-    # then repair any missing zone ids.
-    route = Route(
+    return Route(
         route_id=route_id,
         stops=stops,
         travel_times=matrix,
         actual=actual,
-        quality=quality,
+        quality=_quality(quality_raw),
     )
-
-    missing = [s for s in route.delivery_stops() if not s.zone_id]
-    if missing:
-        # Each stop is imputed against the unrepaired route: a stop repaired
-        # first must not become a candidate for the next.
-        repaired = dict(stops)
-        for stop in missing:
-            repaired[stop.id] = replace(stop, zone_id=impute_zone(route, stop))
-        stop_cost = route.stop_cost
-        route = replace(route, stops=repaired)
-        # The stop costs read no zone id, so the repaired route keeps the
-        # ones imputation built rather than computing them again.
-        object.__setattr__(route, "stop_cost", stop_cost)
-    return route
 
 
 def write_dataset(dataset: Dataset, dir_path) -> None:

@@ -327,7 +327,7 @@ def sequence_stops(
     Solves one augmented ATSP per zone, threading each zone's last stop
     into the next instance as its fixed start.
     """
-    route_zones, ordered_zones = set(route.zones()), set(zone_order.zones)
+    route_zones, ordered_zones = set(route.zone_stops), set(zone_order.zones)
     missing, unknown = route_zones - ordered_zones, ordered_zones - route_zones
     if missing:
         raise ValidationError(

@@ -162,7 +162,7 @@ def test_criterion_6_throughput():
     route = next(iter(eval_ds.routes.values()))
     assert len(route.stops) >= 180
     t0 = time.perf_counter()
-    zorder = rollout_sequence(model, route.route_id, route.zones())
+    zorder = rollout_sequence(model, route.route_id, list(route.zone_stops))
     tsp.sequence_stops(route, zorder)
     seq_elapsed = time.perf_counter() - t0
 
@@ -200,7 +200,7 @@ def test_criterion_8_challenge_dataset_conditional(tmp_path):
         route = dataset.routes[rid]
         if route.actual is None:
             continue
-        zorder = rollout_sequence(model, rid, route.zones())
+        zorder = rollout_sequence(model, rid, list(route.zone_stops))
         submissions[rid] = tsp.sequence_stops(route, zorder)
     rep = scorer.dataset_score(dataset, submissions)
     report(8, "challenge self-evaluation", rep.mean_score <= 0.06,

@@ -451,6 +451,21 @@ def _one_route_dataset(path):
     return path
 
 
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_train_and_bench_reject_a_split_without_actuals_alike(tmp_path, capsys, command):
+    data, out = tmp_path / "data", tmp_path / "out"
+    _one_route_dataset(data / "train")
+    (data / "train" / "actual_sequences.json").unlink()
+    _one_route_dataset(data / "eval")
+    argv = {"train": ["train", "--dataset", str(data / "train"), "--model", str(out)],
+            "bench": ["bench", "--dataset", str(data), "--out", str(out)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "validation error: dataset has no routes with actual sequences to train on\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, env, config, message", [
     ("train", {"ZSEQ_ORDER": "abc"}, None, "order must be an integer, got 'abc'"),
     ("train", {"ZSEQ_ORDER": "70000"}, None, "order must be in 1..65535, got 70000"),
@@ -683,6 +698,7 @@ BAD_JSON = {
     "not-utf8": b"\xff\xfe{}",
     "too-deep": b"[" * 100_000 + b"]" * 100_000,
     "not-an-object": b"[]",
+    "duplicate-key": b'{"r1": {"a": 1, "b": 2, "a": 3}}',
     "missing": None,
 }
 
@@ -711,6 +727,8 @@ def test_bad_input_file_exits_naming_it(tmp_path, capsys, kind, code, defect):
     err = capsys.readouterr().err
     assert err.startswith({1: "validation error: ", 2: "I/O error: ", 3: "config error: "}[code])
     assert str(bad) in err and "Traceback" not in err
+    if defect == "duplicate-key":
+        assert err.endswith(f"{bad} has the key 'a' twice\n")
     assert not out.exists()
 
 

@@ -66,10 +66,10 @@ def test_distance_unknown_stop_names_id():
 
 
 def test_coordinates_validated():
-    with pytest.raises(ValidationError):
-        Stop("s", 91.0, 0.0)
-    with pytest.raises(ValidationError):
-        Stop("s", 0.0, -181.0)
+    with pytest.raises(ValidationError, match=r"^stop s: lat 91.0 out of \[-90, 90\]$"):
+        make_route(stops=[("s", 91.0, 0.0, "Z")])
+    with pytest.raises(ValidationError, match=r"^stop depot: lng -181.0 out of \[-180, 180\]$"):
+        make_route(stops=[("s", 0.0, 0.0, "Z")], depot=(0.0, -181.0))
 
 
 def test_route_requires_the_depot_id():
@@ -82,7 +82,6 @@ def test_depot_with_a_zone_is_neither_a_delivery_stop_nor_a_zone():
     stops = {"depot": Stop("depot", 0, 0, zone_id="X"), "a": Stop("a", 1, 1, zone_id="Y")}
     route = Route(route_id="r1", stops=stops, actual=StopSequence("r1", ("depot", "a")))
     assert [s.id for s in route.delivery_stops()] == ["a"]
-    assert route.zones() == ["Y"]
     assert route.zone_stops == {"Y": ("a",)}
     assert zsgt(route).zones == ("Y",)
 
@@ -147,7 +146,7 @@ def test_geometry_layout_and_medians():
         geometry = route.geometry
         assert route.geometry is geometry  # computed once
         assert route.zone_stops == {"X": ("c",), "Y": ("a", "b", "d")}
-        assert route.zones() == ["X", "Y"]
+        assert list(route.zone_stops) == ["X", "Y"]
         index, _ = route.stop_cost
         assert sorted(index.values()) == list(range(5))
         assert geometry.shape == (7, 7)

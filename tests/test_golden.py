@@ -8,10 +8,11 @@ these bytes must update the constants and say why in CHANGES.md.
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
-from zoneseq import rollout, tsp
+from zoneseq import ingest, rollout, tsp
 from zoneseq.cli import main
 
 CONFIG = {
@@ -119,3 +120,82 @@ def test_pipeline_work_counters_match_golden(tmp_path, monkeypatch):
     monkeypatch.setattr(tsp, "solve_atsp", counted(tsp.solve_atsp))
     _run_pipeline(tmp_path, with_travel_times=True)
     assert totals == WORK
+
+
+def _run_blanked_pipeline(tmp_path, with_travel_times):
+    """A synth dataset with ~30% of its zone ids blanked (null or ""), loaded
+    and written back, then trained on, sequenced and evaluated.
+
+    The zone ids of the written dataset are the imputed ones. The clusters
+    are wide enough to overlap, so that a blank stop's nearest zoned stop is
+    often in another zone, and the travel times are rounded to whole minutes,
+    so that they make ties and rank stops unlike haversine.
+    """
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(dict(CONFIG, with_travel_times=with_travel_times,
+                                   cluster_sigma_deg=0.02)))
+    assert main(["synth", "--synth-config", str(cfg), "--out", str(tmp_path / "raw")]) == 0
+    rng = random.Random(30)
+    for split in ("train", "eval"):
+        raw = tmp_path / "raw" / split
+        routes = json.loads((raw / "routes.json").read_text())
+        for rid in sorted(routes):
+            for sid in sorted(routes[rid]["stops"]):
+                if rng.random() < 0.3:
+                    routes[rid]["stops"][sid]["zone_id"] = rng.choice([None, ""])
+        (raw / "routes.json").write_text(json.dumps(routes))
+        if with_travel_times:
+            times = json.loads((raw / "travel_times.json").read_text())
+            for rows in times.values():
+                for row in rows.values():
+                    row.update((to, 60 * round(t / 60)) for to, t in row.items())
+            (raw / "travel_times.json").write_text(json.dumps(times))
+        ingest.write_dataset(ingest.load_dataset(raw), tmp_path / "data" / split)
+    data, model = tmp_path / "data", tmp_path / "model.zppm"
+    sub, rep = tmp_path / "submission.json", tmp_path / "report.json"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    assert main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                 "--out", str(sub)]) == 0
+    assert main(["evaluate", "--dataset", str(data / "eval"), "--submission", str(sub),
+                 "--out", str(rep)]) == 0
+    return {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("data/train/routes.json", "data/eval/routes.json", "model.zppm",
+                     "submission.json", "report.json")
+    }
+
+
+# The digests of _run_blanked_pipeline, recorded when the zone imputation
+# lived in `ingest`: a change to the imputation rule changes them.
+BLANKED = {
+    True: {
+        "data/train/routes.json":
+            "b5a4f1beba5d461ab64e45aa6d6fcea367baf00396b4c47d19bb342a1eb9c634",
+        "data/eval/routes.json":
+            "3751428e89c21bbd8c9cd3776e804ddfdadac9718fb8298ee959c976778c442b",
+        "model.zppm":
+            "7730b2733022efdd93e533de380381ef68bc29fa3152796944262b107c4384dd",
+        "submission.json":
+            "b25ec2abdaf0036859a5da0d13bc3f024897233f7766a4e7d37e95664184053f",
+        "report.json":
+            "b45f665954ce6bc25f2c12161443adc038cbfcdf07e53fc1dc12fd14f062e5ea",
+    },
+    False: {
+        "data/train/routes.json":
+            "558a71ec6d3fd679495eb8ee3fd45ee5a223f02c649fd99dabcf18e220cca8df",
+        "data/eval/routes.json":
+            "e18500796c818680a28c8f7f6a2bbd17b1a3336cf7a36dd93bbc4baa9c4b2967",
+        "model.zppm":
+            "7730b2733022efdd93e533de380381ef68bc29fa3152796944262b107c4384dd",
+        "submission.json":
+            "8018a9844c99bbf72daca02a5d1205ae8b0b5849a704fe4148ac8ed928241eef",
+        "report.json":
+            "3cda1baf15a4bb63cc9b4ef6914ecdd6ab48c747ecdcdcf36dbe9d1fc2db1455",
+    },
+}
+
+
+@pytest.mark.parametrize("with_travel_times", [True, False],
+                         ids=["travel-times", "haversine"])
+def test_imputed_zone_bytes_match_golden_digests(tmp_path, with_travel_times):
+    assert _run_blanked_pipeline(tmp_path, with_travel_times) == BLANKED[with_travel_times]

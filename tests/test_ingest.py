@@ -6,7 +6,7 @@ import pytest
 
 from zoneseq import core, ingest
 from zoneseq.core import Quality, TravelTimeMatrix, ValidationError, haversine_m
-from zoneseq.ingest import impute_zone, zsgt
+from zoneseq.ingest import zsgt
 from conftest import make_route, oracle_zsgt
 
 
@@ -196,6 +196,49 @@ def test_loaded_travel_times_are_a_read_only_array(tmp_path):
     assert not matrix.t.flags.writeable
 
 
+def test_travel_time_row_with_a_key_that_is_not_a_stop_names_route_row_and_key(tmp_path):
+    matrix = _r1_matrix()
+    matrix["b"].update(zzz_not_a_stop=5.0, yyy=1.0)
+    write_fixture(tmp_path, TWO_ROUTES, travel={"r1": matrix})
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == "route r1: travel time row 'b' has a non-stop key 'yyy'"
+
+
+def test_travel_time_row_keys_that_are_stops_without_a_row_are_a_mismatch(tmp_path):
+    matrix = _r1_matrix()
+    del matrix["b"]
+    write_fixture(tmp_path, TWO_ROUTES, travel={"r1": matrix})
+    with pytest.raises(ValidationError, match="route r1: travel time matrix ids do not match"):
+        ingest.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", ("routes.json",) + ingest.OPTIONAL_FILES)
+def test_duplicate_key_in_a_dataset_file_names_file_and_key(tmp_path, name):
+    write_fixture(tmp_path, TWO_ROUTES, actuals={"r1": {"depot": 0, "a": 1, "b": 2}},
+                  travel={"r1": _r1_matrix()}, quality={"r1": "High"})
+    path = tmp_path / name
+    path.write_text(path.read_text().replace("{", '{"r1": 0, ', 1))
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == f"dataset file {path} has the key 'r1' twice"
+
+
+@pytest.mark.parametrize("name", ingest.OPTIONAL_FILES)
+def test_route_id_only_an_optional_file_holds_names_file_and_id(tmp_path, name):
+    files = {"actual_sequences.json": {"r1": {"depot": 0, "a": 1, "b": 2}},
+             "travel_times.json": {"r1": _r1_matrix()},
+             "quality.json": {"r1": "High"}}
+    files[name].update({"r9": files[name]["r1"], "r7": files[name]["r1"]})
+    write_fixture(tmp_path, TWO_ROUTES, actuals=files["actual_sequences.json"],
+                  travel=files["travel_times.json"], quality=files["quality.json"])
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == (
+        f"dataset file {tmp_path / name} has unknown route r7"
+    )
+
+
 @pytest.mark.parametrize("zone", [5, 0, ["Z1"]], ids=["int", "zero", "list"])
 def test_non_string_zone_id_names_route_stop_and_field(tmp_path, zone):
     routes = json.loads(json.dumps(TWO_ROUTES))
@@ -261,45 +304,70 @@ def test_imputed_route_computes_its_haversine_stops_once(tmp_path, monkeypatch):
 
 def test_impute_zone_forced():
     route = make_route(stops=[("a", 0, 0.1, "Z1"), ("x", 0, 0.9, None)])
-    assert impute_zone(route, route.stops["x"]) == "Z1"
+    assert route.stops["x"].zone_id == "Z1"
 
 
 def test_impute_zone_tie_breaks_on_stop_id():
     # two equidistant candidates with zones "A" (stop a1) and "B" (stop b1)
     route = make_route(stops=[("a1", 0, 1.0, "A"), ("b1", 0, -1.0, "B"),
                               ("x", 0, 0.0, None)])
-    assert impute_zone(route, route.stops["x"]) == "A"
+    assert route.stops["x"].zone_id == "A"
 
 
 def test_impute_zone_brute_force_nearest():
-    # with and without travel times; small integer times make ties that the
-    # stop id breaks
+    # with and without travel times, and one to three zoneless stops ("" or
+    # None); small integer times make ties that the stop id breaks. Each
+    # zoneless stop takes its zone from the stops as given, so never from
+    # another zoneless one, even when that one is nearer.
     rng = random.Random(11)
-    for with_times in (False, True) * 10:
+    for with_times in (False, True) * 20:
         stops = [(f"s{i}", rng.uniform(-1, 1), rng.uniform(-1, 1), f"Z{i}")
                  for i in range(rng.randint(1, 6))]
-        stops.append(("x", rng.uniform(-1, 1), rng.uniform(-1, 1), None))
+        zoneless = [f"x{i}" for i in range(rng.randint(1, 3))]
+        stops += [(sid, rng.uniform(-1, 1), rng.uniform(-1, 1), rng.choice([None, ""]))
+                  for sid in zoneless]
+        rng.shuffle(stops)
         times = None
         if with_times:
             ids = ["depot"] + [s[0] for s in stops]
             times = {a: {b: 0 if a == b else rng.randint(1, 4) for b in ids} for a in ids}
+        coords = {sid: (lat, lng) for sid, lat, lng, _ in stops}
+        zoned = [(sid, zone) for sid, _, _, zone in stops if zone]
         route = make_route(stops=stops, travel_times=times)
-        x = route.stops["x"]
+        for x in zoneless:
 
-        def cost(s):
-            if with_times:
-                return times["x"][s.id]
-            return haversine_m((x.lat, x.lng), (s.lat, s.lng))
+            def cost(sid):
+                if with_times:
+                    return times[x][sid]
+                return haversine_m(coords[x], coords[sid])
 
-        best = min((s for s in route.delivery_stops() if s.zone_id),
-                   key=lambda s: (cost(s), s.id))
-        assert impute_zone(route, x) == best.zone_id
+            _, zone = min(zoned, key=lambda sz: (cost(sz[0]), sz[0]))
+            assert route.stops[x].zone_id == zone
 
 
 def test_impute_zone_no_candidates():
-    route = make_route(stops=[("x", 0, 0, None)])
-    with pytest.raises(ValidationError, match="impute"):
-        impute_zone(route, route.stops["x"])
+    with pytest.raises(ValidationError, match="route r1: no zoned stop available to impute x"):
+        make_route(stops=[("x", 0, 0, None)])
+
+
+def test_loading_blank_zones_builds_each_route_once(tmp_path, monkeypatch):
+    routes = {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {
+        "a": {"lat": 0.0, "lng": 0.1, "zone_id": "Z1"},
+        "x": {"lat": 0.0, "lng": 0.12, "zone_id": None},
+        "y": {"lat": 0.0, "lng": 0.13, "zone_id": ""},
+    }}}
+    write_fixture(tmp_path, routes)
+    calls = []
+    post_init = core.Route.__post_init__
+
+    def counted(route):
+        calls.append(route.route_id)
+        post_init(route)
+
+    monkeypatch.setattr(core.Route, "__post_init__", counted)
+    route = ingest.load_dataset(tmp_path).routes["r1"]
+    assert calls == ["r1"]
+    assert route.stops["x"].zone_id == route.stops["y"].zone_id == "Z1"
 
 
 # -- zone runs and the lossy collapse ---------------------------------------

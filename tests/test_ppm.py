@@ -269,7 +269,7 @@ def test_model_file_byte_flips_and_truncations_load_or_name_the_file(tmp_path):
     assert main(["synth", "--synth-config", str(cfg), "--out", str(data)]) == 0
     assert main(["train", "--dataset", str(data / "train"), "--model", str(good)]) == 0
     eval_routes = load_dataset(data / "eval").routes
-    zones = eval_routes[min(eval_routes)].zones()
+    zones = list(eval_routes[min(eval_routes)].zone_stops)
     raw = good.read_bytes()
     rng = random.Random(13)
     mutants = []
