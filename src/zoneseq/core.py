@@ -12,7 +12,7 @@ import math
 import os
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -58,7 +58,6 @@ class TravelTimeMatrix:
 
     ids: Tuple[str, ...]
     t: np.ndarray
-    index: Dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.ids)
@@ -86,7 +85,6 @@ class TravelTimeMatrix:
             raise ValidationError(f"nonzero diagonal at {self.ids[i]}")
         t.setflags(write=False)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.ids)})
 
     def __eq__(self, other):
         if not isinstance(other, TravelTimeMatrix):
@@ -201,10 +199,11 @@ class Route:
         meters over the stops in `stops` order when the route has none.
         """
         if self.travel_times is not None:
-            return self.travel_times.index, self.travel_times.t
-        ids = tuple(self.stops)
-        cost = haversine_matrix([(self.stops[sid].lat, self.stops[sid].lng) for sid in ids])
-        cost.setflags(write=False)
+            ids, cost = self.travel_times.ids, self.travel_times.t
+        else:
+            ids = tuple(self.stops)
+            cost = haversine_matrix([(self.stops[sid].lat, self.stops[sid].lng) for sid in ids])
+            cost.setflags(write=False)
         return {sid: i for i, sid in enumerate(ids)}, cost
 
     @cached_property

@@ -76,7 +76,9 @@ class PpmModel:
     """Trained counts for the four component models plus blend weights.
 
     ``counts[k]`` maps a context tuple (length 0..max_order) to the
-    successor-count dict for component k. Immutable by convention once
+    successor-count dict for component k; every count is a positive int.
+    ``vocab[k]`` holds every token in component k's contexts and tables,
+    the vocabulary below order 0. Immutable by convention once
     training returns, as suffixes and escape chains are memoised; safe for
     concurrent readers.
     """
@@ -84,13 +86,25 @@ class PpmModel:
     max_order: int
     weights: Tuple[float, float, float, float]
     counts: List[Dict[Context, Dict[str, int]]]
-    vocab: List[set]
+    vocab: List[set] = field(init=False, compare=False)
     _suffixes: List[Dict[Context, Context]] = field(init=False, repr=False, compare=False)
     _chains: List[Dict[Context, Chain]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_order(self.max_order)
         check_weights(self.weights)
+        if len(self.counts) != N_COMPONENTS:
+            raise ValidationError(f"expected {N_COMPONENTS} count tables, got {len(self.counts)}")
+        for k, tables in enumerate(self.counts):
+            for ctx, table in tables.items():
+                for token, count in table.items():
+                    # PPM-D divides by a table's total and counts its entries
+                    if type(count) is not int or count < 1:
+                        what = "a zero" if count == 0 else f"a non-positive-integer {count!r}"
+                        raise ValidationError(
+                            f"component {k} context {ctx!r} has {what} count for {token!r}"
+                        )
+        self.vocab = [set().union(*tables, *tables.values()) for tables in self.counts]
         self._suffixes = [{} for _ in range(N_COMPONENTS)]
         self._chains = [{} for _ in range(N_COMPONENTS)]
 
@@ -215,12 +229,10 @@ class PpmModel:
             weights = struct.unpack_from("<4d", buf, off)
             off += 32
             counts: List[Dict[Context, Dict[str, int]]] = []
-            vocab: List[set] = []
             for k in range(N_COMPONENTS):
                 (n_triples,) = struct.unpack_from("<I", buf, off)
                 off += 4
                 tables: Dict[Context, Dict[str, int]] = {}
-                voc = set()
                 for _ in range(n_triples):
                     (ctx_len,) = struct.unpack_from("<H", buf, off)
                     off += 2
@@ -232,21 +244,14 @@ class PpmModel:
                         off += 2 + tlen
                     (count,) = struct.unpack_from("<Q", buf, off)
                     off += 8
-                    ctx, token = tuple(toks[:-1]), toks[-1]
-                    if not count:  # PPM-D divides by a table's total and counts its entries
-                        raise ValidationError(
-                            f"{path}: component {k} context {ctx!r} has a zero count for {token!r}"
-                        )
-                    tables.setdefault(ctx, {})[token] = count
-                    voc.update(toks)
+                    tables.setdefault(tuple(toks[:-1]), {})[toks[-1]] = count
                 counts.append(tables)
-                vocab.append(voc)
         except (struct.error, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: truncated or corrupt model file ({exc})") from exc
         if off != len(buf):
             raise ValidationError(f"{path}: {len(buf) - off} trailing bytes after the model")
         try:
-            return cls(max_order=max_order, weights=weights, counts=counts, vocab=vocab)
+            return cls(max_order=max_order, weights=weights, counts=counts)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
 
@@ -377,10 +382,8 @@ def train(
     width = min(max_order, max(map(len, sequences)) - 1)
     pad = (None,) * width
     windows = [Counter() for _ in range(N_COMPONENTS)]
-    vocab: List[set] = [set() for _ in range(N_COMPONENTS)]
     for zones in sequences:
         for k, stream in enumerate(zip(*map(tokenize_zone, zones))):
-            vocab[k].update(stream)
             padded = pad + stream
             windows[k].update(zip(*(padded[start + j:] for j in range(width + 1))))
     counts: List[Dict[Context, Dict[str, int]]] = [{} for _ in range(N_COMPONENTS)]
@@ -390,4 +393,4 @@ def train(
             for order in range(width - window.count(None) + 1):
                 table = tables.setdefault(window[width - order:width], {})
                 table[target] = table.get(target, 0) + n
-    return PpmModel(max_order=max_order, weights=tuple(weights), counts=counts, vocab=vocab)
+    return PpmModel(max_order=max_order, weights=tuple(weights), counts=counts)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
 from .core import (
@@ -32,6 +32,10 @@ from .ingest import Dataset
 
 # haversine meters -> seconds at a nominal driving speed
 _SPEED_M_PER_S = 8.0
+
+# What a config value must be, by the type of the field's default.
+_KINDS = {bool: ("true or false", {bool}), int: ("an integer", {int}),
+          float: ("a number", {int, float})}
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,17 @@ class SynthConfig:
                     f"synth config key {key!r} must be {rule}, got {getattr(self, key)!r}"
                 )
 
+        for f in fields(self):
+            value, default = getattr(self, f.name), f.default
+            if isinstance(default, tuple):
+                each, kinds = _KINDS[type(default[0])]
+                ok = isinstance(value, (list, tuple)) and len(value) == len(default)
+                require(f.name, ok and all(type(v) in kinds for v in value),
+                        f"a list of {len(default)} values, each {each}")
+                object.__setattr__(self, f.name, tuple(value))
+            else:
+                rule, kinds = _KINDS[type(default)]
+                require(f.name, type(value) in kinds, rule)
         for key in ("n_train_routes", "n_eval_routes"):
             require(key, getattr(self, key) >= 0, "at least 0")
         for key in ("zones_per_route", "stops_per_zone"):

@@ -102,7 +102,6 @@ def build_instance(
     start_index = len(at)
     at += [index[s] for s in ends]
     cost = route.geometry[np.ix_(at, at)]
-    np.fill_diagonal(cost, 0.0)
     return ZoneTspInstance(stop_ids=stops, cost=cost, start_index=start_index)
 
 

@@ -160,7 +160,8 @@ def oracle_train(corpus, max_order=DEFAULT_ORDER, weights=DEFAULT_WEIGHTS,
         start = 1 if sentinel else 0
         for k in range(N_COMPONENTS):
             stream = [comp[k] for comp in streams]
-            vocab[k].update(stream)
+            if len(stream) > start:  # a stream with no target counts no token
+                vocab[k].update(stream)
             tables = counts[k]
             for i in range(start, len(stream)):
                 target = stream[i]
@@ -168,7 +169,9 @@ def oracle_train(corpus, max_order=DEFAULT_ORDER, weights=DEFAULT_WEIGHTS,
                     ctx = tuple(stream[i - order:i])
                     table = tables.setdefault(ctx, {})
                     table[target] = table.get(target, 0) + 1
-    return PpmModel(max_order=max_order, weights=tuple(weights), counts=counts, vocab=vocab)
+    model = PpmModel(max_order=max_order, weights=tuple(weights), counts=counts)
+    model.vocab = vocab  # the reference: built from the streams, not from the counts
+    return model
 
 
 def oracle_seq_reward(model, zones, sentinel=DEPOT_ZONE):
@@ -438,10 +441,10 @@ def oracle_normalized_dist(route):
     """Per-pair travel-time (or haversine) lookup divided by the maximum."""
     stops = route.stops
     if route.travel_times is not None:
-        tt = route.travel_times
+        tt, index = route.travel_times, route.stop_cost[0]
 
         def lookup(a, b):
-            return float(tt.t[tt.index[a], tt.index[b]])
+            return float(tt.t[index[a], index[b]])
     else:
         def lookup(a, b):
             sa, sb = stops[a], stops[b]
@@ -516,7 +519,7 @@ def oracle_build_instance(route, zone_order, k, prev_last_stop=None):
     if route.travel_times is not None:
         # One slice of the travel times holds every stop-to-stop edge; the
         # rows and columns of representative nodes (index 0) are never read.
-        index = route.travel_times.index
+        index = route.stop_cost[0]
         at = [index[nid] if stop else 0 for nid, stop in zip(node_ids, is_stop)]
         travel = route.travel_times.t[np.ix_(at, at)].tolist()
     cost = [[0.0] * n for _ in range(n)]

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from test_golden import GOLDEN, _run_pipeline
-from zoneseq import cli, ingest, ppm, tsp
+from zoneseq import cli, ingest, ppm, synth, tsp
 from zoneseq.cli import main
 from zoneseq.core import ValidationError
 from conftest import still_running
@@ -536,6 +536,9 @@ def test_bad_synth_config_exits_3_naming_key(tmp_path, capsys, config, key):
     assert err.startswith("config error: synth config ")
     assert repr(key) in err if key else "must hold a JSON object, got list" in err
     assert not (tmp_path / "data").exists()
+    if key in synth.SynthConfig.__dataclass_fields__:  # the config checks itself
+        with pytest.raises(ValidationError, match=repr(key)):
+            synth.SynthConfig(**config)
 
 
 def test_failing_external_solver_exits_2_naming_it(synth_dirs, monkeypatch, capsys):

@@ -167,7 +167,7 @@ def test_geometry_layout_and_medians():
 def test_stop_cost_is_the_travel_times_or_the_geometry_stop_block():
     tt = {a: {b: 0 if a == b else 3 for b in ("a", "depot")} for a in ("a", "depot")}
     route = make_route(stops=[("a", 1, 1, "Z")], travel_times=tt)
-    assert route.stop_cost[0] is route.travel_times.index
+    assert route.stop_cost[0] == {sid: i for i, sid in enumerate(route.travel_times.ids)}
     assert route.stop_cost[1] is route.travel_times.t
     route = make_route(stops=[("a", 1.0, 1.0, "Z"), ("b", 2.0, 0.5, "Z"), ("c", 0.5, 3.0, "W")])
     index, matrix = route.stop_cost

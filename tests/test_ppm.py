@@ -213,14 +213,17 @@ def test_seq_reward_toy_value(single_component_model):
 
 def test_model_roundtrip(tmp_path):
     rng = random.Random(4)
-    m = train(random_corpus(rng), max_order=3, weights=(0.4, 0.3, 0.2, 0.1))
-    path = tmp_path / "m.zppm"
-    m.save(path)
-    m2 = PpmModel.load(path)
-    assert m2.max_order == m.max_order
-    assert m2.weights == pytest.approx(m.weights)
-    assert m2.counts == m.counts
-    assert m2.vocab == m.vocab
+    for corpus in (random_corpus(rng), [[]]):
+        m = train(corpus, max_order=3, weights=(0.4, 0.3, 0.2, 0.1))
+        path = tmp_path / "m.zppm"
+        m.save(path)
+        m2 = PpmModel.load(path)
+        assert m2.max_order == m.max_order
+        assert m2.weights == pytest.approx(m.weights)
+        assert m2.counts == m.counts
+        assert m2.vocab == m.vocab
+        for zone in ("A", *m.vocab[0]):
+            assert m2.prob([], zone) == m.prob([], zone)
 
 
 def test_model_file_deterministic(tmp_path):
@@ -307,14 +310,35 @@ def test_train_rejects_order_outside_u16_range(max_order):
 def test_model_rejects_nan_weights():
     with pytest.raises(ValidationError, match="do not sum to 1"):
         PpmModel(max_order=1, weights=(float("nan"), 0.25, 0.25, 0.25),
-                 counts=[{} for _ in range(4)], vocab=[set() for _ in range(4)])
+                 counts=[{} for _ in range(4)])
 
 
 @pytest.mark.parametrize("max_order", [0, 65536])
 def test_model_rejects_order_outside_u16_range(max_order):
     with pytest.raises(ValidationError, match=f"max_order must be in 1..65535, got {max_order}"):
         PpmModel(max_order=max_order, weights=(0.25, 0.25, 0.25, 0.25),
-                 counts=[{} for _ in range(4)], vocab=[set() for _ in range(4)])
+                 counts=[{} for _ in range(4)])
+
+
+@pytest.mark.parametrize("count, words", [
+    (0, "a zero"),
+    (-2, "a non-positive-integer -2"),
+    (1.5, "a non-positive-integer 1.5"),
+    (True, "a non-positive-integer True"),
+], ids=["zero", "negative", "float", "bool"])
+def test_model_rejects_a_count_that_is_not_a_positive_int(count, words):
+    counts = [{(): {"A": 1}} for _ in range(4)]
+    counts[2] = {(): {"B": 3}, ("B",): {"A": count}}
+    with pytest.raises(ValidationError) as info:
+        PpmModel(max_order=1, weights=(0.25, 0.25, 0.25, 0.25), counts=counts)
+    assert str(info.value) == f"component 2 context ('B',) has {words} count for 'A'"
+
+
+@pytest.mark.parametrize("n_tables", [3, 5])
+def test_model_rejects_wrong_count_table_count(n_tables):
+    with pytest.raises(ValidationError, match=f"expected 4 count tables, got {n_tables}"):
+        PpmModel(max_order=1, weights=(0.25, 0.25, 0.25, 0.25),
+                 counts=[{} for _ in range(n_tables)])
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.2, 0.2, 0.2, 0.2, 0.2)])

@@ -17,6 +17,11 @@ def test_config_validation():
         SynthConfig(pattern_strength=1.5)
     with pytest.raises(ValidationError):
         SynthConfig(n_zone_templates=0)
+    for key, value in [("n_train_routes", "3"), ("stops_per_zone", (1.5, 2)),
+                       ("n_train_routes", True), ("geo_bbox", (47.0, -122.4, 47.3))]:
+        with pytest.raises(ValidationError, match=repr(key)):
+            SynthConfig(**{key: value})
+    assert SynthConfig(zones_per_route=[2, 3]).zones_per_route == (2, 3)
 
 
 def test_deterministic_given_seed(tmp_path):
