@@ -13,7 +13,6 @@ from .core import (
     StopSequence,
     TravelTimeMatrix,
     ValidationError,
-    ZoneSequence,
     haversine_m,
 )
 from .ingest import Dataset, load_dataset, zsgt

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import ingest, ppm, rollout, scorer, synth, tsp
-from .core import StopSequence, ValidationError, ZoneSequence, read_json, write_json
+from .core import StopSequence, ValidationError, read_json, write_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -154,8 +154,8 @@ def _rollout_zone_order(model):
     return lambda route: rollout.rollout_sequence(model, route.route_id, list(route.zone_stops))
 
 
-def _alphabetical_zone_order(route) -> ZoneSequence:
-    return ZoneSequence(route_id=route.route_id, zones=tuple(route.zone_stops))
+def _alphabetical_zone_order(route) -> Tuple[str, ...]:
+    return tuple(route.zone_stops)
 
 
 def _sequence_route(

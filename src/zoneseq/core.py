@@ -22,7 +22,7 @@ import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
-# Sentinel zone for the depot; never appears as a sequence element.
+# The reserved zone id of the depot sentinel, the context of a route's first zone.
 DEPOT_ZONE = "stz"
 
 # The reserved stop id of every route's depot.
@@ -105,22 +105,6 @@ class StopSequence:
 
 
 @dataclass(frozen=True)
-class ZoneSequence:
-    """Ordered zone ids for one route; the depot sentinel is an implicit prefix."""
-
-    route_id: str
-    zones: Tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.zones:
-            raise ValidationError(f"route {self.route_id}: empty zone sequence")
-        if len(set(self.zones)) != len(self.zones):
-            raise ValidationError(f"route {self.route_id}: duplicate zone ids")
-        if DEPOT_ZONE in self.zones:
-            raise ValidationError(f"route {self.route_id}: sentinel zone in sequence")
-
-
-@dataclass(frozen=True)
 class Route:
     """A set of stops plus optional travel-time matrix and actual sequence.
 
@@ -146,6 +130,8 @@ class Route:
                 raise ValidationError(f"stop {sid}: lat {stop.lat} out of [-90, 90]")
             if not -180.0 <= stop.lng <= 180.0:
                 raise ValidationError(f"stop {sid}: lng {stop.lng} out of [-180, 180]")
+            if stop.zone_id == DEPOT_ZONE:
+                raise ValidationError(f"stop {sid}: zone id {DEPOT_ZONE!r} is reserved")
         if self.actual is not None:
             if set(self.actual.ids) != set(self.stops):
                 raise ValidationError(

@@ -33,7 +33,6 @@ from .core import (
     StopSequence,
     TravelTimeMatrix,
     ValidationError,
-    ZoneSequence,
     read_json,
     write_file,
     write_json,
@@ -260,7 +259,7 @@ def _travel_time_chunks(matrices: Dict[str, TravelTimeMatrix]):
     yield "{}" if opening == "{\n " else "\n}"
 
 
-def zsgt(route: Route) -> ZoneSequence:
+def zsgt(route: Route) -> Tuple[str, ...]:
     """Approximate ground-truth zone sequence (ZSgt) of a route with an actual.
 
     The actual's delivery stops fall into maximal runs of one zone id. Each
@@ -277,10 +276,10 @@ def zsgt(route: Route) -> ZoneSequence:
             kept[zone] = (stops, position)
     if not kept:
         raise ValidationError(f"route {route.route_id}: no zone runs to collapse")
-    return ZoneSequence(route.route_id, tuple(sorted(kept, key=lambda z: kept[z][1])))
+    return tuple(sorted(kept, key=lambda z: kept[z][1]))
 
 
-def training_corpus(dataset: Dataset, include_low: bool = False) -> List[ZoneSequence]:
+def training_corpus(dataset: Dataset, include_low: bool = False) -> List[Tuple[str, ...]]:
     """ZSgt sequences of all routes with actuals, excluding Low quality by default.
 
     A route without delivery stops has no zone sequence: it is left out, and

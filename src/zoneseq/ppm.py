@@ -16,6 +16,7 @@ applied when backing off.
 from __future__ import annotations
 
 import re
+import reprlib
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DEPOT_ZONE, ValidationError, ZoneSequence, write_file
+from .core import DEPOT_ZONE, ValidationError, write_file
 
 EMPTY_TOKEN = "∅"  # pads missing components
 N_COMPONENTS = 4
@@ -196,7 +197,10 @@ class PpmModel:
     VERSION = 1
 
     def save(self, path) -> None:
-        """Write the model atomically as a versioned, sorted, length-prefixed binary."""
+        """Write the model atomically as a versioned, sorted, length-prefixed binary.
+
+        A token the format cannot hold is a ValidationError, and no file is written.
+        """
         out = [self.MAGIC, struct.pack("<HH", self.VERSION, self.max_order)]
         out.append(struct.pack("<4d", *self.weights))
         for k in range(N_COMPONENTS):
@@ -205,12 +209,17 @@ class PpmModel:
                 for token in sorted(self.counts[k][ctx]):
                     triples.append((ctx, token, self.counts[k][ctx][token]))
             out.append(struct.pack("<I", len(triples)))
-            for ctx, token, count in triples:
-                out.append(struct.pack("<H", len(ctx)))
-                for tok in ctx + (token,):
-                    raw = tok.encode("utf-8")
-                    out.append(struct.pack("<H", len(raw)) + raw)
-                out.append(struct.pack("<Q", count))
+            try:
+                for ctx, token, count in triples:
+                    out.append(struct.pack("<H", len(ctx)))
+                    for tok in ctx + (token,):
+                        raw = tok.encode("utf-8")
+                        out.append(struct.pack("<H", len(raw)) + raw)
+                    out.append(struct.pack("<Q", count))
+            except (UnicodeEncodeError, struct.error):
+                raise ValidationError(
+                    f"component {k} token {reprlib.repr(tok)} cannot be stored in a model file"
+                ) from None
         write_file(path, out)
 
     @classmethod
@@ -373,11 +382,7 @@ def train(
         raise ValidationError("cannot train on an empty corpus")
     check_order(max_order)
     head = [sentinel] if sentinel else []
-    # Accepts ZoneSequence objects or bare lists of zone ids (raw training
-    # streams may legitimately repeat a zone).
-    sequences = [
-        head + list(zseq.zones if isinstance(zseq, ZoneSequence) else zseq) for zseq in corpus
-    ]
+    sequences = [head + list(zones) for zones in corpus]
     start = len(head)  # the sentinel is context only, never a target
     width = min(max_order, max(map(len, sequences)) - 1)
     pad = (None,) * width

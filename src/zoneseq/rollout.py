@@ -15,9 +15,9 @@ lexicographically smallest zone.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from .core import ValidationError, ZoneSequence
+from .core import ValidationError
 from .ppm import CompiledRoute, PpmModel
 
 
@@ -54,7 +54,7 @@ def rollout_sequence(
     route_id: str,
     zones: Sequence[str],
     stats: Optional[dict] = None,
-) -> ZoneSequence:
+) -> Tuple[str, ...]:
     """Sequence a full zone set by repeated one-step lookahead.
 
     Pure function of (model, zones). The optional `stats` dict receives
@@ -74,4 +74,4 @@ def rollout_sequence(
     if stats is not None:
         stats["prob_calls"] = route.reads
         stats["contexts"] = route.contexts
-    return ZoneSequence(route_id=route_id, zones=tuple(route.zones[i] for i in seq[1:]))
+    return tuple(route.zones[i] for i in seq[1:])

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
 import signal
 import subprocess
 import tempfile
@@ -39,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Route, StopSequence, ValidationError, ZoneSequence
+from .core import Route, StopSequence, ValidationError
 
 EXTERNAL_SOLVER_TIMEOUT_S = 60  # seconds per instance: one zone's stops and a few extra nodes
 
@@ -76,21 +77,17 @@ class ZoneTspInstance:
 
 def build_instance(
     route: Route,
-    zone_order: ZoneSequence,
+    zone_order: Sequence[str],
     k: int,
     prev_last_stop: Optional[str] = None,
 ) -> ZoneTspInstance:
     """Assemble the augmented ATSP instance for zone index k of zone_order.
 
-    Its costs are a slice of the route's geometry (`Route.geometry`).
+    `sequence_stops` has checked `zone_order`. Its costs are a slice of the
+    route's geometry (`Route.geometry`).
     """
-    if not 0 <= k < len(zone_order.zones):
-        raise ValidationError(f"zone index {k} out of range for {zone_order.zones}")
     zone_stops = route.zone_stops
-    for zone in zone_order.zones[k:]:
-        if zone not in zone_stops:
-            raise ValidationError(f"route {route.route_id}: zone {zone} has no stops")
-    stops, later = zone_stops[zone_order.zones[k]], zone_order.zones[k + 1:]
+    stops, later = zone_stops[zone_order[k]], zone_order[k + 1:]
     depot = route.depot.id
     if k == 0 or prev_last_stop is None or prev_last_stop == depot:
         ends = (depot,)  # first zone: the depot doubles as the preceding last stop
@@ -318,15 +315,16 @@ def order_zone_stops(instance: ZoneTspInstance, tour: Sequence[int]) -> List[str
 
 def sequence_stops(
     route: Route,
-    zone_order: ZoneSequence,
+    zone_order: Sequence[str],
     external_solver: Optional[str] = None,
 ) -> StopSequence:
     """Order all stops of a route given a zone order; depot comes first.
 
-    Solves one augmented ATSP per zone, threading each zone's last stop
-    into the next instance as its fixed start.
+    The zone order must hold each of the route's zones once. Solves one
+    augmented ATSP per zone, threading each zone's last stop into the next
+    instance as its fixed start.
     """
-    route_zones, ordered_zones = set(route.zone_stops), set(zone_order.zones)
+    route_zones, ordered_zones = set(route.zone_stops), set(zone_order)
     missing, unknown = route_zones - ordered_zones, ordered_zones - route_zones
     if missing:
         raise ValidationError(
@@ -336,9 +334,11 @@ def sequence_stops(
         raise ValidationError(
             f"route {route.route_id}: zone order has zones not in the route {sorted(unknown)}"
         )
+    if len(ordered_zones) != len(zone_order):
+        raise ValidationError(f"route {route.route_id}: zone order repeats a zone")
     ids: List[str] = [route.depot.id]
     prev_last = route.depot.id
-    for k in range(len(zone_order.zones)):
+    for k in range(len(zone_order)):
         instance = build_instance(route, zone_order, k, prev_last)
         if external_solver:
             tour = solve_atsp_external(instance, external_solver)
@@ -373,7 +373,11 @@ def parse_tsplib_tour(data: bytes, n: int) -> List[int]:
     """Parse a TSPLIB TOUR_SECTION (1-based node ids, -1 terminator)."""
     tour: List[int] = []
     in_section = False
-    for line in data.decode("ascii").splitlines():
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        raise ValidationError("tour file is not ASCII text") from None
+    for line in text.splitlines():
         line = line.strip()
         if line == "TOUR_SECTION":
             in_section = True
@@ -381,7 +385,12 @@ def parse_tsplib_tour(data: bytes, n: int) -> List[int]:
         if not in_section:
             continue
         for tok in line.split():
-            v = int(tok)
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValidationError(
+                    f"tour file has a non-integer node {reprlib.repr(tok)}"
+                ) from None
             if v == -1:
                 in_section = False
                 break

@@ -16,7 +16,6 @@ from zoneseq.core import (
     StopSequence,
     TravelTimeMatrix,
     ValidationError,
-    ZoneSequence,
     haversine_m,
     representative_node,
 )
@@ -153,9 +152,8 @@ def oracle_train(corpus, max_order=DEFAULT_ORDER, weights=DEFAULT_WEIGHTS,
     """Count-train the four component models position by position."""
     counts = [{} for _ in range(N_COMPONENTS)]
     vocab = [set() for _ in range(N_COMPONENTS)]
-    for zseq in corpus:
-        items = list(zseq.zones) if isinstance(zseq, ZoneSequence) else list(zseq)
-        zones = ([sentinel] if sentinel else []) + items
+    for items in corpus:
+        zones = ([sentinel] if sentinel else []) + list(items)
         streams = [tokenize_zone(z) for z in zones]
         start = 1 if sentinel else 0
         for k in range(N_COMPONENTS):
@@ -206,7 +204,7 @@ def oracle_zsgt(route):
     for position, (zone, stops) in enumerate(runs):
         if zone not in kept or stops > runs[kept[zone]][1]:
             kept[zone] = position
-    return ZoneSequence(route.route_id, tuple(runs[p][0] for p in sorted(kept.values())))
+    return tuple(runs[p][0] for p in sorted(kept.values()))
 
 
 def exhaustive_best_reward(model, zones):
@@ -482,9 +480,7 @@ def oracle_build_instance(route, zone_order, k, prev_last_stop=None):
     every edge touching one is haversine; stop-to-stop edges use the
     route's travel times, or haversine when it has none.
     """
-    if not 0 <= k < len(zone_order.zones):
-        raise ValidationError(f"zone index {k} out of range for {zone_order.zones}")
-    zone = zone_order.zones[k]
+    zone = zone_order[k]
     zone_stops = sorted(
         (s for s in route.delivery_stops() if s.zone_id == zone), key=lambda s: s.id
     )
@@ -495,7 +491,7 @@ def oracle_build_instance(route, zone_order, k, prev_last_stop=None):
     node_ids = [s.id for s in zone_stops]  # None for a representative node
     coords = [(s.lat, s.lng) for s in zone_stops]
 
-    for later in zone_order.zones[k + 1:]:
+    for later in zone_order[k + 1:]:
         later_stops = [s for s in route.delivery_stops() if s.zone_id == later]
         node_ids.append(None)
         coords.append(representative_node(later_stops))

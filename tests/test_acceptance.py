@@ -71,7 +71,7 @@ def test_criterion_2_rollout_improvement_and_near_optimality():
             zones = set(zone_list)
         out = rollout_sequence(model, "r", zones)
         greedy = oracle_greedy_completion(model, [], zones)
-        if oracle_seq_reward(model, out.zones) < oracle_seq_reward(model, greedy) - 1e-12:
+        if oracle_seq_reward(model, out) < oracle_seq_reward(model, greedy) - 1e-12:
             ok = False
             break
     hits = 0
@@ -80,7 +80,7 @@ def test_criterion_2_rollout_improvement_and_near_optimality():
         model = train(corpus)
         out = rollout_sequence(model, "r", zones)
         best = exhaustive_best_reward(model, zones)
-        if oracle_seq_reward(model, out.zones) >= 0.95 * best:
+        if oracle_seq_reward(model, out) >= 0.95 * best:
             hits += 1
     elapsed = time.perf_counter() - t0
     report(2, "rollout improvement",

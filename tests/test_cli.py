@@ -335,6 +335,20 @@ def test_train_integer_zone_id_exits_1(synth_dirs, capsys):
     assert "validation error:" in err and rid in err and sid in err
 
 
+def test_train_zone_id_the_model_file_cannot_hold_exits_1(synth_dirs, capsys):
+    tmp_path, data = synth_dirs
+    routes_path = data / "train" / "routes.json"
+    routes = json.loads(routes_path.read_text())
+    for body in routes.values():
+        body["stops"][sorted(body["stops"])[0]]["zone_id"] = "Z" * 70_000
+    routes_path.write_text(json.dumps(routes))
+    model = tmp_path / "m.zppm"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: component 0 token 'ZZZ")
+    assert "Traceback" not in err and not model.exists()
+
+
 def test_train_lowercase_quality_exits_1(synth_dirs, capsys):
     tmp_path, data = synth_dirs
     routes = json.loads((data / "train" / "routes.json").read_text())

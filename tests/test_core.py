@@ -78,12 +78,17 @@ def test_route_requires_the_depot_id():
         Route(route_id="r", stops=stops)
 
 
+def test_route_rejects_the_sentinel_zone_id():
+    with pytest.raises(ValidationError, match=r"^stop s: zone id 'stz' is reserved$"):
+        make_route(stops=[("s", 0.0, 0.0, "stz")])
+
+
 def test_depot_with_a_zone_is_neither_a_delivery_stop_nor_a_zone():
     stops = {"depot": Stop("depot", 0, 0, zone_id="X"), "a": Stop("a", 1, 1, zone_id="Y")}
     route = Route(route_id="r1", stops=stops, actual=StopSequence("r1", ("depot", "a")))
     assert [s.id for s in route.delivery_stops()] == ["a"]
     assert route.zone_stops == {"Y": ("a",)}
-    assert zsgt(route).zones == ("Y",)
+    assert zsgt(route) == ("Y",)
 
 
 def test_actual_must_be_depot_first_permutation():

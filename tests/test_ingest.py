@@ -97,6 +97,14 @@ def test_bad_coordinate_names_route_stop_and_field(tmp_path, stop_id, field, val
     assert repr(field) in message
 
 
+def test_reserved_zone_id_names_route_and_stop(tmp_path):
+    routes = json.loads(json.dumps(TWO_ROUTES))
+    routes["r1"]["stops"]["b"]["zone_id"] = "stz"
+    write_fixture(tmp_path, routes)
+    with pytest.raises(ValidationError, match=r"^route r1: stop b: zone id 'stz' is reserved$"):
+        ingest.load_dataset(tmp_path)
+
+
 @pytest.mark.parametrize("routes", [
     [{"r1": {}}],
     {"r1": []},
@@ -388,15 +396,15 @@ def test_collapse_fig2_pattern():
     # Run pattern ABCDEFGFGHIJKLE with E(2nd) = 1 stop and G(1st) >= G(2nd).
     runs = [(z, 1) for z in "ABCDEFGFGHIJKLE"]
     runs[4], runs[6] = ("E", 2), ("G", 2)
-    assert "".join(zsgt(run_route(runs)).zones) == "ABCDEFGHIJKL"
+    assert "".join(zsgt(run_route(runs))) == "ABCDEFGHIJKL"
 
 
 def test_zone_runs_all_same_zone():
-    assert zsgt(run_route([("Z", 2)])).zones == ("Z",)
+    assert zsgt(run_route([("Z", 2)])) == ("Z",)
 
 
 def test_zone_runs_alternating():
-    assert zsgt(run_route([("A", 1), ("B", 1), ("A", 1)])).zones == ("A", "B")
+    assert zsgt(run_route([("A", 1), ("B", 1), ("A", 1)])) == ("A", "B")
 
 
 def test_zone_runs_matches_oracle_fuzz():
@@ -420,15 +428,15 @@ def test_zone_runs_matches_oracle_fuzz():
 
 
 def test_collapse_no_repeats_is_identity():
-    assert zsgt(run_route([("A", 2), ("B", 1)])).zones == ("A", "B")
+    assert zsgt(run_route([("A", 2), ("B", 1)])) == ("A", "B")
 
 
 def test_collapse_keeps_max_count_run():
-    assert zsgt(run_route([("A", 2), ("B", 1), ("A", 5)])).zones == ("B", "A")
+    assert zsgt(run_route([("A", 2), ("B", 1), ("A", 5)])) == ("B", "A")
 
 
 def test_collapse_tie_keeps_earlier_run():
-    assert zsgt(run_route([("A", 2), ("B", 1), ("A", 2)])).zones == ("A", "B")
+    assert zsgt(run_route([("A", 2), ("B", 1), ("A", 2)])) == ("A", "B")
 
 
 def test_collapse_properties_fuzz():
@@ -441,8 +449,8 @@ def test_collapse_properties_fuzz():
                 continue
             runs.append((z, rng.randint(1, 4)))
         zs = zsgt(run_route(runs))
-        assert len(set(zs.zones)) == len(zs.zones)
-        assert set(zs.zones) == {z for z, _ in runs}
+        assert len(set(zs)) == len(zs)
+        assert set(zs) == {z for z, _ in runs}
 
 
 def test_training_corpus_excludes_low_quality(tmp_path):
@@ -451,8 +459,8 @@ def test_training_corpus_excludes_low_quality(tmp_path):
                            "r2": {"depot": 0, "c": 1}},
                   quality={"r1": "Low", "r2": "High"})
     ds = ingest.load_dataset(tmp_path)
-    assert [z.route_id for z in ingest.training_corpus(ds)] == ["r2"]
-    assert len(ingest.training_corpus(ds, include_low=True)) == 2
+    assert ingest.training_corpus(ds) == [("Z9",)]
+    assert ingest.training_corpus(ds, include_low=True) == [("Z1", "Z2"), ("Z9",)]
 
 
 def test_roundtrip_byte_stable(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from test_golden import CONFIG
 from zoneseq import ppm
 from zoneseq.cli import main
-from zoneseq.core import ValidationError, ZoneSequence
+from zoneseq.core import ValidationError
 from zoneseq.ingest import load_dataset
 from zoneseq.ppm import EMPTY_TOKEN, CompiledRoute, PpmModel, tokenize_zone, train
 from zoneseq.rollout import rollout_sequence
@@ -48,7 +48,7 @@ def test_tokenize_empty_errors():
 
 
 def test_train_hand_counts():
-    m = train([ZoneSequence("r", ("A", "B"))], max_order=1)
+    m = train([("A", "B")], max_order=1)
     c0 = m.counts[0]
     assert c0[("stz",)] == {"A": 1}
     assert c0[("A",)] == {"B": 1}
@@ -56,7 +56,7 @@ def test_train_hand_counts():
 
 
 def test_train_additivity():
-    seq = ZoneSequence("r", ("A", "B", "C"))
+    seq = ("A", "B", "C")
     m1 = train([seq], max_order=2)
     m2 = train([seq, seq], max_order=2)
     for k in range(4):
@@ -79,14 +79,14 @@ def test_train_deterministic():
 
 
 def _fuzz_corpus(rng):
-    """Random sequences, as bare lists or ZoneSequence items, plus empty and
+    """Random sequences, as lists or tuples, plus empty and
     one-zone lists. Some corpora hold only those, so W can be 0; short ids
     share the sentinel's empty tokens, and bare lists may hold "stz" itself."""
     vocab = ["A-0.0X", "A-1.1Y", "B-0.1X", "B", "C-2", "stz"]
     corpus = []
     for seq in random_corpus(rng, n_seqs=rng.randint(1, 6), max_len=rng.choice([2, 5, 9])):
         if len(set(seq)) == len(seq) and "stz" not in seq and rng.random() < 0.5:
-            corpus.append(ZoneSequence("r", tuple(seq)))
+            corpus.append(tuple(seq))
         else:
             corpus.append(seq)
     corpus += [[] for _ in range(rng.randint(0, 2))]
@@ -290,7 +290,7 @@ def test_model_file_byte_flips_and_truncations_load_or_name_the_file(tmp_path):
         except ValidationError as exc:
             assert str(exc).startswith(f"{path}: "), exc
             continue
-        assert sorted(rollout_sequence(model, "r", zones).zones) == sorted(zones)
+        assert sorted(rollout_sequence(model, "r", zones)) == sorted(zones)
         loaded += 1
     assert 0 < loaded < len(mutants)
 
@@ -304,7 +304,18 @@ def test_weights_must_sum_to_one():
 def test_train_rejects_order_outside_u16_range(max_order):
     # The model file stores max_order as a u16.
     with pytest.raises(ValidationError, match="max_order"):
-        train([ZoneSequence("r", ("A", "B"))], max_order=max_order)
+        train([("A", "B")], max_order=max_order)
+
+
+@pytest.mark.parametrize("zone, shown", [("Z" * 70_000, "'" + "Z" * 12 + "..." + "Z" * 13 + "'"),
+                                         ("\ud800", "'\\ud800'")],
+                         ids=["over-65535-bytes", "surrogate"])
+def test_save_rejects_a_token_the_file_cannot_hold(tmp_path, zone, shown):
+    path = tmp_path / "m.zppm"
+    with pytest.raises(ValidationError) as excinfo:
+        train([("A", zone)], max_order=1).save(path)
+    assert str(excinfo.value) == f"component 0 token {shown} cannot be stored in a model file"
+    assert not path.exists()
 
 
 def test_model_rejects_nan_weights():

@@ -42,12 +42,12 @@ def test_next_zone_matches_brute_force_lookahead():
                 ctx.append(z)
             if best_score is None or acc > best_score:
                 best, best_score = u, acc
-        assert rollout_sequence(m, "r", zones).zones[0] == best
+        assert rollout_sequence(m, "r", zones)[0] == best
 
 
 def test_rollout_single_zone():
     m = train([["A", "B"]])
-    assert rollout_sequence(m, "r", ["Q-1.1Z"]).zones == ("Q-1.1Z",)
+    assert rollout_sequence(m, "r", ["Q-1.1Z"]) == ("Q-1.1Z",)
 
 
 def test_rollout_empty_errors():
@@ -63,7 +63,7 @@ def test_rollout_two_zones_matches_enumeration():
         order: oracle_seq_reward(m, order)
         for order in itertools.permutations(["A", "B"])
     }
-    assert out.zones == max(sorted(rewards), key=lambda o: rewards[o])
+    assert out == max(sorted(rewards), key=lambda o: rewards[o])
 
 
 def test_rollout_output_is_permutation_fuzz():
@@ -75,7 +75,7 @@ def test_rollout_output_is_permutation_fuzz():
                  for c in "ABCDEFGH"[:n]]
         zones = list(dict.fromkeys(zones))
         out = rollout_sequence(m, "r", zones)
-        assert sorted(out.zones) == sorted(zones)
+        assert sorted(out) == sorted(zones)
 
 
 def test_rollout_improves_on_greedy():
@@ -87,7 +87,7 @@ def test_rollout_improves_on_greedy():
                  for c in "ABCDEFGHIJKL"[:n]}
         out = rollout_sequence(m, "r", zones)
         greedy = oracle_greedy_completion(m, [], zones)
-        assert oracle_seq_reward(m, out.zones) >= oracle_seq_reward(m, greedy) - 1e-12
+        assert oracle_seq_reward(m, out) >= oracle_seq_reward(m, greedy) - 1e-12
 
 
 def test_rollout_near_exhaustive_optimum():
@@ -100,7 +100,7 @@ def test_rollout_near_exhaustive_optimum():
         m = train(corpus)
         out = rollout_sequence(m, "r", zones)
         best = exhaustive_best_reward(m, zones)
-        if oracle_seq_reward(m, out.zones) >= 0.95 * best:
+        if oracle_seq_reward(m, out) >= 0.95 * best:
             hits += 1
     assert hits >= 0.9 * trials
 
@@ -123,7 +123,7 @@ def test_rollout_deterministic():
     rng = random.Random(8)
     m = random_model(rng)
     zones = {"A-1.1X", "B-2.2Y", "C-0.0Z", "D-1.0W", "E-3.3V"}
-    outs = {rollout_sequence(m, "r", zones).zones for _ in range(20)}
+    outs = {rollout_sequence(m, "r", zones) for _ in range(20)}
     assert len(outs) == 1
 
 
@@ -163,7 +163,7 @@ def _fuzz_zones(rng):
 
 def _assert_rollout_matches_oracles(m, zones, read):
     read.clear()
-    assert rollout_sequence(m, "r", zones).zones == oracle_rollout_sequence(m, zones)
+    assert rollout_sequence(m, "r", zones) == oracle_rollout_sequence(m, zones)
     assert read
     for ctx, (route_zones, probs) in read.items():
         assert route_zones == tuple(sorted(zones))

@@ -53,8 +53,8 @@ def test_full_strength_routes_follow_template_order():
     templates = zone_templates(cfg)
     for route in train.routes.values():
         zs = ingest.zsgt(route)
-        matches = [t for t in templates if set(t[:len(zs.zones)]) == set(zs.zones)]
-        assert any(tuple(t[:len(zs.zones)]) == zs.zones for t in matches)
+        matches = [t for t in templates if set(t[:len(zs)]) == set(zs)]
+        assert any(tuple(t[:len(zs)]) == zs for t in matches)
 
 
 def test_zero_strength_shuffles_some_route():
@@ -64,7 +64,7 @@ def test_zero_strength_shuffles_some_route():
     mismatched = 0
     for route in train.routes.values():
         zs = ingest.zsgt(route)
-        if not any(tuple(t[:len(zs.zones)]) == zs.zones for t in templates):
+        if not any(tuple(t[:len(zs)]) == zs for t in templates):
             mismatched += 1
     assert mismatched >= 1
 

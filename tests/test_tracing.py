@@ -2,7 +2,8 @@
 
 The benchmark's traced run replaces module and class attributes of zoneseq
 by name, so renaming or re-signing one of them breaks it without failing
-any other test here.
+any other test here. The file spans are checked for every command, and the
+route stages for a `sequence` run pinned to one CPU.
 """
 
 import json
@@ -10,6 +11,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from zoneseq.ingest import load_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,19 +34,34 @@ def test_traced_commands_record_their_file_spans(tmp_path):
          "--out", tmp_path / "rep.json"],
     ]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    spans = {}
+    pin = getattr(os, "sched_setaffinity", None)  # absent on macOS and Windows
+
+    def one_cpu():
+        # The route stages run in this process only: a pool worker's spans are lost.
+        pin(0, {min(os.sched_getaffinity(0))})
+
+    results, spans = {}, {}
     for argv in commands:
         trace = tmp_path / f"{argv[0]}.trace.json"
         proc = subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(trace), "--",
              *map(str, argv)],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=one_cpu if pin and argv[0] == "sequence" else None,
         )
         assert proc.returncode == 0, proc.stderr
-        result = json.loads(trace.read_text())
+        result = results[argv[0]] = json.loads(trace.read_text())
         assert result["exit"] == 0
         spans[argv[0]] = {span[0] for span in result["spans"]}
     assert "ingest.write_dataset" in spans["synth"]
     assert {"ingest.load_dataset", "ppm.save"} <= spans["train"]
     assert {"ingest.load_dataset", "ppm.load"} <= spans["sequence"]
     assert "ingest.load_dataset" in spans["evaluate"]
+    if pin is None:
+        pytest.skip("sequence cannot be pinned to one CPU, so its route spans are not kept")
+    assert {"rollout.rollout_sequence", "tsp.sequence_stops", "tsp.build_instance",
+            "tsp.solve_atsp"} <= spans["sequence"]
+    counts = results["sequence"]["counts"]
+    assert counts["rollout.routes"] == 2
+    routes = load_dataset(data / "eval").routes.values()
+    assert counts["tsp.instances"] == sum(len(route.zone_stops) for route in routes)

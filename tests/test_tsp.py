@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zoneseq import tsp
-from zoneseq.core import Stop, ValidationError, ZoneSequence, representative_node
+from zoneseq.core import Stop, ValidationError, representative_node
 from zoneseq.tsp import (
     ZoneTspInstance,
     build_instance,
@@ -82,7 +82,7 @@ def three_zone_route():
 
 def test_build_instance_last_zone_node_count():
     route = three_zone_route()
-    order = ZoneSequence("r1", ("ZA", "ZB", "ZC"))
+    order = ("ZA", "ZB", "ZC")
     inst = build_instance(route, order, 2, prev_last_stop="ZB_s0")
     # 2 zone stops + ls + depot, no downstream representatives
     assert inst.n == 4
@@ -94,7 +94,7 @@ def test_build_instance_fig4_shape():
     # current zone has 4 stops, one prev-zone stop, two downstream
     # representatives, plus the depot: 8 nodes
     route = three_zone_route()
-    order = ZoneSequence("r1", ("ZB", "ZA", "ZC"))
+    order = ("ZB", "ZA", "ZC")
     inst = build_instance(route, order, 0, prev_last_stop=None)
     # first zone: depot doubles as ls -> 4 stops + 2 reps + depot = 7
     assert inst.n == 7
@@ -102,7 +102,7 @@ def test_build_instance_fig4_shape():
     stops += [("ZA_s0", 0.0, 0.0, "ZA"), ("ZC_s0", 0.02, 0.02, "ZC"),
               ("ZD_s0", 0.03, 0.03, "ZD")]
     route4 = make_route(stops=stops, depot=(0.0, -0.01))
-    order2 = ZoneSequence("r1", ("ZA", "ZB", "ZC", "ZD"))
+    order2 = ("ZA", "ZB", "ZC", "ZD")
     inst2 = build_instance(route4, order2, 1, prev_last_stop="ZA_s0")
     # 4 zone stops, 2 representatives, then ls (the start) and the depot
     assert inst2.n == 8
@@ -114,7 +114,7 @@ def test_build_instance_fig4_shape():
 
 def test_build_instance_first_zone_depot_once():
     route = three_zone_route()
-    order = ZoneSequence("r1", ("ZA", "ZB", "ZC"))
+    order = ("ZA", "ZB", "ZC")
     inst = build_instance(route, order, 0)
     # 2 zone stops, 2 representatives, then the depot alone as the start
     assert inst.n == 5
@@ -138,13 +138,6 @@ def test_instance_rejects_a_layout_outside_its_nodes(stops, start, message):
 def test_instance_rejects_a_cost_that_is_not_square(cost):
     with pytest.raises(ValidationError, match="is not square"):
         ZoneTspInstance(stop_ids=("a",), cost=cost, start_index=0)
-
-
-def test_build_instance_k_out_of_range():
-    route = three_zone_route()
-    order = ZoneSequence("r1", ("ZA", "ZB", "ZC"))
-    with pytest.raises(ValidationError):
-        build_instance(route, order, 3)
 
 
 def fuzz_route(rng):
@@ -174,17 +167,17 @@ def fuzz_route(rng):
                             for b in ids} for a in ids}
     route = make_route(stops=stops, depot=point(), travel_times=travel_times)
     rng.shuffle(zones)
-    return route, ZoneSequence("r1", tuple(zones))
+    return route, tuple(zones)
 
 
 def test_build_instance_matches_oracle_fuzz():
     rng = random.Random(9)
     for case in range(300):
         route, order = fuzz_route(rng)
-        for k, zone in enumerate(order.zones):
+        for k, zone in enumerate(order):
             prev_last = None
             if k > 0 and rng.random() < 0.8:
-                prev_last = rng.choice(route.zone_stops[order.zones[k - 1]])
+                prev_last = rng.choice(route.zone_stops[order[k - 1]])
             elif rng.random() < 0.5:
                 prev_last = "depot"
             got = build_instance(route, order, k, prev_last)
@@ -345,13 +338,13 @@ def test_order_zone_stops_rejects_bad_tour():
 
 def test_sequence_stops_one_zone_one_stop():
     route = make_route(stops=[("a", 0.01, 0.01, "Z")])
-    seq = sequence_stops(route, ZoneSequence("r1", ("Z",)))
+    seq = sequence_stops(route, ("Z",))
     assert seq.ids == ("depot", "a")
 
 
 def test_sequence_stops_concatenates_zone_orders():
     route = three_zone_route()
-    order = ZoneSequence("r1", ("ZA", "ZB", "ZC"))
+    order = ("ZA", "ZB", "ZC")
     seq = sequence_stops(route, order)
     assert seq.ids[0] == "depot"
     zones_in_order = [route.stops[sid].zone_id for sid in seq.ids[1:]]
@@ -369,7 +362,7 @@ def test_sequence_stops_permutation_fuzz():
                 stops.append((f"{z}_s{si}",
                               rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), z))
         route = make_route(stops=stops)
-        order = ZoneSequence("r1", tuple(sorted(zones, key=lambda _: rng.random())))
+        order = tuple(sorted(zones, key=lambda _: rng.random()))
         seq = sequence_stops(route, order)
         assert sorted(seq.ids) == sorted(route.stops)
         assert seq.ids[0] == "depot"
@@ -378,10 +371,12 @@ def test_sequence_stops_permutation_fuzz():
 def test_sequence_stops_missing_zone_errors():
     route = three_zone_route()
     with pytest.raises(ValidationError, match=r"route r1: zone order missing zones \['ZC'\]"):
-        sequence_stops(route, ZoneSequence("r1", ("ZA", "ZB")))
+        sequence_stops(route, ("ZA", "ZB"))
     with pytest.raises(ValidationError,
                        match=r"route r1: zone order has zones not in the route \['ZD'\]"):
-        sequence_stops(route, ZoneSequence("r1", ("ZA", "ZB", "ZC", "ZD")))
+        sequence_stops(route, ("ZA", "ZB", "ZC", "ZD"))
+    with pytest.raises(ValidationError, match=r"route r1: zone order repeats a zone"):
+        sequence_stops(route, ("ZA", "ZB", "ZC", "ZA"))
 
 
 # -- TSPLIB adapter ----------------------------------------------------------
@@ -436,6 +431,10 @@ def test_tsplib_roundtrip():
 def test_parse_tour_file():
     data = b"NAME: t\nTYPE: TOUR\nDIMENSION: 3\nTOUR_SECTION\n2\n3\n1\n-1\nEOF\n"
     assert parse_tsplib_tour(data, 3) == [1, 2, 0]
+    with pytest.raises(ValidationError, match="non-integer node 'x2'"):
+        parse_tsplib_tour(b"TOUR_SECTION\n1\nx2\n-1\n", 2)
+    with pytest.raises(ValidationError, match="not ASCII"):
+        parse_tsplib_tour(b"TOUR_SECTION\n1\n\xff2\n-1\n", 2)
 
 
 def test_external_solver_adapter(tmp_path):
