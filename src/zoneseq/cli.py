@@ -144,7 +144,7 @@ def _train(dataset, model_path, settings, include_low):
 
 def cmd_train(args) -> int:
     settings = _load_settings(args)
-    dataset = ingest.load_dataset(args.dataset)
+    dataset = ingest.load_dataset(args.dataset, costs=False)
     _, n, elapsed = _train(dataset, args.model, settings, args.include_low)
     print(f"trained on {n} zone sequences in {elapsed:.2f}s -> {args.model}")
     return EXIT_OK
@@ -331,7 +331,7 @@ def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, fl
     """
     dataset_dir = Path(dataset_dir)
     out_dir = Path(out_dir)
-    train_ds = ingest.load_dataset(dataset_dir / "train")
+    train_ds = ingest.load_dataset(dataset_dir / "train", costs=False)
     eval_ds = ingest.load_dataset(dataset_dir / "eval")
     model, _, _ = _train(train_ds, out_dir / "model.zppm", settings, include_low)
 

@@ -146,20 +146,24 @@ class Route:
                 raise ValidationError(
                     f"route {self.route_id}: travel time matrix ids do not match stops"
                 )
-        missing = [s.id for s in self.delivery_stops() if not s.zone_id]
+        missing = [s for s in self.delivery_stops() if not s.zone_id]
         if missing:
             zoned = sorted((s for s in self.delivery_stops() if s.zone_id), key=lambda s: s.id)
             if not zoned:
                 raise ValidationError(
-                    f"route {self.route_id}: no zoned stop available to impute {missing[0]}"
+                    f"route {self.route_id}: no zoned stop available to impute {missing[0].id}"
                 )
+            if self.travel_times is None:
+                # The rows of stop_cost read here, bit for bit; it is built when first read.
+                cost = haversine_matrix([(s.lat, s.lng) for s in missing],
+                                        [(s.lat, s.lng) for s in zoned])
+            else:
+                index, t = self.stop_cost
+                cost = t[np.ix_([index[s.id] for s in missing], [index[s.id] for s in zoned])]
             # argmin takes the first of equal costs: the smaller stop id.
-            index, cost = self.stop_cost  # cached, and it reads no zone id
-            nearest = cost[np.ix_([index[sid] for sid in missing],
-                                  [index[s.id] for s in zoned])].argmin(axis=1)
             stops = dict(self.stops)
-            for sid, j in zip(missing, nearest.tolist()):
-                stops[sid] = stops[sid]._replace(zone_id=zoned[j].zone_id)
+            for stop, j in zip(missing, cost.argmin(axis=1).tolist()):
+                stops[stop.id] = stop._replace(zone_id=zoned[j].zone_id)
             object.__setattr__(self, "stops", stops)
 
     @property

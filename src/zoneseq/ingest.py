@@ -48,15 +48,27 @@ class Dataset:
     routes: Dict[str, Route]
 
 
-def load_dataset(dir_path) -> Dataset:
+def load_dataset(dir_path, costs: bool = True) -> Dataset:
     """Load and fully validate a dataset directory.
 
-    Every route id of an optional file must be in routes.json.
+    Every route id of an optional file must be in routes.json. A caller
+    that reads no stop costs passes `costs=False`: travel_times.json is then
+    neither decoded nor checked, and every route has no travel times, unless
+    a delivery stop has no zone id. Such a stop's zone is imputed from the
+    travel times, so they are loaded as with `costs=True`.
     """
     dir_path = Path(dir_path)
     raw_routes = read_json(dir_path / "routes.json", "dataset file")
+
+    def needed(name):  # asked of an existing file only, as the zone scan takes time
+        return name != "travel_times.json" or costs or not all(
+            map(_every_stop_zoned, raw_routes.values())
+        )
+
     optional = [
-        read_json(dir_path / name, "dataset file") if (dir_path / name).exists() else {}
+        read_json(dir_path / name, "dataset file")
+        if (dir_path / name).exists() and needed(name)
+        else {}
         for name in OPTIONAL_FILES
     ]
     for name, raw in zip(OPTIONAL_FILES, optional):
@@ -81,6 +93,18 @@ def load_dataset(dir_path) -> Dataset:
                 raise
             raise ValidationError(prefix + str(exc)) from None
     return Dataset(routes=routes)
+
+
+def _every_stop_zoned(body) -> bool:
+    """Whether every stop of a raw route body is an object with a zone id.
+
+    A body or `stops` that is not an object answers False, so that the load
+    reads every file and reports the fault as a full load would.
+    """
+    stops = body.get("stops", {}) if isinstance(body, dict) else None
+    return isinstance(stops, dict) and all(
+        isinstance(s, dict) and s.get("zone_id") for s in stops.values()
+    )
 
 
 def _coordinate(stop_id, raw, name) -> float:

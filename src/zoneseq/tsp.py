@@ -341,7 +341,12 @@ def sequence_stops(
     for k in range(len(zone_order)):
         instance = build_instance(route, zone_order, k, prev_last)
         if external_solver:
-            tour = solve_atsp_external(instance, external_solver)
+            try:
+                tour = solve_atsp_external(instance, external_solver)
+            except ValidationError as exc:  # a bad tour file
+                raise ValidationError(
+                    f"route {route.route_id}: zone {zone_order[k]}: {exc}"
+                ) from None
         else:
             tour = solve_atsp(instance)
         ordered = order_zone_stops(instance, tour)

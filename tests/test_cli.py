@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from test_golden import GOLDEN, _run_pipeline
-from zoneseq import cli, ingest, ppm, synth, tsp
+from zoneseq import cli, ingest, ppm, rollout, synth, tsp
 from zoneseq.cli import main
 from zoneseq.core import ValidationError
 from conftest import still_running
@@ -264,6 +264,73 @@ def test_evaluate_huge_travel_time_exits_1(synth_dirs, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"validation error: route {rid}: travel time matrix" in err
+
+
+def test_train_and_bench_do_not_read_the_travel_times_of_a_zoned_split(tmp_path,
+                                                                       monkeypatch):
+    # Every stop has a zone id, so training reads no cost: a travel time
+    # file that is not JSON fails neither command, nor changes the model.
+    data = _synth(tmp_path, n_train_routes=4, n_eval_routes=2, zones_per_route=[2, 3],
+                  stops_per_zone=[1, 2], n_zone_templates=1)
+    intact = tmp_path / "intact.zppm"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(intact)]) == 0
+    travel = data / "train" / "travel_times.json"
+    travel.write_text("{not json")
+    read, read_json = [], ingest.read_json
+
+    def recorded(path, what):
+        read.append(Path(path))
+        return read_json(path, what)
+
+    monkeypatch.setattr(ingest, "read_json", recorded)
+    model, bench = tmp_path / "m.zppm", tmp_path / "bench"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    assert main(["bench", "--dataset", str(data), "--out", str(bench)]) == 0
+    assert model.read_bytes() == intact.read_bytes() == (bench / "model.zppm").read_bytes()
+    assert travel not in read and data / "eval" / "travel_times.json" in read
+
+
+def test_train_imputes_a_zone_by_the_travel_times(tmp_path):
+    # Stop x is nearest to zone A as the crow flies, but to zone B by travel
+    # time; the zone it takes decides the one training sequence, (A, B).
+    split = tmp_path / "train"
+    split.mkdir()
+    coords = {"a1": (0.0, 0.010), "b1": (0.0, 0.020), "x": (0.0, 0.0101), "a2": (0.0, 0.011)}
+    zones = {"a1": "A", "b1": "B", "x": "", "a2": "A"}
+    ids = ["depot", *coords]
+    times = {a: {b: 0 if a == b else 1 if (a, b) == ("x", "b1") else 100 for b in ids}
+             for a in ids}
+    files = {
+        "routes.json": {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {
+            sid: {"lat": lat, "lng": lng, "zone_id": zones[sid]}
+            for sid, (lat, lng) in coords.items()}}},
+        "actual_sequences.json": {"r1": {sid: i for i, sid in enumerate(ids)}},
+        "travel_times.json": {"r1": times},
+    }
+    for name, obj in files.items():
+        (split / name).write_text(json.dumps(obj))
+    full = tmp_path / "full.zppm"
+    ppm.train(ingest.training_corpus(ingest.load_dataset(split, costs=True))).save(full)
+    model = tmp_path / "m.zppm"
+    assert main(["train", "--dataset", str(split), "--model", str(model)]) == 0
+    assert model.read_bytes() == full.read_bytes()
+    (split / "travel_times.json").unlink()  # haversine gives x zone A: (B, A)
+    assert main(["train", "--dataset", str(split), "--model", str(model)]) == 0
+    assert model.read_bytes() != full.read_bytes()
+
+
+def test_sequence_corrupt_travel_times_exits_1(synth_dirs, capsys):
+    tmp_path, data = synth_dirs
+    model = tmp_path / "m.zppm"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    travel = data / "eval" / "travel_times.json"
+    travel.write_text("{not json")
+    out = tmp_path / "sub.json"
+    code = main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"validation error: dataset file {travel} ")
+    assert not out.exists()
 
 
 def _keep_stops(split_dir, rid, keep):
@@ -601,6 +668,29 @@ def test_external_solver_past_its_time_limit_exits_2_naming_it(synth_dirs, monke
             os.kill(pid, 0)
     started = [int(pid) for pid in children.read_text().split()]
     assert started and still_running(started) == []  # and so was all they started
+
+
+def test_bad_external_solver_tour_exits_1_naming_route_and_zone(tmp_path, monkeypatch,
+                                                                capsys):
+    data, model, (first, _) = _two_eval_routes(tmp_path)
+    solver = tmp_path / "bad_tour_solver.sh"
+    solver.write_text("#!/bin/sh\n"
+                      "tour=$(sed -n 's/^TOUR_FILE = //p' \"$1\")\n"
+                      "printf 'TOUR_SECTION\\n1\\nx2\\n-1\\n' > \"$tour\"\n")
+    solver.chmod(0o755)
+    route = ingest.load_dataset(data / "eval").routes[first]
+    zone = rollout.rollout_sequence(ppm.PpmModel.load(model), first, list(route.zone_stops))[0]
+    for cpus in ({0}, {0, 1}):  # in-process, then in a pool of two workers
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / "sub.json"
+        code = main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                     "--out", str(out), "--external-solver", str(solver)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"validation error: route {first}: zone {zone}: "
+            "tour file has a non-integer node 'x2'\n"
+        )
+        assert not out.exists()
 
 
 # -- the route pool ------------------------------------------------------------

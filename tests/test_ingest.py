@@ -272,6 +272,20 @@ def test_unknown_quality_names_route_and_allowed_values(tmp_path, quality):
     assert "'High', 'Medium', 'Low'" in message
 
 
+def test_load_without_costs_reads_travel_times_only_to_impute(tmp_path):
+    write_fixture(tmp_path, TWO_ROUTES)
+    (tmp_path / "travel_times.json").write_text("{not json")
+    ds = ingest.load_dataset(tmp_path, costs=False)
+    assert [route.travel_times for route in ds.routes.values()] == [None, None]
+    with pytest.raises(ValidationError, match="travel_times.json"):
+        ingest.load_dataset(tmp_path)
+    routes = json.loads(json.dumps(TWO_ROUTES))
+    routes["r2"]["stops"]["x"] = {"lat": 1.2, "lng": 1.2, "zone_id": ""}
+    write_fixture(tmp_path, routes)  # a stop to impute, from the travel times
+    with pytest.raises(ValidationError, match="travel_times.json"):
+        ingest.load_dataset(tmp_path, costs=False)
+
+
 def test_zone_imputation_on_load(tmp_path):
     routes = {
         "r1": {
@@ -303,8 +317,9 @@ def test_imputed_route_computes_its_haversine_stops_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(core, "haversine_matrix", counted)
     route = ingest.load_dataset(tmp_path).routes["r1"]
+    assert calls == [1]  # the zoneless stop's row, against the 19 zoned stops
     index, cost = route.stop_cost
-    assert calls == [21]
+    assert calls == [1, 21]  # the whole block, when first read
     assert route.stops["s07"].zone_id == "Z1"  # s06 and s08 are its nearest stops
     expected = haversine_matrix([(route.stops[sid].lat, route.stops[sid].lng) for sid in index])
     assert np.array_equal(cost, expected)
