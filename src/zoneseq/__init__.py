@@ -18,7 +18,7 @@ from .core import (
 from .ingest import Dataset, load_dataset, zsgt
 from .ppm import PpmModel, tokenize_zone, train
 from .rollout import rollout_sequence
-from .scorer import ScoreReport, dataset_score, route_score
+from .scorer import dataset_score, route_score
 from .synth import SynthConfig, generate
 from .tsp import sequence_stops, solve_atsp
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import ingest, ppm, rollout, scorer, synth, tsp
-from .core import StopSequence, ValidationError, read_json, write_json
+from .core import Quality, StopSequence, ValidationError, read_json, write_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -134,6 +134,15 @@ def _train(dataset, model_path, settings, include_low):
     """Train on `dataset`'s ZSgt corpus and save the model: (model, corpus size, seconds)."""
     corpus = ingest.training_corpus(dataset, include_low=include_low)
     if not corpus:
+        low = [] if include_low else sorted(
+            rid for rid, route in dataset.routes.items()
+            if route.actual is not None and route.quality is Quality.LOW
+        )
+        if low:
+            raise ValidationError(
+                f"dataset has no routes to train on: Low quality routes {', '.join(low)}"
+                " are left out; --include-low keeps them"
+            )
         raise ValidationError("dataset has no routes with actual sequences to train on")
     t0 = time.perf_counter()
     model = ppm.train(corpus, max_order=settings["order"], weights=settings["weights"])
@@ -296,8 +305,8 @@ def cmd_evaluate(args) -> int:
     dataset = ingest.load_dataset(args.dataset)
     submissions = load_submission(args.submission)
     report = scorer.dataset_score(dataset, submissions)
-    write_json(args.out, report.to_json_dict())
-    print(f"mean score: {report.mean_score:.6f} over {len(report.per_route)} routes")
+    write_json(args.out, report)
+    print(f"mean score: {report['mean_score']:.6f} over {len(report['routes'])} routes")
     return EXIT_OK
 
 
@@ -345,8 +354,8 @@ def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, fl
         submission, _ = _sequence_routes(eval_ds, zone_order, settings["external_solver"])
         write_json(out_dir / f"submission_{kind}.json", _submission_json(submission))
         report = scorer.dataset_score(eval_ds, submission)
-        write_json(out_dir / f"report_{kind}.json", report.to_json_dict())
-        scores[kind] = report.mean_score
+        write_json(out_dir / f"report_{kind}.json", report)
+        scores[kind] = report["mean_score"]
     return scores
 
 

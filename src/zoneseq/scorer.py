@@ -17,42 +17,12 @@ dynamic-programming table one anti-diagonal at a time with numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .core import Route, StopSequence, ValidationError
 from .ingest import Dataset
-
-
-@dataclass(frozen=True)
-class RouteScore:
-    route_id: str
-    sd: float
-    erp_cost: float
-    erp_edits: int
-    score: float
-
-
-@dataclass(frozen=True)
-class ScoreReport:
-    per_route: Tuple[RouteScore, ...]
-    mean_score: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean_score": self.mean_score,
-            "routes": {
-                r.route_id: {
-                    "sd": r.sd,
-                    "erp_cost": r.erp_cost,
-                    "erp_edits": r.erp_edits,
-                    "score": r.score,
-                }
-                for r in self.per_route
-            },
-        }
 
 
 def sequence_deviation(actual: Sequence[str], submitted: Sequence[str]) -> float:
@@ -128,20 +98,11 @@ def erp(cost: np.ndarray, gap_a: np.ndarray, gap_b: np.ndarray) -> Tuple[float, 
     return float(D[n, m]), edits
 
 
-def _normalized_matrix(route: Route) -> Tuple[Dict[str, int], np.ndarray]:
-    """Stop-id index and `Route.stop_cost` divided by its maximum.
+def route_score(route: Route, submitted: StopSequence) -> dict:
+    """The route's report entry {"sd", "erp_cost", "erp_edits", "score"}.
 
-    The matrix is all zeros when its maximum is not positive.
+    The score is SD * ERP cost / ERP edits, and 0 when there are no edits.
     """
-    index, cost = route.stop_cost
-    max_entry = cost.max()
-    if max_entry <= 0:
-        return index, np.zeros_like(cost)
-    return index, cost / max_entry
-
-
-def route_score(route: Route, submitted: StopSequence) -> RouteScore:
-    """SD * ERP cost / ERP edits for one route (0 when there are no edits)."""
     if route.actual is None:
         raise ValidationError(f"route {route.route_id}: no actual sequence to score against")
     depot_id = route.depot.id
@@ -155,31 +116,31 @@ def route_score(route: Route, submitted: StopSequence) -> RouteScore:
         sd = sequence_deviation(actual_ids, submitted_ids)
     except ValidationError as exc:
         raise ValidationError(f"route {route.route_id}: {exc}") from None
-    index, dist = _normalized_matrix(route)
+    index, dist = route.stop_cost
+    max_entry = dist.max()
+    dist = dist / max_entry if max_entry > 0 else np.zeros_like(dist)
     rows = [index[sid] for sid in actual_ids]
     cols = [index[sid] for sid in submitted_ids]
     gaps = dist[:, index[depot_id]]
     cost, edits = erp(dist[np.ix_(rows, cols)], gaps[rows], gaps[cols])
     score = 0.0 if edits == 0 else sd * cost / edits
-    return RouteScore(
-        route_id=route.route_id, sd=sd, erp_cost=cost, erp_edits=edits, score=score
-    )
+    return {"sd": sd, "erp_cost": cost, "erp_edits": edits, "score": score}
 
 
-def dataset_score(
-    dataset: Dataset, submissions: Dict[str, StopSequence]
-) -> ScoreReport:
-    """Unweighted mean route score over every route that has an actual."""
+def dataset_score(dataset: Dataset, submissions: Dict[str, StopSequence]) -> dict:
+    """The report `evaluate` writes: {"mean_score": m, "routes": {route_id: entry}}.
+
+    Every route with an actual is scored, and m is the unweighted mean of
+    their scores. Every submitted route that the dataset lacks, or every
+    scored route that the submission lacks, is named before any is scored.
+    """
     unknown = sorted(set(submissions) - set(dataset.routes))
     if unknown:
         raise ValidationError(f"submission has routes not in the dataset: {unknown}")
-    per_route: List[RouteScore] = []
-    for route_id in sorted(dataset.routes):
-        route = dataset.routes[route_id]
-        if route.actual is None:
-            continue
-        if route_id not in submissions:
-            raise ValidationError(f"missing submission for route {route_id}")
-        per_route.append(route_score(route, submissions[route_id]))
-    mean = sum(r.score for r in per_route) / len(per_route) if per_route else 0.0
-    return ScoreReport(per_route=tuple(per_route), mean_score=mean)
+    scored = [rid for rid in sorted(dataset.routes) if dataset.routes[rid].actual is not None]
+    missing = [rid for rid in scored if rid not in submissions]
+    if missing:
+        raise ValidationError(f"submission lacks routes of the dataset: {missing}")
+    routes = {rid: route_score(dataset.routes[rid], submissions[rid]) for rid in scored}
+    mean = sum(entry["score"] for entry in routes.values()) / len(routes) if routes else 0.0
+    return {"mean_score": mean, "routes": routes}

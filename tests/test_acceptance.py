@@ -203,5 +203,5 @@ def test_criterion_8_challenge_dataset_conditional(tmp_path):
         zorder = rollout_sequence(model, rid, list(route.zone_stops))
         submissions[rid] = tsp.sequence_stops(route, zorder)
     rep = scorer.dataset_score(dataset, submissions)
-    report(8, "challenge self-evaluation", rep.mean_score <= 0.06,
-           f"(score {rep.mean_score:.4f})")
+    report(8, "challenge self-evaluation", rep["mean_score"] <= 0.06,
+           f"(score {rep['mean_score']:.4f})")

@@ -547,6 +547,23 @@ def test_train_and_bench_reject_a_split_without_actuals_alike(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_train_and_bench_name_the_low_routes_of_an_all_low_split(tmp_path, capsys, command):
+    data, out = tmp_path / "data", tmp_path / "out"
+    _one_route_dataset(data / "train")
+    (data / "train" / "quality.json").write_text(json.dumps({"r1": "Low"}))
+    _one_route_dataset(data / "eval")
+    argv = {"train": ["train", "--dataset", str(data / "train"), "--model", str(out)],
+            "bench": ["bench", "--dataset", str(data), "--out", str(out)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "validation error: dataset has no routes to train on: Low quality routes r1"
+        " are left out; --include-low keeps them\n"
+    )
+    assert not out.exists()
+    assert main(argv + ["--include-low"]) == 0
+
+
 @pytest.mark.parametrize("command, env, config, message", [
     ("train", {"ZSEQ_ORDER": "abc"}, None, "order must be an integer, got 'abc'"),
     ("train", {"ZSEQ_ORDER": "70000"}, None, "order must be in 1..65535, got 70000"),

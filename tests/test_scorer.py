@@ -181,7 +181,7 @@ def test_route_score_matches_loop_oracle():
         rng.shuffle(order)
         submitted = StopSequence("r1", tuple(["depot"] + order))
         rs = route_score(route, submitted)
-        assert (rs.sd, rs.erp_cost, rs.erp_edits, rs.score) == oracle_route_score(
+        assert (rs["sd"], rs["erp_cost"], rs["erp_edits"], rs["score"]) == oracle_route_score(
             route, submitted
         ), case
 
@@ -202,7 +202,7 @@ def scored_route(route_id="r1"):
 def test_route_score_identity_zero():
     route = scored_route()
     rs = route_score(route, route.actual)
-    assert rs.score == 0.0 and rs.sd == 0.0 and rs.erp_edits == 0
+    assert rs["score"] == 0.0 and rs["sd"] == 0.0 and rs["erp_edits"] == 0
 
 
 def test_route_score_composes_components():
@@ -212,7 +212,7 @@ def test_route_score_composes_components():
     sd = sequence_deviation(["a", "b"], ["b", "a"])
     dist = oracle_normalized_dist(route)
     cost, edits = erp(*erp_arrays(["a", "b"], ["b", "a"], dist, "depot"))
-    assert rs.score == pytest.approx(sd * cost / edits)
+    assert rs["score"] == pytest.approx(sd * cost / edits)
 
 
 def test_route_score_haversine_fallback():
@@ -220,7 +220,7 @@ def test_route_score_haversine_fallback():
                               ("c", 0.0, 0.3, "Z")],
                        actual=["depot", "a", "b", "c"])
     rs = route_score(route, StopSequence("r1", ("depot", "a", "c", "b")))
-    assert rs.score > 0.0
+    assert rs["score"] > 0.0
     assert "geometry" not in route.__dict__  # scoring needs no median rows
 
 
@@ -240,7 +240,7 @@ def test_one_swap_beats_random_shuffle_mostly():
         rng.shuffle(shuffled)
         s_swap = route_score(route, StopSequence("r1", tuple(["depot"] + swap)))
         s_rand = route_score(route, StopSequence("r1", tuple(["depot"] + shuffled)))
-        if s_swap.score <= s_rand.score:
+        if s_swap["score"] <= s_rand["score"]:
             wins += 1
     assert wins >= 0.95 * trials
 
@@ -249,11 +249,11 @@ def test_dataset_score_identity_and_mean():
     r1, r2 = scored_route("r1"), scored_route("r2")
     ds = Dataset(routes={"r1": r1, "r2": r2})
     report = dataset_score(ds, {"r1": r1.actual, "r2": r2.actual})
-    assert report.mean_score == 0.0
+    assert report["mean_score"] == 0.0
     sub = {"r1": r1.actual, "r2": StopSequence("r2", ("depot", "b", "a"))}
     report = dataset_score(ds, sub)
-    expected = route_score(r2, sub["r2"]).score / 2
-    assert report.mean_score == pytest.approx(expected)
+    expected = route_score(r2, sub["r2"])["score"] / 2
+    assert report["mean_score"] == pytest.approx(expected)
 
 
 def test_dataset_score_missing_submission_names_route():
@@ -261,3 +261,10 @@ def test_dataset_score_missing_submission_names_route():
     ds = Dataset(routes={"r1": r1})
     with pytest.raises(ValidationError, match="r1"):
         dataset_score(ds, {})
+    # Every missing route is named, before any route is scored: r1's
+    # submission does not start at the depot.
+    r2, r3 = scored_route("r2"), scored_route("r3")
+    ds = Dataset(routes={"r1": r1, "r2": r2, "r3": r3})
+    bad = StopSequence("r1", ("a", "depot", "b"))
+    with pytest.raises(ValidationError, match=r"\['r2', 'r3'\]"):
+        dataset_score(ds, {"r1": bad})

@@ -2,8 +2,9 @@
 
 The benchmark's traced run replaces module and class attributes of zoneseq
 by name, so renaming or re-signing one of them breaks it without failing
-any other test here. The file spans are checked for every command, and the
-route stages for a `sequence` run pinned to one CPU.
+any other test here. The file spans are checked for every command, the
+scorer's spans and counters for `evaluate`, and the route stages for a
+`sequence` run pinned to one CPU.
 """
 
 import json
@@ -56,12 +57,16 @@ def test_traced_commands_record_their_file_spans(tmp_path):
     assert "ingest.write_dataset" in spans["synth"]
     assert {"ingest.load_dataset", "ppm.save"} <= spans["train"]
     assert {"ingest.load_dataset", "ppm.load"} <= spans["sequence"]
-    assert "ingest.load_dataset" in spans["evaluate"]
+    assert {"ingest.load_dataset", "scorer.dataset_score",
+            "scorer.route_score"} <= spans["evaluate"]
+    routes = load_dataset(data / "eval").routes.values()
+    scored = results["evaluate"]["counts"]
+    assert scored["scorer.routes"] == len(routes) == 2
+    assert scored["scorer.erp_cells"] > 0
     if pin is None:
         pytest.skip("sequence cannot be pinned to one CPU, so its route spans are not kept")
     assert {"rollout.rollout_sequence", "tsp.sequence_stops", "tsp.build_instance",
             "tsp.solve_atsp"} <= spans["sequence"]
     counts = results["sequence"]["counts"]
     assert counts["rollout.routes"] == 2
-    routes = load_dataset(data / "eval").routes.values()
     assert counts["tsp.instances"] == sum(len(route.zone_stops) for route in routes)
