@@ -7,7 +7,6 @@ inside each zone with an asymmetric-TSP local search.
 
 from .core import (
     DEPOT_ZONE,
-    Quality,
     Route,
     Stop,
     StopSequence,

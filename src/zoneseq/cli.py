@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import ingest, ppm, rollout, scorer, synth, tsp
-from .core import Quality, StopSequence, ValidationError, read_json, write_json
+from .core import StopSequence, ValidationError, check_each, read_json, write_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -133,17 +133,6 @@ def _load_settings(args) -> dict:
 def _train(dataset, model_path, settings, include_low):
     """Train on `dataset`'s ZSgt corpus and save the model: (model, corpus size, seconds)."""
     corpus = ingest.training_corpus(dataset, include_low=include_low)
-    if not corpus:
-        low = [] if include_low else sorted(
-            rid for rid, route in dataset.routes.items()
-            if route.actual is not None and route.quality is Quality.LOW
-        )
-        if low:
-            raise ValidationError(
-                f"dataset has no routes to train on: Low quality routes {', '.join(low)}"
-                " are left out; --include-low keeps them"
-            )
-        raise ValidationError("dataset has no routes with actual sequences to train on")
     t0 = time.perf_counter()
     model = ppm.train(corpus, max_order=settings["order"], weights=settings["weights"])
     elapsed = time.perf_counter() - t0
@@ -288,16 +277,18 @@ def cmd_sequence(args) -> int:
 
 
 def load_submission(path) -> Dict[str, StopSequence]:
-    """Read {route_id: [stop ids]}; any other JSON shape is a ValidationError."""
+    """Read {route_id: [stop ids]}; any other JSON shape is a ValidationError naming each route."""
     raw = read_json(path, "submission")
-    for rid, ids in raw.items():
+
+    def sequence(rid):
+        ids = raw[rid]
         if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
             raise ValidationError(
                 f"submission {path}: route {rid}: expected a list of stop id strings"
             )
-    return {
-        rid: StopSequence(route_id=rid, ids=tuple(ids)) for rid, ids in raw.items()
-    }
+        return StopSequence(route_id=rid, ids=tuple(ids))
+
+    return check_each(sorted(raw), sequence)
 
 
 def cmd_evaluate(args) -> int:

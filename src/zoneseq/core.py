@@ -13,7 +13,6 @@ import os
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -28,15 +27,25 @@ DEPOT_ZONE = "stz"
 # The reserved stop id of every route's depot.
 DEPOT_STOP_ID = "depot"
 
+# The values a route's quality rating may take, as quality.json spells them.
+QUALITIES = ("High", "Medium", "Low")
+
 
 class ValidationError(ValueError):
     """Raised when a route, sequence or matrix fails a structural check."""
 
 
-class Quality(Enum):
-    HIGH = "High"
-    MEDIUM = "Medium"
-    LOW = "Low"
+def check_each(keys: Iterable[str], check) -> dict:
+    """{key: check(key)} over `keys`, or one ValidationError of every failure, joined by '; '."""
+    out, errors = {}, []
+    for key in keys:
+        try:
+            out[key] = check(key)
+        except ValidationError as exc:
+            errors.append(str(exc))
+    if errors:
+        raise ValidationError("; ".join(errors))
+    return out
 
 
 class Stop(NamedTuple):
@@ -111,16 +120,19 @@ class Route:
     The depot is the stop under DEPOT_STOP_ID; every other stop is a
     delivery stop. A delivery stop without a zone id takes the zone of the
     nearest delivery stop given with one, by `stop_cost` (the smaller stop
-    id on a tie).
+    id on a tie). `quality` is None or one of QUALITIES.
     """
 
     route_id: str
     stops: Dict[str, Stop]
     travel_times: Optional[TravelTimeMatrix] = None
     actual: Optional[StopSequence] = None
-    quality: Optional[Quality] = None
+    quality: Optional[str] = None
 
     def __post_init__(self):
+        if self.quality not in (None, *QUALITIES):
+            raise ValidationError(f"route {self.route_id}: quality {self.quality!r} is not "
+                                  f"one of {', '.join(map(repr, QUALITIES))}")
         if DEPOT_STOP_ID not in self.stops:
             raise ValidationError(f"route {self.route_id}: no depot stop {DEPOT_STOP_ID!r}")
         for sid, stop in self.stops.items():

@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     DEPOT_STOP_ID,
-    Quality,
     Route,
     Stop,
     StopSequence,
@@ -133,16 +132,6 @@ def _zone_id(stop_id, raw) -> Optional[str]:
     return zone or None
 
 
-def _quality(raw) -> Optional[Quality]:
-    if raw is None:
-        return None
-    try:
-        return Quality(raw)
-    except (ValueError, TypeError):
-        allowed = ", ".join(repr(q.value) for q in Quality)
-        raise ValidationError(f"quality {raw!r} is not one of {allowed}") from None
-
-
 def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
     """Validate one route's JSON; load_dataset prefixes errors with the route."""
     body = _object(body, "route body")
@@ -211,7 +200,7 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
         stops=stops,
         travel_times=matrix,
         actual=actual,
-        quality=_quality(quality_raw),
+        quality=quality_raw,
     )
 
 
@@ -240,7 +229,7 @@ def write_dataset(dataset: Dataset, dir_path) -> None:
         if route.travel_times is not None:
             matrices[route_id] = route.travel_times
         if route.quality is not None:
-            quality_out[route_id] = route.quality.value
+            quality_out[route_id] = route.quality
 
     write_json(dir_path / "routes.json", routes_out)
     for name, obj in zip(OPTIONAL_FILES, (actual_out, matrices, quality_out)):
@@ -307,22 +296,30 @@ def training_corpus(dataset: Dataset, include_low: bool = False) -> List[Tuple[s
     """ZSgt sequences of all routes with actuals, excluding Low quality by default.
 
     A route without delivery stops has no zone sequence: it is left out, and
-    one warning on the ``zoneseq`` logger names every such route.
+    one warning on the ``zoneseq`` logger names every such route. An empty
+    corpus is a ValidationError that names the routes left out, if any.
     """
-    corpus = []
-    skipped = []
+    corpus, low, skipped = [], [], []
     for route_id in sorted(dataset.routes):
         route = dataset.routes[route_id]
         if route.actual is None:
             continue
-        if not include_low and route.quality is Quality.LOW:
-            continue
-        if not route.delivery_stops():
+        if not include_low and route.quality == "Low":
+            low.append(route_id)
+        elif not route.delivery_stops():
             skipped.append(route_id)
-            continue
-        corpus.append(zsgt(route))
+        else:
+            corpus.append(zsgt(route))
     if skipped:
         log.warning(
             "skipped %d routes without delivery stops: %s", len(skipped), ", ".join(skipped)
         )
+    if not corpus:
+        reasons = [f"routes {', '.join(skipped)} have no delivery stops"] if skipped else []
+        if low:
+            reasons.append(f"Low quality routes {', '.join(low)} are left out;"
+                           " --include-low keeps them")
+        if not reasons:
+            raise ValidationError("dataset has no routes with actual sequences to train on")
+        raise ValidationError("dataset has no routes to train on: " + "; ".join(reasons))
     return corpus

@@ -21,7 +21,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .core import Route, StopSequence, ValidationError
+from .core import Route, StopSequence, ValidationError, check_each
 from .ingest import Dataset
 
 
@@ -131,8 +131,8 @@ def dataset_score(dataset: Dataset, submissions: Dict[str, StopSequence]) -> dic
     """The report `evaluate` writes: {"mean_score": m, "routes": {route_id: entry}}.
 
     Every route with an actual is scored, and m is the unweighted mean of
-    their scores. Every submitted route that the dataset lacks, or every
-    scored route that the submission lacks, is named before any is scored.
+    their scores. An error names every route at fault: those the dataset or
+    the submission lacks, before any is scored, then those that fail to score.
     """
     unknown = sorted(set(submissions) - set(dataset.routes))
     if unknown:
@@ -141,6 +141,6 @@ def dataset_score(dataset: Dataset, submissions: Dict[str, StopSequence]) -> dic
     missing = [rid for rid in scored if rid not in submissions]
     if missing:
         raise ValidationError(f"submission lacks routes of the dataset: {missing}")
-    routes = {rid: route_score(dataset.routes[rid], submissions[rid]) for rid in scored}
+    routes = check_each(scored, lambda rid: route_score(dataset.routes[rid], submissions[rid]))
     mean = sum(entry["score"] for entry in routes.values()) / len(routes) if routes else 0.0
     return {"mean_score": mean, "routes": routes}

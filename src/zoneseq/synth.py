@@ -19,7 +19,6 @@ from typing import Dict, List, Tuple
 
 from .core import (
     DEPOT_STOP_ID,
-    Quality,
     Route,
     Stop,
     StopSequence,
@@ -163,7 +162,7 @@ def _route(cfg, rng, route_id, templates, centers, depot) -> Route:
         coords = [(stops[sid].lat, stops[sid].lng) for sid in all_ids]
         matrix = TravelTimeMatrix(ids=all_ids, t=haversine_matrix(coords) / _SPEED_M_PER_S)
 
-    quality = Quality.HIGH if rng.random() < 0.5 else Quality.MEDIUM
+    quality = "High" if rng.random() < 0.5 else "Medium"
     return Route(
         route_id=route_id,
         stops=stops,

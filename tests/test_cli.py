@@ -564,6 +564,63 @@ def test_train_and_bench_name_the_low_routes_of_an_all_low_split(tmp_path, capsy
     assert main(argv + ["--include-low"]) == 0
 
 
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_train_and_bench_name_the_routes_without_delivery_stops(tmp_path, capsys, caplog,
+                                                                command):
+    data, out = tmp_path / "data", tmp_path / "out"
+    (data / "train").mkdir(parents=True)
+    (data / "train" / "routes.json").write_text(json.dumps(
+        {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {}}}))
+    (data / "train" / "actual_sequences.json").write_text(json.dumps({"r1": {"depot": 0}}))
+    _one_route_dataset(data / "eval")
+    argv = {"train": ["train", "--dataset", str(data / "train"), "--model", str(out)],
+            "bench": ["bench", "--dataset", str(data), "--out", str(out)]}[command]
+    with caplog.at_level(logging.WARNING, logger="zoneseq"):
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "validation error: dataset has no routes to train on: routes r1 have no delivery stops\n"
+    )
+    assert "skipped 1 routes without delivery stops: r1" in caplog.text
+    assert not out.exists()
+
+
+def _three_eval_routes(path):
+    """A tiny eval split: eval_0000i has the stops a and b, visited in that order."""
+    path.mkdir(parents=True)
+    routes = {
+        f"eval_0000{i}": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {
+            "a": {"lat": 0.1, "lng": 0.1 * i, "zone_id": "A-1.1A"},
+            "b": {"lat": 0.2, "lng": 0.2, "zone_id": "A-1.2A"}}}
+        for i in range(3)
+    }
+    (path / "routes.json").write_text(json.dumps(routes))
+    (path / "actual_sequences.json").write_text(json.dumps(
+        {rid: {"depot": 0, "a": 1, "b": 2} for rid in routes}))
+    return path
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"eval_00000": ["a", "depot", "b"], "eval_00002": ["depot", "a"]},
+     "route eval_00000: submission must start at the depot 'depot';"
+     " route eval_00002: actual and submitted are not permutations of the same stops"),
+    ({"eval_00000": ["depot", "a", "a"], "eval_00001": ["depot", "b", "b"]},
+     "route eval_00000: duplicate ids in sequence; route eval_00001: duplicate ids in sequence"),
+    ({"eval_00000": 5, "eval_00002": ["depot", "b", "b"]},
+     "submission {path}: route eval_00000: expected a list of stop id strings;"
+     " route eval_00002: duplicate ids in sequence"),
+], ids=["score", "duplicate", "shape-and-duplicate"])
+def test_evaluate_names_every_bad_route(tmp_path, capsys, bad, message):
+    data = _three_eval_routes(tmp_path / "eval")
+    sub, rep = tmp_path / "sub.json", tmp_path / "rep.json"
+    sub.write_text(json.dumps(dict(
+        {f"eval_0000{i}": ["depot", "a", "b"] for i in range(3)}, **bad)))
+    code = main(["evaluate", "--dataset", str(data), "--submission", str(sub),
+                 "--out", str(rep)])
+    assert code == 1
+    assert capsys.readouterr().err == f"validation error: {message.format(path=sub)}\n"
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("command, env, config, message", [
     ("train", {"ZSEQ_ORDER": "abc"}, None, "order must be an integer, got 'abc'"),
     ("train", {"ZSEQ_ORDER": "70000"}, None, "order must be in 1..65535, got 70000"),

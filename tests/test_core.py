@@ -83,6 +83,14 @@ def test_route_rejects_the_sentinel_zone_id():
         make_route(stops=[("s", 0.0, 0.0, "stz")])
 
 
+def test_route_checks_its_quality():
+    with pytest.raises(ValidationError) as excinfo:
+        make_route(route_id="r7", stops=[("s", 0.0, 0.0, "Z")], quality="low")
+    assert str(excinfo.value) == "route r7: quality 'low' is not one of 'High', 'Medium', 'Low'"
+    assert make_route(stops=[("s", 0.0, 0.0, "Z")], quality=None).quality is None
+    assert make_route(stops=[("s", 0.0, 0.0, "Z")], quality="Low").quality == "Low"
+
+
 def test_depot_with_a_zone_is_neither_a_delivery_stop_nor_a_zone():
     stops = {"depot": Stop("depot", 0, 0, zone_id="X"), "a": Stop("a", 1, 1, zone_id="Y")}
     route = Route(route_id="r1", stops=stops, actual=StopSequence("r1", ("depot", "a")))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zoneseq import core, ingest
-from zoneseq.core import Quality, TravelTimeMatrix, ValidationError, haversine_m
+from zoneseq.core import TravelTimeMatrix, ValidationError, haversine_m
 from zoneseq.ingest import zsgt
 from conftest import make_route, oracle_zsgt
 
@@ -49,7 +49,7 @@ def test_load_two_routes(tmp_path):
     ds = ingest.load_dataset(tmp_path)
     assert len(ds.routes) == 2
     assert ds.routes["r1"].actual.ids == ("depot", "a", "b")
-    assert ds.routes["r1"].quality is Quality.HIGH
+    assert ds.routes["r1"].quality == "High"
     assert ds.routes["r2"].actual is None
 
 
@@ -476,6 +476,22 @@ def test_training_corpus_excludes_low_quality(tmp_path):
     ds = ingest.load_dataset(tmp_path)
     assert ingest.training_corpus(ds) == [("Z9",)]
     assert ingest.training_corpus(ds, include_low=True) == [("Z1", "Z2"), ("Z9",)]
+
+
+def test_empty_training_corpus_names_both_reasons(tmp_path, caplog):
+    routes = dict(TWO_ROUTES, r2={"depot": {"lat": 1.0, "lng": 1.0}, "stops": {}})
+    write_fixture(tmp_path, routes,
+                  actuals={"r1": {"depot": 0, "a": 1, "b": 2}, "r2": {"depot": 0}},
+                  quality={"r1": "Low", "r2": "High"})
+    ds = ingest.load_dataset(tmp_path)
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.training_corpus(ds)
+    assert str(excinfo.value) == (
+        "dataset has no routes to train on: routes r2 have no delivery stops;"
+        " Low quality routes r1 are left out; --include-low keeps them"
+    )
+    assert "skipped 1 routes without delivery stops: r2" in caplog.text
+    assert ingest.training_corpus(ds, include_low=True) == [("Z1", "Z2")]
 
 
 def test_roundtrip_byte_stable(tmp_path):

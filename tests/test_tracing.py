@@ -3,8 +3,9 @@
 The benchmark's traced run replaces module and class attributes of zoneseq
 by name, so renaming or re-signing one of them breaks it without failing
 any other test here. The file spans are checked for every command, the
-scorer's spans and counters for `evaluate`, and the route stages for a
-`sequence` run pinned to one CPU.
+corpus and training spans and counters for `train`, the scorer's spans and
+counters for `evaluate`, and the route stages for a `sequence` run pinned
+to one CPU.
 """
 
 import json
@@ -55,7 +56,11 @@ def test_traced_commands_record_their_file_spans(tmp_path):
         assert result["exit"] == 0
         spans[argv[0]] = {span[0] for span in result["spans"]}
     assert "ingest.write_dataset" in spans["synth"]
-    assert {"ingest.load_dataset", "ppm.save"} <= spans["train"]
+    assert {"ingest.load_dataset", "ingest.training_corpus", "ppm.train",
+            "ppm.save"} <= spans["train"]
+    trained = results["train"]["counts"]
+    assert trained["ppm.train_sequences"] == 4  # every training route of the config
+    assert trained["ppm.contexts"] > 0
     assert {"ingest.load_dataset", "ppm.load"} <= spans["sequence"]
     assert {"ingest.load_dataset", "scorer.dataset_score",
             "scorer.route_score"} <= spans["evaluate"]
