@@ -12,10 +12,15 @@ datasets:
 
 The depot is stored under the reserved stop id "depot". A stop's missing
 zone id is imputed by `core.Route` itself, when the route is built.
+
+`write_dataset` writes each file with the bytes json.dump(sort_keys=True,
+indent=1) gives, streamed one route at a time and formatted straight from
+the Routes: no file is built as a dict first.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass
 from itertools import chain, groupby
@@ -32,9 +37,9 @@ from .core import (
     StopSequence,
     TravelTimeMatrix,
     ValidationError,
+    check_each,
     read_json,
     write_file,
-    write_json,
 )
 
 OPTIONAL_FILES = ("actual_sequences.json", "travel_times.json", "quality.json")
@@ -55,6 +60,9 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
     neither decoded nor checked, and every route has no travel times, unless
     a delivery stop has no zone id. Such a stop's zone is imputed from the
     travel times, so they are loaded as with `costs=True`.
+
+    The routes are built in route-id order, and one ValidationError names
+    every route that fails, joined by '; '.
     """
     dir_path = Path(dir_path)
     raw_routes = read_json(dir_path / "routes.json", "dataset file")
@@ -76,12 +84,11 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
             raise ValidationError(f"dataset file {dir_path / name} has unknown route {unknown[0]}")
     actuals, matrices, qualities = optional
 
-    routes: Dict[str, Route] = {}
-    for route_id, body in raw_routes.items():
+    def build(route_id) -> Route:
         try:
-            routes[route_id] = _build_route(
+            return _build_route(
                 route_id,
-                body,
+                raw_routes[route_id],
                 actuals.get(route_id),
                 matrices.get(route_id),
                 qualities.get(route_id),
@@ -91,7 +98,8 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
             if str(exc).startswith(prefix):  # Route names it already
                 raise
             raise ValidationError(prefix + str(exc)) from None
-    return Dataset(routes=routes)
+
+    return Dataset(routes=check_each(sorted(raw_routes), build))
 
 
 def _every_stop_zoned(body) -> bool:
@@ -207,69 +215,102 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
 def write_dataset(dataset: Dataset, dir_path) -> None:
     """Serialize a dataset to the directory layout.
 
-    Every file holds the bytes json.dump(sort_keys=True, indent=1) gives;
-    travel_times.json is written by _travel_time_chunks without building the
-    nested dicts. An optional file the dataset has no data for is removed, so
-    that an older dataset in the directory leaves none of its files behind.
+    Every file holds the bytes json.dump(sort_keys=True, indent=1) gives for
+    the dict of its routes, and is streamed by write_file one chunk per
+    route, each formatted straight from the Route without building the
+    dict. An optional file the dataset has no data for is removed, so that
+    an older dataset in the directory leaves none of its files behind.
     """
     dir_path = Path(dir_path)
-    routes_out, actual_out, matrices, quality_out = {}, {}, {}, {}
-    for route_id in sorted(dataset.routes):
-        route = dataset.routes[route_id]
-        depot = route.depot
-        routes_out[route_id] = {
-            "depot": {"lat": depot.lat, "lng": depot.lng},
-            "stops": {
-                s.id: {"lat": s.lat, "lng": s.lng, "zone_id": s.zone_id}
-                for s in sorted(route.delivery_stops(), key=lambda s: s.id)
-            },
-        }
-        if route.actual is not None:
-            actual_out[route_id] = {sid: i for i, sid in enumerate(route.actual.ids)}
-        if route.travel_times is not None:
-            matrices[route_id] = route.travel_times
-        if route.quality is not None:
-            quality_out[route_id] = route.quality
-
-    write_json(dir_path / "routes.json", routes_out)
-    for name, obj in zip(OPTIONAL_FILES, (actual_out, matrices, quality_out)):
+    ids = sorted(dataset.routes)
+    routes = [dataset.routes[route_id] for route_id in ids]
+    files = (
+        ("routes.json", routes, _route_text),
+        ("actual_sequences.json", [r.actual for r in routes], _actual_text),
+        ("travel_times.json", [r.travel_times for r in routes], _travel_time_text),
+        ("quality.json", [r.quality for r in routes], _value),
+    )
+    for name, values, text in files:
         path = dir_path / name
-        if not obj:
-            path.unlink(missing_ok=True)
-        elif obj is matrices:
-            write_file(path, _travel_time_chunks(matrices), text=True)
+        if name == "routes.json" or any(v is not None for v in values):
+            write_file(path, _object_chunks(ids, values, text), text=True)
         else:
-            write_json(path, obj)
+            path.unlink(missing_ok=True)
 
 
-def _travel_time_chunks(matrices: Dict[str, TravelTimeMatrix]):
-    """{route: {from: {to: seconds}}} as json.dump(sort_keys=True, indent=1) writes it.
+def _object_chunks(keys, values, text):
+    """{key: value} as json.dump(sort_keys=True, indent=1) writes it, for sorted `keys`.
 
-    One chunk per route, in sorted route order. Each id is escaped once per
-    route, and a matrix equal to its transpose bit for bit (-0.0 is not 0.0)
-    has each mirrored pair formatted once.
+    One chunk per value that is not None, `text(value)` after its key, then
+    the closing brace; the object is "{}" when every value is None.
     """
     opening = "{\n "
-    for route_id in sorted(matrices):
-        m = matrices[route_id]
-        order = sorted(range(len(m.ids)), key=m.ids.__getitem__)
-        keys = [encode_basestring_ascii(m.ids[i]) for i in order]
-        t = m.t[np.ix_(order, order)]
-        bits = t.view(np.uint64)
-        if (bits == bits.T).all():
-            upper = np.triu_indices(len(keys))
-            texts = np.empty(t.shape, dtype=object)
-            texts[upper] = texts[upper[::-1]] = list(map(float.__repr__, t[upper].tolist()))
-        else:
-            texts = np.array([list(map(float.__repr__, row)) for row in t.tolist()], dtype=object)
-        entries = np.array([key + ": " for key in keys], dtype=object) + texts
-        rows = ",\n  ".join(
-            key + ": {\n   " + ",\n   ".join(row) + "\n  }"
-            for key, row in zip(keys, entries.tolist())
-        )
-        yield opening + encode_basestring_ascii(route_id) + ": {\n  " + rows + "\n }"
-        opening = ",\n "
+    for key, value in zip(keys, values):
+        if value is not None:
+            yield opening + encode_basestring_ascii(key) + ": " + text(value)
+            opening = ",\n "
     yield "{}" if opening == "{\n " else "\n}"
+
+
+def _value(value) -> str:
+    """A JSON scalar as the stdlib encoder writes it.
+
+    A float takes float.__repr__ and a string is escaped to ASCII, as the
+    encoder does; anything else (an int coordinate, None) goes through it.
+    The encoder writes nan and inf otherwise, but a Route rejects them.
+    """
+    if type(value) is float:
+        return float.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _route_text(route: Route) -> str:
+    """A route's routes.json value at depth 1: its depot and its delivery stops by id."""
+    depot = route.depot
+    stops = ",\n   ".join(
+        f'{encode_basestring_ascii(s.id)}: {{\n    "lat": {_value(s.lat)},\n'
+        f'    "lng": {_value(s.lng)},\n    "zone_id": {_value(s.zone_id)}\n   }}'
+        for s in sorted(route.delivery_stops(), key=lambda s: s.id)
+    )
+    return (
+        f'{{\n  "depot": {{\n   "lat": {_value(depot.lat)},\n'
+        f'   "lng": {_value(depot.lng)}\n  }},\n  "stops": '
+        + ("{\n   " + stops + "\n  }" if stops else "{}")
+        + "\n }"
+    )
+
+
+def _actual_text(actual: StopSequence) -> str:
+    """An actual's actual_sequences.json value at depth 1: stop id -> position, by id."""
+    ids = actual.ids
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return "{\n  " + ",\n  ".join(f"{encode_basestring_ascii(ids[i])}: {i}" for i in order) + "\n }"
+
+
+def _travel_time_text(m: TravelTimeMatrix) -> str:
+    """A matrix's travel_times.json value at depth 1: {from: {to: seconds}}, by id.
+
+    Each id is escaped once, and a matrix equal to its transpose bit for
+    bit (-0.0 is not 0.0) has each mirrored pair formatted once.
+    """
+    order = sorted(range(len(m.ids)), key=m.ids.__getitem__)
+    keys = [encode_basestring_ascii(m.ids[i]) for i in order]
+    t = m.t[np.ix_(order, order)]
+    bits = t.view(np.uint64)
+    if (bits == bits.T).all():
+        upper = np.triu_indices(len(keys))
+        texts = np.empty(t.shape, dtype=object)
+        texts[upper] = texts[upper[::-1]] = list(map(float.__repr__, t[upper].tolist()))
+    else:
+        texts = np.array([list(map(float.__repr__, row)) for row in t.tolist()], dtype=object)
+    entries = np.array([key + ": " for key in keys], dtype=object) + texts
+    rows = ",\n  ".join(
+        key + ": {\n   " + ",\n   ".join(row) + "\n  }"
+        for key, row in zip(keys, entries.tolist())
+    )
+    return "{\n  " + rows + "\n }"
 
 
 def zsgt(route: Route) -> Tuple[str, ...]:

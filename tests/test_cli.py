@@ -1049,25 +1049,23 @@ def test_failed_write_leaves_the_previous_file(synth_dirs, monkeypatch):
         raise RuntimeError("encoder failed midway")
 
     monkeypatch.setattr(json.JSONEncoder, "iterencode", encode_then_fail)
-    for argv in (sequence, ["synth", "--synth-config", str(tmp_path / "synth.json"),
-                            "--out", str(data)]):
-        with pytest.raises(RuntimeError, match="midway"):
-            main(argv)
+    with pytest.raises(RuntimeError, match="midway"):
+        main(sequence)
 
-    # travel_times.json does not go through the JSON encoder: fail its own
+    # The dataset files do not go through the JSON encoder: fail their own
     # producer once the first route's chunk is written.
     monkeypatch.undo()
-    chunks = ingest._travel_time_chunks
+    chunks = ingest._object_chunks
 
-    def chunks_then_fail(matrices):
-        yield from itertools.islice(chunks(matrices), 1)
+    def chunks_then_fail(*args):
+        yield from itertools.islice(chunks(*args), 1)
         raise RuntimeError("producer failed after one route")
 
-    monkeypatch.setattr(ingest, "_travel_time_chunks", chunks_then_fail)
+    monkeypatch.setattr(ingest, "_object_chunks", chunks_then_fail)
     with pytest.raises(RuntimeError, match="after one route"):
         main(["synth", "--synth-config", str(tmp_path / "synth.json"), "--out", str(data)])
-    travel_times = data / "train" / "travel_times.json"
-    assert travel_times.read_bytes() == before[travel_times]
+    routes = data / "train" / "routes.json"
+    assert routes.read_bytes() == before[routes]
     assert not list(tmp_path.rglob("*.tmp"))
 
     def fail_replace(src, dst):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zoneseq import core, ingest
-from zoneseq.core import TravelTimeMatrix, ValidationError, haversine_m
+from zoneseq.core import Route, Stop, StopSequence, TravelTimeMatrix, ValidationError, haversine_m
 from zoneseq.ingest import zsgt
 from conftest import make_route, oracle_zsgt
 
@@ -193,6 +193,19 @@ def test_route_errors_name_the_route_once(tmp_path):
         ingest.load_dataset(tmp_path)
     assert str(excinfo.value) == (
         "route r2: actual sequence is not a permutation of stops"
+    )
+
+
+def test_every_bad_route_is_named_in_route_id_order(tmp_path):
+    routes = json.loads(json.dumps(TWO_ROUTES))
+    del routes["r1"]["depot"]
+    routes = {"r3": {"depot": {"lat": 2.0, "lng": 2.0},
+                     "stops": {"d": {"lat": "2.1", "lng": 2.1, "zone_id": "Z1"}}}, **routes}
+    write_fixture(tmp_path, routes)
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == (
+        "route r1: missing depot entry; route r3: stop 'd' has a missing or non-numeric 'lat'"
     )
 
 
@@ -512,13 +525,58 @@ def test_roundtrip_byte_stable(tmp_path):
     assert json.loads((out1 / "travel_times.json").read_text()) == travel
 
 
-def _stdlib_travel_times(matrices):
-    """The oracle: travel_times.json as the stdlib encoder writes it."""
-    nested = {
-        route_id: {a: dict(zip(m.ids, row)) for a, row in zip(m.ids, m.t.tolist())}
-        for route_id, m in matrices.items()
-    }
-    return json.dumps(nested, sort_keys=True, indent=1)
+def _stdlib_files(dataset):
+    """The oracle: every file write_dataset writes, as the stdlib encoder writes its dict.
+
+    The dicts are built as write_dataset built them before it streamed each
+    file; an optional file without routes is not written.
+    """
+    routes, actuals, matrices, qualities = {}, {}, {}, {}
+    for route_id in sorted(dataset.routes):
+        route = dataset.routes[route_id]
+        routes[route_id] = {
+            "depot": {"lat": route.depot.lat, "lng": route.depot.lng},
+            "stops": {
+                s.id: {"lat": s.lat, "lng": s.lng, "zone_id": s.zone_id}
+                for s in sorted(route.delivery_stops(), key=lambda s: s.id)
+            },
+        }
+        if route.actual is not None:
+            actuals[route_id] = {sid: i for i, sid in enumerate(route.actual.ids)}
+        m = route.travel_times
+        if m is not None:
+            matrices[route_id] = {a: dict(zip(m.ids, row)) for a, row in zip(m.ids, m.t.tolist())}
+        if route.quality is not None:
+            qualities[route_id] = route.quality
+    files = {"routes.json": routes, "actual_sequences.json": actuals,
+             "travel_times.json": matrices, "quality.json": qualities}
+    return {name: json.dumps(obj, sort_keys=True, indent=1)
+            for name, obj in files.items() if obj or name == "routes.json"}
+
+
+def assert_files_match_the_stdlib_encoder(dataset, dir_path, monkeypatch):
+    """write_dataset writes the oracle's files, one chunk per route plus the closing brace.
+
+    `dir_path` first holds every file of an older dataset: those the new
+    one has no data for must go.
+    """
+    dir_path.mkdir()
+    for name in ("routes.json", *ingest.OPTIONAL_FILES):
+        (dir_path / name).write_text("{}")
+    chunks = {}
+
+    def recording(path, produced, text=False):
+        chunks[path.name] = list(produced)
+        core.write_file(path, chunks[path.name], text=text)
+
+    monkeypatch.setattr(ingest, "write_file", recording)
+    ingest.write_dataset(dataset, dir_path)
+    monkeypatch.undo()
+    expected = _stdlib_files(dataset)
+    assert sorted(p.name for p in dir_path.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (dir_path / name).read_bytes() == text.encode("ascii"), name
+        assert len(chunks[name]) == len(json.loads(text)) + 1, name
 
 
 def _symmetric(n, rng):
@@ -527,6 +585,31 @@ def _symmetric(n, rng):
 
 
 EDGE_VALUES = [3.0, 5e-324, 1e-7, 1e16, 120.0, 0.1 + 0.2]
+
+# Coordinates the API accepts: ints, signed zeros and the ends of each range.
+EDGE_LATS = [47, -0.0, 90.0, -90, 5e-324, -1e-7, 0.1 + 0.2, 47.606209, 0, 89.99999999999999]
+EDGE_LNGS = [-122, 0.0, 180, -180.0, -5e-324, 1e-7, 179.99999999999997, -122.332069, -0.0]
+
+ESCAPED_IDS = ('q"', "b\\", "c\x01", "\u00e9", "\u2603", "\U0001f600")
+
+
+def _route(route_id, ids, t=None, actual=True, quality="High", offset=0):
+    """A Route over stop `ids` (the depot among them), each zoned, with edge coordinates."""
+    stops = {
+        sid: Stop(sid, EDGE_LATS[(i + offset) % len(EDGE_LATS)],
+                  EDGE_LNGS[(i + offset) % len(EDGE_LNGS)],
+                  None if sid == "depot" else f"Z{sid}"[:3])
+        for i, sid in enumerate(ids)
+    }
+    order = ("depot", *sorted(set(ids) - {"depot"}, reverse=True))
+    return Route(
+        route_id=route_id,
+        stops=stops,
+        travel_times=None if t is None else TravelTimeMatrix(ids=tuple(ids), t=t),
+        actual=StopSequence(route_id, order) if actual else None,
+        quality=quality,
+    )
+
 
 TRAVEL_TIME_CASES = {
     "symmetric": (("depot", "a", "b", "c"), _symmetric(4, np.random.default_rng(1))),
@@ -537,42 +620,74 @@ TRAVEL_TIME_CASES = {
     "negative-zero-diagonal": (("depot", "a", "b"), [[-0.0, 1.0, 2.0],
                                                      [1.0, 0.0, 3.0],
                                                      [2.0, 3.0, -0.0]]),
-    "edge-values-symmetric": (tuple("pqrstuv"),
+    "edge-values-symmetric": (("depot", *"qrstuv"),
                               np.diag(EDGE_VALUES, 1) + np.diag(EDGE_VALUES, -1)),
-    "edge-values-asymmetric": (tuple("pqrstuv"), np.diag(EDGE_VALUES, 1)),
+    "edge-values-asymmetric": (("depot", *"qrstuv"), np.diag(EDGE_VALUES, 1)),
     "depot-only": (("depot",), [[0.0]]),
     "unsorted-ids-symmetric": (("z", "depot", "m", "a", "b10", "b9"),
                                _symmetric(6, np.random.default_rng(3))),
     "unsorted-ids-asymmetric": (("z", "depot", "m", "a"), [[0, 1, 2, 3], [4, 0, 5, 6],
                                                           [7, 8, 0, 9], [10, 11, 12, 0]]),
-    "escaped-ids": (("depot", 'q"', "b\\", "c\x01", "\u00e9", "\u2603", "\U0001f600"),
-                    _symmetric(7, np.random.default_rng(4))),
+    "escaped-ids": (("depot", *ESCAPED_IDS), _symmetric(7, np.random.default_rng(4))),
 }
 
 
 @pytest.mark.parametrize("case", list(TRAVEL_TIME_CASES))
-def test_travel_time_chunks_match_the_stdlib_encoder(case):
+def test_travel_time_chunks_match_the_stdlib_encoder(case, tmp_path, monkeypatch):
     ids, t = TRAVEL_TIME_CASES[case]
-    matrix = TravelTimeMatrix(ids=ids, t=t)
-    for matrices in ({"r1": matrix}, {"r2": matrix, 'r"0': matrix, "r1": matrix}):
-        chunks = list(ingest._travel_time_chunks(matrices))
-        assert len(chunks) == len(matrices) + 1  # one per route, then the closing brace
-        assert "".join(chunks) == _stdlib_travel_times(matrices)
+    one = {"r1": _route("r1", ids, t)}
+    three = {  # every file holds a route the others lack
+        "r2": _route("r2", ids, t, actual=False, offset=1),
+        'r"0': _route('r"0', ids, t, quality=None, offset=2),
+        "r1": _route("r1", ids, None, quality="Low", offset=3),
+    }
+    for n, routes in enumerate((one, three)):
+        assert_files_match_the_stdlib_encoder(ingest.Dataset(routes), tmp_path / str(n), monkeypatch)
 
 
-def test_travel_time_chunks_match_the_stdlib_encoder_fuzz():
+DATASET_CASES = {
+    "empty": {},
+    "no-delivery-stops": {
+        "r1": _route("r1", ("depot",)),
+        "r2": _route("r2", ("depot",), actual=False, quality=None, offset=4),
+    },
+    "no-optional-data": {
+        "r1": _route("r1", ("depot", "a", "b"), actual=False, quality=None),
+        "r0": _route("r0", ("b", "depot"), actual=False, quality=None, offset=5),
+    },
+    "escaped-ids": {
+        f"r{sid}": _route(f"r{sid}", ("depot", *ESCAPED_IDS), actual=i % 2 == 0,
+                          quality=core.QUALITIES[i % 3], offset=i)
+        for i, sid in enumerate(ESCAPED_IDS)
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(DATASET_CASES))
+def test_dataset_files_match_the_stdlib_encoder(case, tmp_path, monkeypatch):
+    assert_files_match_the_stdlib_encoder(ingest.Dataset(DATASET_CASES[case]), tmp_path / "out",
+                                          monkeypatch)
+
+
+def test_travel_time_chunks_match_the_stdlib_encoder_fuzz(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     alphabet = ["a", "B", "0", "-", ".", '"', "\\", "\n", "\u00fc"]
-    matrices = {}
+    routes = {}
     for n in (1, 2, 3, 8, 17, 40):
         ids = {"depot"}
         while len(ids) < n:
             ids.add("".join(rng.choice(alphabet, size=rng.integers(1, 5))))
         ids = tuple(rng.permutation(sorted(ids)))
         t = _symmetric(n, rng)
-        matrices[f"sym{n}"] = TravelTimeMatrix(ids=ids, t=t)
+        quality = [None, *core.QUALITIES][rng.integers(4)]
+        routes[f"sym{n}"] = _route(f"sym{n}", ids, t, quality=quality, offset=n)
         if n > 1:
             t[0, 1] = np.nextafter(t[0, 1], np.inf)  # one ulp breaks the symmetry
-            matrices[f"asym{n}"] = TravelTimeMatrix(ids=ids, t=t)
-    assert "".join(ingest._travel_time_chunks(matrices)) == _stdlib_travel_times(matrices)
-    assert "".join(ingest._travel_time_chunks({})) == _stdlib_travel_times({})
+            routes[f"asym{n}"] = _route(f"asym{n}", ids, t, actual=bool(rng.integers(2)),
+                                        offset=2 * n)
+        routes[f"plain{n}\u00fc"] = _route(f"plain{n}\u00fc", ids, actual=bool(rng.integers(2)),
+                                           quality=quality, offset=3 * n)
+    keys = sorted(routes)
+    routes = {keys[i]: routes[keys[i]] for i in rng.permutation(len(keys))}
+    assert_files_match_the_stdlib_encoder(ingest.Dataset(routes), tmp_path / "out", monkeypatch)
+    assert_files_match_the_stdlib_encoder(ingest.Dataset({}), tmp_path / "empty", monkeypatch)
