@@ -101,6 +101,53 @@ class TravelTimeMatrix:
         return self.ids == other.ids and np.array_equal(self.t, other.t)
 
 
+class TravelTimeRow(NamedTuple):
+    """A JSON object of numbers, decoded as read_json(rows=True) reads a travel-time row.
+
+    `keys` are in file order, and `values` is their read-only float64 array.
+    `ints` lists the positions of the values written as JSON integers, each
+    exact in a float64, so `plain` gives back the dict json.load gives,
+    value for value. The repr is that dict's, so a message that quotes an
+    object of numbers where no row belongs reads the same either way.
+    """
+
+    keys: Tuple[str, ...]
+    values: np.ndarray
+    ints: Tuple[int, ...]
+
+    def plain(self) -> dict:
+        values = self.values.tolist()
+        for i in self.ints:
+            values[i] = int(values[i])
+        return dict(zip(self.keys, values))
+
+    def __repr__(self):
+        return repr(self.plain())
+
+
+def _travel_time_row(obj: dict) -> Optional[TravelTimeRow]:
+    """The TravelTimeRow of a decoded JSON object, or None if it is none.
+
+    A row is non-empty, and every value is a JSON number (not true or
+    false) that a float64 holds: a float, or an int that converts exactly.
+    """
+    values = list(obj.values())
+    types = set(map(type, values))
+    if not types or not types <= {int, float}:
+        return None
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int too large for a float
+        return None
+    ints = ()
+    if int in types:
+        ints = tuple(i for i, v in enumerate(values) if type(v) is int)
+        if array[list(ints)].tolist() != [values[i] for i in ints]:  # a float64 rounds one
+            return None
+    array.setflags(write=False)
+    return TravelTimeRow(tuple(obj), array, ints)
+
+
 @dataclass(frozen=True)
 class StopSequence:
     """Ordered stop ids for one route; the first element is the depot."""
@@ -120,7 +167,9 @@ class Route:
     The depot is the stop under DEPOT_STOP_ID; every other stop is a
     delivery stop. A delivery stop without a zone id takes the zone of the
     nearest delivery stop given with one, by `stop_cost` (the smaller stop
-    id on a tie). `quality` is None or one of QUALITIES.
+    id on a tie). Every coordinate is an int or a float (not a bool), every
+    zone id a str or None, as load_dataset reads them, and `quality` is None
+    or one of QUALITIES.
     """
 
     route_id: str
@@ -135,6 +184,15 @@ class Route:
                                   f"one of {', '.join(map(repr, QUALITIES))}")
         if DEPOT_STOP_ID not in self.stops:
             raise ValidationError(f"route {self.route_id}: no depot stop {DEPOT_STOP_ID!r}")
+        _, lats, lngs, zones = zip(*self.stops.values())
+        if not ({*map(type, lats), *map(type, lngs)} <= {int, float}
+                and set(map(type, zones)) <= {str, type(None)}):
+            for sid, stop in self.stops.items():
+                for name, value in (("lat", stop.lat), ("lng", stop.lng)):
+                    if type(value) not in (int, float):  # a bool is an int
+                        raise ValidationError(f"stop {sid}: {name} {value!r} is not a number")
+                if type(stop.zone_id) not in (str, type(None)):
+                    raise ValidationError(f"stop {sid}: zone id {stop.zone_id!r} is not a string")
         for sid, stop in self.stops.items():
             if sid != stop.id:
                 raise ValidationError(f"route {self.route_id}: key {sid} != stop id {stop.id}")
@@ -275,12 +333,19 @@ def haversine_matrix(points, targets=None) -> np.ndarray:
     return out + out.T
 
 
-def read_json(path, what: str) -> dict:
+def read_json(path, what: str, rows: bool = False) -> dict:
     """The JSON object in the file at `path`, called `what` in errors.
 
     Malformed JSON, bytes that are not UTF-8, nesting too deep to decode, a
     key twice in one object and a top level that is not an object are
     ValidationErrors naming the file; a file that cannot be read raises OSError.
+
+    With `rows` (for travel_times.json), every non-empty object below the
+    top level whose values are all JSON numbers, each exact in a float64,
+    decodes straight into a TravelTimeRow: one float64 array in place of a
+    dict of Python floats. The top level is a dict as always. The file's
+    text, held as bytes and then as str while it decodes, is then the
+    largest thing a read holds.
     """
 
     def unique_keys(pairs):
@@ -288,7 +353,8 @@ def read_json(path, what: str) -> dict:
         if len(obj) < len(pairs):
             key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
             raise ValidationError(f"{what} {path} has the key {key!r} twice")
-        return obj
+        row = _travel_time_row(obj) if rows else None
+        return obj if row is None else row
 
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -301,6 +367,8 @@ def read_json(path, what: str) -> dict:
             raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
         except RecursionError:
             raise ValidationError(f"{what} {path} nests too deeply to decode") from None
+    if type(raw) is TravelTimeRow:
+        raw = raw.plain()
     if not isinstance(raw, dict):
         raise ValidationError(
             f"{what} {path} must hold a JSON object, got {type(raw).__name__}"

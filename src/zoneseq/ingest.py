@@ -13,6 +13,13 @@ datasets:
 The depot is stored under the reserved stop id "depot". A stop's missing
 zone id is imputed by `core.Route` itself, when the route is built.
 
+A route's travel times are held as one read-only float64 array, its
+`core.TravelTimeMatrix`. `read_json` decodes each row of travel_times.json
+straight into a float64 array, and `load_dataset` copies a route's rows
+into its matrix, so no row is ever a dict of Python floats. The largest
+thing a load holds at once is then the text of travel_times.json, read as
+bytes and then as str.
+
 `write_dataset` writes each file with the bytes json.dump(sort_keys=True,
 indent=1) gives, streamed one route at a time and formatted straight from
 the Routes: no file is built as a dict first.
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import dataclass
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
@@ -36,6 +44,7 @@ from .core import (
     Stop,
     StopSequence,
     TravelTimeMatrix,
+    TravelTimeRow,
     ValidationError,
     check_each,
     read_json,
@@ -65,7 +74,15 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
     every route that fails, joined by '; '.
     """
     dir_path = Path(dir_path)
-    raw_routes = read_json(dir_path / "routes.json", "dataset file")
+
+    def read(name):
+        path, start = dir_path / name, time.perf_counter()
+        raw = read_json(path, "dataset file", rows=name == "travel_times.json")
+        log.debug("read %s: %d bytes in %.3f s", path, path.stat().st_size,
+                  time.perf_counter() - start)
+        return raw
+
+    raw_routes = read("routes.json")
 
     def needed(name):  # asked of an existing file only, as the zone scan takes time
         return name != "travel_times.json" or costs or not all(
@@ -73,9 +90,7 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
         )
 
     optional = [
-        read_json(dir_path / name, "dataset file")
-        if (dir_path / name).exists() and needed(name)
-        else {}
+        read(name) if (dir_path / name).exists() and needed(name) else {}
         for name in OPTIONAL_FILES
     ]
     for name, raw in zip(OPTIONAL_FILES, optional):
@@ -99,7 +114,10 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
                 raise
             raise ValidationError(prefix + str(exc)) from None
 
-    return Dataset(routes=check_each(sorted(raw_routes), build))
+    routes = check_each(sorted(raw_routes), build)
+    log.debug("loaded %d routes, %d travel-time entries", len(routes),
+              sum(r.travel_times.t.size for r in routes.values() if r.travel_times is not None))
+    return Dataset(routes=routes)
 
 
 def _every_stop_zoned(body) -> bool:
@@ -176,32 +194,7 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
             raise ValidationError("actual sequence positions are not 0..n-1")
         actual = StopSequence(route_id=route_id, ids=ids)
 
-    matrix = None
-    if matrix_raw is not None:
-        ids = tuple(sorted(_object(matrix_raw, "travel time matrix")))
-        try:
-            entries = list(chain.from_iterable(map(matrix_raw[a].__getitem__, ids) for a in ids))
-            if not set(map(type, entries)) <= {int, float}:  # float() takes true and "7"
-                at = next(i for i, v in enumerate(entries) if type(v) not in (int, float))
-                a, b = ids[at // len(ids)], ids[at % len(ids)]
-                raise ValidationError(
-                    f"travel time matrix has a non-numeric entry {a!r} -> {b!r}: {entries[at]!r}"
-                )
-            t = np.array(entries, dtype=np.float64)
-        except KeyError as exc:
-            raise ValidationError(
-                f"travel time matrix is not square, missing entry for {exc.args[0]!r}"
-            )
-        except (AttributeError, TypeError, OverflowError):
-            raise ValidationError(
-                "travel time matrix has a malformed or non-numeric entry"
-            ) from None
-        for a in ids:
-            if len(matrix_raw[a]) > len(ids):  # it holds every id, so a key more
-                extra = sorted(set(matrix_raw[a]).difference(ids, stops))
-                if extra:
-                    raise ValidationError(f"travel time row {a!r} has a non-stop key {extra[0]!r}")
-        matrix = TravelTimeMatrix(ids=ids, t=t.reshape(len(ids), len(ids)))
+    matrix = None if matrix_raw is None else _travel_time_matrix(matrix_raw, stops)
 
     return Route(
         route_id=route_id,
@@ -210,6 +203,66 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
         actual=actual,
         quality=quality_raw,
     )
+
+
+def _travel_time_matrix(raw, stops) -> TravelTimeMatrix:
+    """A route's TravelTimeMatrix from its travel_times.json value.
+
+    When every row is a TravelTimeRow over exactly the matrix's ids, the
+    rows are copied into one array: as they are when in id order, as
+    write_dataset writes them, and by key otherwise. Any other value is
+    checked as the dict of dicts json.load gives, so each fault gets the
+    same message either way.
+    """
+    if type(raw) is TravelTimeRow:  # numbers where the rows belong
+        raw = raw.plain()
+    ids = tuple(sorted(_object(raw, "travel time matrix")))
+    t = _row_array(ids, [raw[a] for a in ids])
+    if t is not None:
+        return TravelTimeMatrix(ids=ids, t=t)
+    raw = {a: row.plain() if type(row) is TravelTimeRow else row for a, row in raw.items()}
+    try:
+        entries = list(chain.from_iterable(map(raw[a].__getitem__, ids) for a in ids))
+        if not set(map(type, entries)) <= {int, float}:  # float() takes true and "7"
+            at = next(i for i, v in enumerate(entries) if type(v) not in (int, float))
+            a, b = ids[at // len(ids)], ids[at % len(ids)]
+            raise ValidationError(
+                f"travel time matrix has a non-numeric entry {a!r} -> {b!r}: {entries[at]!r}"
+            )
+        t = np.array(entries, dtype=np.float64)
+    except KeyError as exc:
+        raise ValidationError(
+            f"travel time matrix is not square, missing entry for {exc.args[0]!r}"
+        )
+    except (AttributeError, TypeError, OverflowError):
+        raise ValidationError(
+            "travel time matrix has a malformed or non-numeric entry"
+        ) from None
+    for a in ids:
+        if len(raw[a]) > len(ids):  # it holds every id, so a key more
+            extra = sorted(set(raw[a]).difference(ids, stops))
+            if extra:
+                raise ValidationError(f"travel time row {a!r} has a non-stop key {extra[0]!r}")
+    return TravelTimeMatrix(ids=ids, t=t.reshape(len(ids), len(ids)))
+
+
+def _row_array(ids, rows) -> Optional[np.ndarray]:
+    """The rows as one n x n array if each is a TravelTimeRow over exactly `ids`, else None."""
+    t = np.empty((len(ids), len(ids)))
+    column = None
+    for i, row in enumerate(rows):
+        if type(row) is not TravelTimeRow or len(row.keys) != len(ids):
+            return None
+        if row.keys == ids:
+            t[i] = row.values
+            continue
+        if column is None:
+            column = {sid: j for j, sid in enumerate(ids)}
+        try:  # the keys are unique, so n of them in `ids` are all of `ids`
+            t[i, [column[sid] for sid in row.keys]] = row.values
+        except KeyError:
+            return None
+    return t
 
 
 def write_dataset(dataset: Dataset, dir_path) -> None:

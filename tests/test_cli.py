@@ -278,9 +278,9 @@ def test_train_and_bench_do_not_read_the_travel_times_of_a_zoned_split(tmp_path,
     travel.write_text("{not json")
     read, read_json = [], ingest.read_json
 
-    def recorded(path, what):
+    def recorded(path, what, **kwargs):
         read.append(Path(path))
-        return read_json(path, what)
+        return read_json(path, what, **kwargs)
 
     monkeypatch.setattr(ingest, "read_json", recorded)
     model, bench = tmp_path / "m.zppm", tmp_path / "bench"

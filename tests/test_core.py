@@ -78,6 +78,22 @@ def test_route_requires_the_depot_id():
         Route(route_id="r", stops=stops)
 
 
+@pytest.mark.parametrize("stop, message", [
+    (("a", True, 0.1, "Z1"), "stop a: lat True is not a number"),
+    (("a", 0.1, "0.2", "Z1"), "stop a: lng '0.2' is not a number"),
+    (("a", 0.1, None, "Z1"), "stop a: lng None is not a number"),
+    (("a", 0.1, 0.2, 5), "stop a: zone id 5 is not a string"),
+    (("a", 0.1, 0.2, ["Z1"]), "stop a: zone id ['Z1'] is not a string"),
+], ids=["bool-lat", "text-lng", "null-lng", "int-zone", "list-zone"])
+def test_route_rejects_the_stop_fields_load_dataset_rejects(stop, message):
+    with pytest.raises(ValidationError) as excinfo:
+        make_route(stops=[("b", 0.0, 0.0, "Z1"), stop])
+    assert str(excinfo.value) == message
+    with pytest.raises(ValidationError, match=r"^stop depot: lat False is not a number$"):
+        make_route(stops=[("b", 0.0, 0.0, "Z1")], depot=(False, 0.0))
+    assert make_route(stops=[("b", 0, -1, None), ("c", 0.5, 1, "Z1")]).stops["b"].zone_id == "Z1"
+
+
 def test_route_rejects_the_sentinel_zone_id():
     with pytest.raises(ValidationError, match=r"^stop s: zone id 'stz' is reserved$"):
         make_route(stops=[("s", 0.0, 0.0, "stz")])

@@ -1,10 +1,13 @@
 import json
+import logging
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zoneseq import core, ingest
+from zoneseq import core, ingest, synth
 from zoneseq.core import Route, Stop, StopSequence, TravelTimeMatrix, ValidationError, haversine_m
 from zoneseq.ingest import zsgt
 from conftest import make_route, oracle_zsgt
@@ -234,6 +237,148 @@ def test_travel_time_row_keys_that_are_stops_without_a_row_are_a_mismatch(tmp_pa
         ingest.load_dataset(tmp_path)
 
 
+def test_travel_time_rows_in_any_key_order_and_with_int_seconds_load_the_same_matrix(
+        tmp_path):
+    rng = random.Random(5)
+    ids = ("a", "b", "depot")
+    rows = {x: {y: 0.0 if x == y else float(rng.randrange(1, 900)) / rng.choice([1, 4])
+                for y in ids} for x in ids}
+    rows["a"]["b"] = 2.0 ** 53  # an int a float64 holds exactly, where rounding starts
+    write_fixture(tmp_path, TWO_ROUTES, travel={"r1": rows})
+    expected = ingest.load_dataset(tmp_path).routes["r1"].travel_times
+    text = json.dumps({"r1": {x: {y: int(v) if v.is_integer() else v
+                                  for y, v in reversed(row.items())}
+                              for x, row in reversed(rows.items())}})
+    assert '"depot": 0, ' in text and '"b": 9007199254740992, ' in text
+    (tmp_path / "travel_times.json").write_text(text)
+    matrix = ingest.load_dataset(tmp_path).routes["r1"].travel_times
+    assert matrix.ids == expected.ids == ids
+    assert matrix.t.tobytes() == expected.t.tobytes()
+    assert not matrix.t.flags.writeable
+
+
+@pytest.mark.parametrize("travel, message", [
+    ({}, None),
+    ({"r1": {}}, "route r1: travel time matrix ids do not match stops"),
+    ({"r1": {**_r1_matrix(), "b": {}}},
+     "route r1: travel time matrix is not square, missing entry for 'a'"),
+    ({"r1": 5}, "route r1: travel time matrix must be a JSON object, got int"),
+    ({"r1": 5.5}, "route r1: travel time matrix must be a JSON object, got float"),
+    ({"r2": 7, "r1": 5.5}, "route r1: travel time matrix must be a JSON object, got float; "
+                           "route r2: travel time matrix must be a JSON object, got int"),
+    ({"r1": {"a": 5, "b": 5.5}},
+     "route r1: travel time matrix has a malformed or non-numeric entry"),
+    ({"r1": {**_r1_matrix(), "b": {"a": 5, "b": {"c": 5, "d": 2.5}, "depot": 5}}},
+     "route r1: travel time matrix has a non-numeric entry 'b' -> 'b': {'c': 5, 'd': 2.5}"),
+    ({"r1": {**_r1_matrix(), "b": {"a": 5, "b": {"c": 2 ** 53 + 1}, "depot": 5}}},
+     "route r1: travel time matrix has a non-numeric entry 'b' -> 'b': {'c': 9007199254740993}"),
+    ({"r1": {**_r1_matrix(), "b": {"a": 5, "b": {"c": {"x": 1}}, "depot": 5}}},
+     "route r1: travel time matrix has a non-numeric entry 'b' -> 'b': {'c': {'x': 1}}"),
+    ({"r1": {**_r1_matrix(), "b": {"a": 5, "b": 0, "depot": 10 ** 400}}},
+     "route r1: travel time matrix has a malformed or non-numeric entry"),
+    ({"r1": {**_r1_matrix(), "b": {"b": 0, "depot": 5}}},
+     "route r1: travel time matrix is not square, missing entry for 'a'"),
+    ({"r1": {**_r1_matrix(), "b": {"a": 5, "b": 0, "depot": 5, "zz": 2}}},
+     "route r1: travel time row 'b' has a non-stop key 'zz'"),
+], ids=["top-empty", "matrix-empty", "row-empty", "top-int", "top-float", "top-two-routes",
+        "matrix-of-numbers", "entry-of-numbers", "entry-of-a-long-int", "entry-of-objects",
+        "huge-int-in-row", "row-missing-a-key", "row-with-a-key-more"])
+def test_objects_of_numbers_out_of_row_place_load_as_plain_json(tmp_path, travel, message):
+    # Each message is the one a dict of dicts of numbers gives.
+    write_fixture(tmp_path, TWO_ROUTES, travel=travel)
+    if message is None:
+        assert [r.travel_times for r in ingest.load_dataset(tmp_path).routes.values()] == [
+            None, None]
+        return
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == message
+
+
+FUZZ_VALUES = [0, 7, 2.5, -1, 2 ** 53 + 1, HUGE, True, False, None, "7", [], [0, 5], {},
+               {"c": 5}, {"c": 5.5, "depot": 0}, {"c": 2 ** 53 + 1}, float("nan")]
+
+
+def _mutate(travel, rng):
+    """One random edit of a travel_times.json object, below its top level."""
+    slots = []  # (object, key) of every value below the top level
+
+    def walk(obj):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                slots.append((obj, key))
+                walk(value)
+
+    walk(travel)
+    obj, key = rng.choice(slots)
+    op = rng.randrange(5)
+    if op == 0:
+        obj[key] = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
+    elif op == 1:
+        del obj[key]
+    elif op == 2:
+        obj[rng.choice(["a", "b", "c", "depot", "zz"])] = rng.choice([0, 5, 2.5])
+    elif op == 3 and isinstance(obj[key], dict):
+        obj[key] = dict(reversed(obj[key].items()))
+    elif type(obj[key]) is int:
+        obj[key] = float(obj[key])
+
+
+def test_travel_time_rows_load_as_plain_json_does_fuzz(tmp_path, monkeypatch):
+    # The reference decodes every object to a dict, so every row takes the
+    # path that checks dicts: each file must load to the same matrices, bit
+    # for bit, or fail with the same message.
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(300):
+        travel = {"r1": _r1_matrix(a_b=2.5),
+                  "r2": {"c": {"c": 0, "depot": 3}, "depot": {"c": 4.0, "depot": 0}}}
+        for _ in range(rng.randint(0, 3)):
+            _mutate(travel, rng)
+        write_fixture(tmp_path, TWO_ROUTES, travel=travel)
+        results = []
+        for decode_rows in (True, False):
+            monkeypatch.setattr(ingest, "read_json", lambda path, what, rows=False, _d=decode_rows:
+                                core.read_json(path, what, rows=_d and rows))
+            try:
+                routes = ingest.load_dataset(tmp_path).routes.values()
+                results.append([(r.travel_times.ids, r.travel_times.t.tobytes())
+                                if r.travel_times else None for r in routes])
+            except ValidationError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], travel
+        outcomes.add(type(results[0]))
+    assert outcomes == {list, str}
+
+
+def test_duplicate_key_in_a_travel_time_row_names_file_and_key(tmp_path):
+    write_fixture(tmp_path, TWO_ROUTES, travel={"r1": _r1_matrix()})
+    path = tmp_path / "travel_times.json"
+    path.write_text(path.read_text().replace('"b": {"a": 5, ', '"b": {"a": 5, "b": 0, ', 1))
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == f"dataset file {path} has the key 'b' twice"
+
+
+def test_load_peak_memory_is_the_text_not_the_travel_times(tmp_path):
+    # One route of 300 stops: 90k travel times in a 2.9 MB file. Decoded as
+    # a dict of floats per row, the load peaked at 2.51x the file's size;
+    # decoded into one array per row, at 2.05x (the text, as bytes and str).
+    cfg = synth.SynthConfig(seed=3, n_train_routes=1, n_eval_routes=1, zones_per_route=[10, 10],
+                            stops_per_zone=[30, 30])
+    _, eval_ds = synth.generate(cfg)
+    ingest.write_dataset(eval_ds, tmp_path)
+    size = (tmp_path / "travel_times.json").stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = ingest.load_dataset(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.routes == eval_ds.routes
+    assert peak < 2.3 * size, (peak, size)
+
+
 @pytest.mark.parametrize("name", ("routes.json",) + ingest.OPTIONAL_FILES)
 def test_duplicate_key_in_a_dataset_file_names_file_and_key(tmp_path, name):
     write_fixture(tmp_path, TWO_ROUTES, actuals={"r1": {"depot": 0, "a": 1, "b": 2}},
@@ -283,6 +428,24 @@ def test_unknown_quality_names_route_and_allowed_values(tmp_path, quality):
     message = str(excinfo.value)
     assert "route r2" in message
     assert "'High', 'Medium', 'Low'" in message
+
+
+def test_load_logs_each_file_read_and_the_counts_at_debug(tmp_path, caplog):
+    write_fixture(tmp_path, TWO_ROUTES, actuals={"r1": {"depot": 0, "a": 1, "b": 2}},
+                  travel={"r1": _r1_matrix()})
+    with caplog.at_level(logging.WARNING, logger="zoneseq"):
+        ingest.load_dataset(tmp_path)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="zoneseq"):
+        ingest.load_dataset(tmp_path)
+    lines = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    assert [line[:2] for line in lines] == [("zoneseq", "DEBUG")] * 4
+    for (_, _, message), name in zip(lines, ["routes.json", "actual_sequences.json",
+                                             "travel_times.json"]):
+        path = tmp_path / name
+        assert re.fullmatch(rf"read {re.escape(str(path))}: {path.stat().st_size} bytes "
+                            r"in \d+\.\d{3} s", message), message
+    assert lines[3][2] == "loaded 2 routes, 9 travel-time entries"
 
 
 def test_load_without_costs_reads_travel_times_only_to_impute(tmp_path):
