@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class TravelTimeMatrix:
 
 
 class TravelTimeRow(NamedTuple):
-    """A JSON object of numbers, decoded as read_json(rows=True) reads a travel-time row.
+    """A JSON object of numbers, as the `travel_time_row` form of read_json decodes it.
 
     `keys` are in file order, and `values` is their read-only float64 array.
     `ints` lists the positions of the values written as JSON integers, each
@@ -125,15 +125,18 @@ class TravelTimeRow(NamedTuple):
         return repr(self.plain())
 
 
-def _travel_time_row(obj: dict) -> Optional[TravelTimeRow]:
-    """The TravelTimeRow of a decoded JSON object, or None if it is none.
+def travel_time_row(pairs) -> Optional[TravelTimeRow]:
+    """A read_json form for travel_times.json: the TravelTimeRow of an object, or None.
 
-    A row is non-empty, and every value is a JSON number (not true or
-    false) that a float64 holds: a float, or an int that converts exactly.
+    A row is non-empty, its keys are unique, and every value is a JSON
+    number (not true or false) that a float64 holds: a float, or an int
+    that converts exactly.
     """
-    values = list(obj.values())
+    if not pairs:
+        return None
+    keys, values = zip(*pairs)
     types = set(map(type, values))
-    if not types or not types <= {int, float}:
+    if not types <= {int, float} or len(set(keys)) < len(keys):
         return None
     try:
         array = np.array(values, dtype=np.float64)
@@ -145,7 +148,37 @@ def _travel_time_row(obj: dict) -> Optional[TravelTimeRow]:
         if array[list(ints)].tolist() != [values[i] for i in ints]:  # a float64 rounds one
             return None
     array.setflags(write=False)
-    return TravelTimeRow(tuple(obj), array, ints)
+    return TravelTimeRow(keys, array, ints)
+
+
+def stop_form() -> Callable[[list], Optional[Stop]]:
+    """A fresh read_json form for routes.json, which decodes a stop straight into a Stop.
+
+    It takes an object that is exactly {"lat": float, "lng": float,
+    "zone_id": non-empty str}, keys in that order, and gives the Stop of
+    those values with the id None, for the caller to fill in. Equal zone
+    ids of one read share one str. Any other object gives None.
+    """
+    zones: Dict[str, str] = {}
+
+    def stop(pairs) -> Optional[Stop]:
+        if len(pairs) == 3:
+            (lat_key, lat), (lng_key, lng), (zone_key, zone) = pairs
+            if (lat_key == "lat" and lng_key == "lng" and zone_key == "zone_id"
+                    and type(lat) is float and type(lng) is float and type(zone) is str and zone):
+                return Stop(None, lat, lng, zones.setdefault(zone, zone))
+        return None
+
+    return stop
+
+
+def plain(value):
+    """`value` as json.load gives it: a read_json form's TravelTimeRow or Stop as its dict."""
+    if type(value) is TravelTimeRow:
+        return value.plain()
+    if type(value) is Stop:
+        return {"lat": value.lat, "lng": value.lng, "zone_id": value.zone_id}
+    return value
 
 
 @dataclass(frozen=True)
@@ -333,32 +366,37 @@ def haversine_matrix(points, targets=None) -> np.ndarray:
     return out + out.T
 
 
-def read_json(path, what: str, rows: bool = False) -> dict:
+def read_json(path, what: str, form: Optional[Callable[[list], object]] = None) -> dict:
     """The JSON object in the file at `path`, called `what` in errors.
 
     Malformed JSON, bytes that are not UTF-8, nesting too deep to decode, a
     key twice in one object and a top level that is not an object are
     ValidationErrors naming the file; a file that cannot be read raises OSError.
 
-    With `rows` (for travel_times.json), every non-empty object below the
-    top level whose values are all JSON numbers, each exact in a float64,
-    decodes straight into a TravelTimeRow: one float64 array in place of a
-    dict of Python floats. The top level is a dict as always. The file's
-    text, held as bytes and then as str while it decodes, is then the
-    largest thing a read holds.
+    `form` is the file's decode rule, if it has one: `travel_time_row` for
+    travel_times.json, a fresh `stop_form()` for routes.json. It is handed
+    the (key, value) pairs of every object before any dict is built, and
+    what it returns, unless None, stands for the object; every other object
+    is a dict, checked for a key twice. So a travel-time row is one float64
+    array and a stop one Stop, not a dict of Python objects, and the file's
+    text, held as bytes and then as str while it decodes, is the largest
+    thing a read holds. The top level is a dict as always; a caller gives
+    any other value that may hold a form to `plain` before reading it.
     """
 
     def unique_keys(pairs):
+        decoded = form(pairs) if form is not None else None
+        if decoded is not None:
+            return decoded
         obj = dict(pairs)
         if len(obj) < len(pairs):
             key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
             raise ValidationError(f"{what} {path} has the key {key!r} twice")
-        row = _travel_time_row(obj) if rows else None
-        return obj if row is None else row
+        return obj
 
     with open(path, "r", encoding="utf-8") as f:
         try:
-            raw = json.load(f, object_pairs_hook=unique_keys)
+            raw = plain(json.load(f, object_pairs_hook=unique_keys))
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
         except ValidationError:  # unique_keys found a key twice
@@ -367,8 +405,6 @@ def read_json(path, what: str, rows: bool = False) -> dict:
             raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
         except RecursionError:
             raise ValidationError(f"{what} {path} nests too deeply to decode") from None
-    if type(raw) is TravelTimeRow:
-        raw = raw.plain()
     if not isinstance(raw, dict):
         raise ValidationError(
             f"{what} {path} must hold a JSON object, got {type(raw).__name__}"

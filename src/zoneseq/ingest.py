@@ -13,12 +13,16 @@ datasets:
 The depot is stored under the reserved stop id "depot". A stop's missing
 zone id is imputed by `core.Route` itself, when the route is built.
 
-A route's travel times are held as one read-only float64 array, its
-`core.TravelTimeMatrix`. `read_json` decodes each row of travel_times.json
-straight into a float64 array, and `load_dataset` copies a route's rows
-into its matrix, so no row is ever a dict of Python floats. The largest
-thing a load holds at once is then the text of travel_times.json, read as
-bytes and then as str.
+`read_json` decodes each file with its form. Each stop of routes.json
+becomes a `core.Stop` straight from the JSON, equal zone ids sharing one
+str, and `load_dataset` only fills in its id; any other stop object is
+checked as the dict json.load gives. Each row of travel_times.json becomes
+a float64 array, and `load_dataset` copies a route's rows into its
+`core.TravelTimeMatrix`, one read-only float64 array. No stop or row is
+ever a dict of Python objects, and each route's raw JSON is dropped once
+its `Route` is built. The largest thing a load holds at once is then the
+text of the largest file it reads, as bytes and then as str, with the
+decoded routes.json.
 
 `write_dataset` writes each file with the bytes json.dump(sort_keys=True,
 indent=1) gives, streamed one route at a time and formatted straight from
@@ -47,7 +51,10 @@ from .core import (
     TravelTimeRow,
     ValidationError,
     check_each,
+    plain,
     read_json,
+    stop_form,
+    travel_time_row,
     write_file,
 )
 
@@ -71,13 +78,15 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
     travel times, so they are loaded as with `costs=True`.
 
     The routes are built in route-id order, and one ValidationError names
-    every route that fails, joined by '; '.
+    every route that fails, joined by '; '. Each route's raw JSON is
+    dropped once its Route is built.
     """
     dir_path = Path(dir_path)
 
     def read(name):
         path, start = dir_path / name, time.perf_counter()
-        raw = read_json(path, "dataset file", rows=name == "travel_times.json")
+        form = {"routes.json": stop_form(), "travel_times.json": travel_time_row}.get(name)
+        raw = read_json(path, "dataset file", form=form)
         log.debug("read %s: %d bytes in %.3f s", path, path.stat().st_size,
                   time.perf_counter() - start)
         return raw
@@ -103,10 +112,10 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
         try:
             return _build_route(
                 route_id,
-                raw_routes[route_id],
-                actuals.get(route_id),
-                matrices.get(route_id),
-                qualities.get(route_id),
+                raw_routes.pop(route_id),
+                actuals.pop(route_id, None),
+                matrices.pop(route_id, None),
+                qualities.pop(route_id, None),
             )
         except ValidationError as exc:
             prefix = f"route {route_id}: "
@@ -123,12 +132,14 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
 def _every_stop_zoned(body) -> bool:
     """Whether every stop of a raw route body is an object with a zone id.
 
-    A body or `stops` that is not an object answers False, so that the load
-    reads every file and reports the fault as a full load would.
+    A decoded Stop has one. A body or `stops` that is not an object answers
+    False, so that the load reads every file and reports the fault as a
+    full load would.
     """
+    body = plain(body)
     stops = body.get("stops", {}) if isinstance(body, dict) else None
     return isinstance(stops, dict) and all(
-        isinstance(s, dict) and s.get("zone_id") for s in stops.values()
+        type(s) is Stop or (isinstance(s, dict) and s.get("zone_id")) for s in stops.values()
     )
 
 
@@ -146,6 +157,7 @@ def _coordinate(stop_id, raw, name) -> float:
 
 
 def _object(raw, what) -> dict:
+    raw = plain(raw)
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(raw).__name__}")
     return raw
@@ -154,14 +166,17 @@ def _object(raw, what) -> dict:
 def _zone_id(stop_id, raw) -> Optional[str]:
     zone = raw.get("zone_id")
     if zone is not None and not isinstance(zone, str):
-        raise ValidationError(f"stop {stop_id!r} has a non-string 'zone_id' {zone!r}")
+        raise ValidationError(f"stop {stop_id!r} has a non-string 'zone_id' {plain(zone)!r}")
     return zone or None
 
 
 def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
-    """Validate one route's JSON; load_dataset prefixes errors with the route."""
+    """Validate one route's JSON; load_dataset prefixes errors with the route.
+
+    A stop decoded as a Stop is taken as it is, with its id; Route checks it.
+    """
     body = _object(body, "route body")
-    depot_raw = body.get("depot")
+    depot_raw = plain(body.get("depot"))
     if depot_raw is None:
         raise ValidationError("missing depot entry")
     stops: Dict[str, Stop] = {
@@ -174,12 +189,15 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
     for sid, s in _object(body.get("stops", {}), "'stops'").items():
         if sid == DEPOT_STOP_ID:
             raise ValidationError(f"stop id {DEPOT_STOP_ID!r} is reserved")
-        stops[sid] = Stop(
-            id=sid,
-            lat=_coordinate(sid, s, "lat"),
-            lng=_coordinate(sid, s, "lng"),
-            zone_id=_zone_id(sid, s),
-        )
+        if type(s) is Stop:
+            stops[sid] = Stop(sid, s.lat, s.lng, s.zone_id)
+        else:
+            stops[sid] = Stop(
+                id=sid,
+                lat=_coordinate(sid, s, "lat"),
+                lng=_coordinate(sid, s, "lng"),
+                zone_id=_zone_id(sid, s),
+            )
 
     actual = None
     if actual_raw is not None:
@@ -214,13 +232,12 @@ def _travel_time_matrix(raw, stops) -> TravelTimeMatrix:
     checked as the dict of dicts json.load gives, so each fault gets the
     same message either way.
     """
-    if type(raw) is TravelTimeRow:  # numbers where the rows belong
-        raw = raw.plain()
-    ids = tuple(sorted(_object(raw, "travel time matrix")))
+    raw = _object(raw, "travel time matrix")
+    ids = tuple(sorted(raw))
     t = _row_array(ids, [raw[a] for a in ids])
     if t is not None:
         return TravelTimeMatrix(ids=ids, t=t)
-    raw = {a: row.plain() if type(row) is TravelTimeRow else row for a, row in raw.items()}
+    raw = {a: plain(row) for a, row in raw.items()}
     try:
         entries = list(chain.from_iterable(map(raw[a].__getitem__, ids) for a in ids))
         if not set(map(type, entries)) <= {int, float}:  # float() takes true and "7"

@@ -338,8 +338,8 @@ def test_travel_time_rows_load_as_plain_json_does_fuzz(tmp_path, monkeypatch):
         write_fixture(tmp_path, TWO_ROUTES, travel=travel)
         results = []
         for decode_rows in (True, False):
-            monkeypatch.setattr(ingest, "read_json", lambda path, what, rows=False, _d=decode_rows:
-                                core.read_json(path, what, rows=_d and rows))
+            monkeypatch.setattr(ingest, "read_json", lambda path, what, form=None, _d=decode_rows:
+                                core.read_json(path, what, form=form if _d else None))
             try:
                 routes = ingest.load_dataset(tmp_path).routes.values()
                 results.append([(r.travel_times.ids, r.travel_times.t.tobytes())
@@ -349,6 +349,103 @@ def test_travel_time_rows_load_as_plain_json_does_fuzz(tmp_path, monkeypatch):
         assert results[0] == results[1], travel
         outcomes.add(type(results[0]))
     assert outcomes == {list, str}
+
+
+STOP = {"lat": 0.5, "lng": 0.5, "zone_id": "Z1"}  # an object in the stop form
+
+
+@pytest.mark.parametrize("routes, message", [
+    (STOP, "route lat: route body must be a JSON object, got float; "
+           "route lng: route body must be a JSON object, got float; "
+           "route zone_id: route body must be a JSON object, got str"),
+    ({"r1": STOP}, "route r1: missing depot entry"),
+    ({"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": STOP}},
+     "route r1: stop 'lat' has a missing or non-numeric 'lat'"),
+    ({"r1": {"depot": STOP, "stops": {"a": STOP}}}, None),
+    ({"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {"a": {**STOP, "zone_id": STOP}}}},
+     "route r1: stop 'a' has a non-string 'zone_id' {'lat': 0.5, 'lng': 0.5, 'zone_id': 'Z1'}"),
+], ids=["top-level", "route-body", "stops", "depot", "zone-id"])
+def test_objects_in_stop_form_out_of_stop_place_load_as_plain_json(tmp_path, routes, message):
+    # Each message is the one the file gives when every object decodes to a dict.
+    write_fixture(tmp_path, routes)
+    if message is None:  # the depot's zone id is not read
+        stops = ingest.load_dataset(tmp_path).routes["r1"].stops
+        assert stops == {"depot": Stop("depot", 0.5, 0.5), "a": Stop("a", 0.5, 0.5, "Z1")}
+        return
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == message
+
+
+ROUTE_FUZZ_VALUES = [0, 1, 2.5, -1, 95.0, HUGE, True, False, None, "", "Z1", "7", [], {},
+                     STOP, {**STOP, "lat": 1}, {**STOP, "zone_id": ""}, float("nan")]
+DUPLICATE = "\0duplicate:"  # cut from the file's text: the key after it is there twice
+
+
+def _mutate_routes(routes, rng):
+    """One random edit of a routes.json object, below its top level."""
+    slots = []  # (object, key) of every value below the top level
+
+    def walk(obj):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                slots.append((obj, key))
+                walk(value)
+
+    walk(routes)
+    obj, key = rng.choice(slots)
+    op = rng.randrange(8)
+    if op == 0:
+        obj[key] = json.loads(json.dumps(rng.choice(ROUTE_FUZZ_VALUES)))
+    elif op == 1:
+        del obj[key]
+    elif op == 2:
+        obj[rng.choice(["lat", "lng", "zone_id", "depot", "stops", "x"])] = rng.choice(
+            [0.5, 1, "Z2", None])
+    elif op == 3 and isinstance(obj[key], dict):
+        obj[key] = dict(reversed(obj[key].items()))
+    elif op == 4 and isinstance(obj[key], dict) and obj[key]:
+        obj[key][DUPLICATE + rng.choice(list(obj[key]))] = rng.choice([0.5, "Z2"])
+    elif op == 5:  # renamed in place, a stop id to "lat" among others
+        name = rng.choice(["lat", "lng", "zone_id", "x"])
+        items = [(name if k == key else k, v) for k, v in obj.items() if k != name]
+        obj.clear()
+        obj.update(items)
+    elif op == 6:
+        obj[key] = dict(STOP)
+    elif type(obj[key]) is float and np.isfinite(obj[key]):
+        obj[key] = rng.choice([int(obj[key]), True, False])
+    elif type(obj[key]) is str:
+        obj[key] = rng.choice(["", None])
+
+
+def test_stops_load_as_plain_json_does_fuzz(tmp_path, monkeypatch):
+    # The reference decodes every object to a dict, so every stop takes the
+    # path that checks dicts: each file must load to equal routes or fail
+    # with the same message. A load without costs reads the travel times,
+    # here not JSON, only when a stop has no zone id (or a body is malformed).
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(300):
+        routes = json.loads(json.dumps(TWO_ROUTES))
+        routes["r2"]["stops"]["d"] = {"lat": 1.2, "lng": 1.25, "zone_id": "Z1"}
+        for _ in range(rng.randint(0, 3)):
+            _mutate_routes(routes, rng)
+        text = json.dumps(routes).replace('"' + json.dumps(DUPLICATE)[1:-1], '"')
+        (tmp_path / "routes.json").write_text(text)
+        costs = rng.random() < 0.5
+        (tmp_path / "travel_times.json").write_text("{}" if costs else "{not json")
+        results = []
+        for decode_stops in (True, False):
+            monkeypatch.setattr(ingest, "read_json", lambda path, what, form=None,
+                                _d=decode_stops: core.read_json(path, what, form=form if _d else None))
+            try:  # by repr, as a Stop of 1 equals one of 1.0
+                results.append(repr(list(ingest.load_dataset(tmp_path, costs).routes.values())))
+            except ValidationError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], text
+        outcomes.add(results[0].startswith("[Route("))
+    assert outcomes == {True, False}
 
 
 def test_duplicate_key_in_a_travel_time_row_names_file_and_key(tmp_path):
@@ -377,6 +474,29 @@ def test_load_peak_memory_is_the_text_not_the_travel_times(tmp_path):
         tracemalloc.stop()
     assert loaded.routes == eval_ds.routes
     assert peak < 2.3 * size, (peak, size)
+
+
+def test_load_peak_memory_for_training_is_the_text_not_the_stops(tmp_path):
+    # 200 training routes of 30 zones of 3 stops, no travel times: 18k
+    # stops in a 1.9 MB routes.json. Decoded as a dict per stop, the load
+    # without costs peaked at 4.67x the file's size (4.66x for perfbench's
+    # 1000-route train-heavy split); decoded as a Stop per stop, with
+    # shared zone ids and each raw route dropped once built, at 2.64x
+    # (2.61x).
+    cfg = synth.SynthConfig(seed=3, n_train_routes=200, n_eval_routes=1, zones_per_route=[30, 30],
+                            stops_per_zone=[3, 3], pattern_strength=1.0, n_zone_templates=26,
+                            with_travel_times=False)
+    train, _ = synth.generate(cfg)
+    ingest.write_dataset(train, tmp_path)
+    size = (tmp_path / "routes.json").stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = ingest.load_dataset(tmp_path, costs=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.routes == train.routes
+    assert peak < 3.3 * size, (peak, size)
 
 
 @pytest.mark.parametrize("name", ("routes.json",) + ingest.OPTIONAL_FILES)
