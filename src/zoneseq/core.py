@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import statistics
 from collections import Counter
 from dataclasses import dataclass
@@ -151,33 +152,35 @@ def travel_time_row(pairs) -> Optional[TravelTimeRow]:
     return TravelTimeRow(keys, array, ints)
 
 
-def stop_form() -> Callable[[list], Optional[Stop]]:
-    """A fresh read_json form for routes.json, which decodes a stop straight into a Stop.
+def stop_form() -> Callable[[list], Optional[tuple]]:
+    """A fresh read_json form for routes.json, which decodes a stop into a plain tuple.
 
     It takes an object that is exactly {"lat": float, "lng": float,
-    "zone_id": non-empty str}, keys in that order, and gives the Stop of
-    those values with the id None, for the caller to fill in. Equal zone
+    "zone_id": non-empty str}, keys in that order, and gives the tuple
+    (None, lat, lng, zone_id). The None, for the id of the caller's Stop,
+    gives it a Stop's size, so each Stop can reuse a freed tuple's memory;
+    a 3-tuple shares the stop ids' size class and leaves holes. Equal zone
     ids of one read share one str. Any other object gives None.
     """
     zones: Dict[str, str] = {}
 
-    def stop(pairs) -> Optional[Stop]:
+    def stop(pairs) -> Optional[tuple]:
         if len(pairs) == 3:
             (lat_key, lat), (lng_key, lng), (zone_key, zone) = pairs
             if (lat_key == "lat" and lng_key == "lng" and zone_key == "zone_id"
                     and type(lat) is float and type(lng) is float and type(zone) is str and zone):
-                return Stop(None, lat, lng, zones.setdefault(zone, zone))
+                return None, lat, lng, zones.setdefault(zone, zone)
         return None
 
     return stop
 
 
 def plain(value):
-    """`value` as json.load gives it: a read_json form's TravelTimeRow or Stop as its dict."""
+    """`value` as json.load gives it: a read_json form's TravelTimeRow or stop tuple as its dict."""
     if type(value) is TravelTimeRow:
         return value.plain()
-    if type(value) is Stop:
-        return {"lat": value.lat, "lng": value.lng, "zone_id": value.zone_id}
+    if type(value) is tuple:  # stop_form's, as JSON decodes to no other tuple
+        return dict(zip(("lat", "lng", "zone_id"), value[1:]))
     return value
 
 
@@ -201,8 +204,8 @@ class Route:
     delivery stop. A delivery stop without a zone id takes the zone of the
     nearest delivery stop given with one, by `stop_cost` (the smaller stop
     id on a tie). Every coordinate is an int or a float (not a bool), every
-    zone id a str or None, as load_dataset reads them, and `quality` is None
-    or one of QUALITIES.
+    zone id a str or None, and `quality` is None or one of QUALITIES. This
+    is the one check of a stop's fields; load_dataset passes them as read.
     """
 
     route_id: str
@@ -223,16 +226,19 @@ class Route:
             for sid, stop in self.stops.items():
                 for name, value in (("lat", stop.lat), ("lng", stop.lng)):
                     if type(value) not in (int, float):  # a bool is an int
-                        raise ValidationError(f"stop {sid}: {name} {value!r} is not a number")
+                        raise ValidationError(
+                            f"stop {sid}: {name} {reprlib.repr(value)} is not a number")
                 if type(stop.zone_id) not in (str, type(None)):
-                    raise ValidationError(f"stop {sid}: zone id {stop.zone_id!r} is not a string")
+                    raise ValidationError(
+                        f"stop {sid}: zone id {reprlib.repr(stop.zone_id)} is not a string")
         for sid, stop in self.stops.items():
             if sid != stop.id:
                 raise ValidationError(f"route {self.route_id}: key {sid} != stop id {stop.id}")
             if not -90.0 <= stop.lat <= 90.0:
-                raise ValidationError(f"stop {sid}: lat {stop.lat} out of [-90, 90]")
+                raise ValidationError(f"stop {sid}: lat {reprlib.repr(stop.lat)} out of [-90, 90]")
             if not -180.0 <= stop.lng <= 180.0:
-                raise ValidationError(f"stop {sid}: lng {stop.lng} out of [-180, 180]")
+                raise ValidationError(
+                    f"stop {sid}: lng {reprlib.repr(stop.lng)} out of [-180, 180]")
             if stop.zone_id == DEPOT_ZONE:
                 raise ValidationError(f"stop {sid}: zone id {DEPOT_ZONE!r} is reserved")
         if self.actual is not None:
@@ -378,7 +384,7 @@ def read_json(path, what: str, form: Optional[Callable[[list], object]] = None) 
     the (key, value) pairs of every object before any dict is built, and
     what it returns, unless None, stands for the object; every other object
     is a dict, checked for a key twice. So a travel-time row is one float64
-    array and a stop one Stop, not a dict of Python objects, and the file's
+    array and a stop one tuple, not a dict of Python objects, and the file's
     text, held as bytes and then as str while it decodes, is the largest
     thing a read holds. The top level is a dict as always; a caller gives
     any other value that may hold a form to `plain` before reading it.

@@ -10,19 +10,19 @@ datasets:
   travel_times.json      route_id -> {from_id: {to_id: seconds}}, optional.
   quality.json           route_id -> "High"|"Medium"|"Low", optional.
 
-The depot is stored under the reserved stop id "depot". A stop's missing
-zone id is imputed by `core.Route` itself, when the route is built.
+The depot is stored under the reserved stop id "depot". Only the shape of
+routes.json is checked here; `core.Route` checks each stop's fields and
+imputes a missing zone id, when the route is built.
 
-`read_json` decodes each file with its form. Each stop of routes.json
-becomes a `core.Stop` straight from the JSON, equal zone ids sharing one
-str, and `load_dataset` only fills in its id; any other stop object is
-checked as the dict json.load gives. Each row of travel_times.json becomes
-a float64 array, and `load_dataset` copies a route's rows into its
-`core.TravelTimeMatrix`, one read-only float64 array. No stop or row is
-ever a dict of Python objects, and each route's raw JSON is dropped once
-its `Route` is built. The largest thing a load holds at once is then the
-text of the largest file it reads, as bytes and then as str, with the
-decoded routes.json.
+`read_json` decodes each file with its form. A stop of routes.json as
+`write_dataset` writes it becomes a (None, lat, lng, zone_id) tuple, equal
+zone ids sharing one str; any other object is the dict json.load gives.
+Each row of travel_times.json becomes a float64 array, and `load_dataset`
+copies a route's rows into its `core.TravelTimeMatrix`, one read-only
+float64 array. No stop or row is ever a dict of Python objects, and each
+route's raw JSON is dropped once its `Route` is built. The largest thing
+a load holds at once is then the text of the largest file it reads, as
+bytes and then as str, with the decoded routes.json.
 
 `write_dataset` writes each file with the bytes json.dump(sort_keys=True,
 indent=1) gives, streamed one route at a time and formatted straight from
@@ -132,28 +132,15 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
 def _every_stop_zoned(body) -> bool:
     """Whether every stop of a raw route body is an object with a zone id.
 
-    A decoded Stop has one. A body or `stops` that is not an object answers
-    False, so that the load reads every file and reports the fault as a
-    full load would.
+    A stop decoded as stop_form's tuple has one. A body or `stops` that is
+    not an object answers False, so that the load reads every file and
+    reports the fault as a full load would.
     """
     body = plain(body)
     stops = body.get("stops", {}) if isinstance(body, dict) else None
     return isinstance(stops, dict) and all(
-        type(s) is Stop or (isinstance(s, dict) and s.get("zone_id")) for s in stops.values()
+        type(s) is tuple or (isinstance(s, dict) and s.get("zone_id")) for s in stops.values()
     )
-
-
-def _coordinate(stop_id, raw, name) -> float:
-    """A JSON number; JSON true and numeric text are not numbers."""
-    try:
-        value = raw[name]
-        if type(value) is float:
-            return value
-        if type(value) is int:
-            return float(value)
-    except (KeyError, TypeError, OverflowError):
-        pass
-    raise ValidationError(f"stop {stop_id!r} has a missing or non-numeric {name!r}")
 
 
 def _object(raw, what) -> dict:
@@ -163,41 +150,28 @@ def _object(raw, what) -> dict:
     return raw
 
 
-def _zone_id(stop_id, raw) -> Optional[str]:
-    zone = raw.get("zone_id")
-    if zone is not None and not isinstance(zone, str):
-        raise ValidationError(f"stop {stop_id!r} has a non-string 'zone_id' {plain(zone)!r}")
-    return zone or None
-
-
 def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
-    """Validate one route's JSON; load_dataset prefixes errors with the route.
+    """Build one route from its JSON; load_dataset prefixes errors with the route.
 
-    A stop decoded as a Stop is taken as it is, with its id; Route checks it.
+    Only the shape is checked here: the body, its `stops`, each stop and the
+    depot must be objects, the depot given and its id no other stop's. Each
+    stop is one Stop of the values json.load gives (the depot's zone id is
+    not read), and Route checks their types and ranges.
     """
     body = _object(body, "route body")
-    depot_raw = plain(body.get("depot"))
-    if depot_raw is None:
+    if body.get("depot") is None:
         raise ValidationError("missing depot entry")
-    stops: Dict[str, Stop] = {
-        DEPOT_STOP_ID: Stop(
-            id=DEPOT_STOP_ID,
-            lat=_coordinate(DEPOT_STOP_ID, depot_raw, "lat"),
-            lng=_coordinate(DEPOT_STOP_ID, depot_raw, "lng"),
-        )
-    }
+    depot = _object(body["depot"], f"stop {DEPOT_STOP_ID!r}")
+    stops = {DEPOT_STOP_ID: Stop(DEPOT_STOP_ID, plain(depot.get("lat")), plain(depot.get("lng")))}
     for sid, s in _object(body.get("stops", {}), "'stops'").items():
         if sid == DEPOT_STOP_ID:
             raise ValidationError(f"stop id {DEPOT_STOP_ID!r} is reserved")
-        if type(s) is Stop:
-            stops[sid] = Stop(sid, s.lat, s.lng, s.zone_id)
+        if type(s) is tuple:  # stop_form's (None, lat, lng, zone_id)
+            stops[sid] = Stop(sid, s[1], s[2], s[3])
         else:
-            stops[sid] = Stop(
-                id=sid,
-                lat=_coordinate(sid, s, "lat"),
-                lng=_coordinate(sid, s, "lng"),
-                zone_id=_zone_id(sid, s),
-            )
+            s = _object(s, f"stop {sid!r}")
+            stops[sid] = Stop(sid, plain(s.get("lat")), plain(s.get("lng")),
+                              plain(s.get("zone_id")))
 
     actual = None
     if actual_raw is not None:

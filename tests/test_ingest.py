@@ -2,6 +2,7 @@ import json
 import logging
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -94,10 +95,8 @@ def test_bad_coordinate_names_route_stop_and_field(tmp_path, stop_id, field, val
     write_fixture(tmp_path, routes)
     with pytest.raises(ValidationError) as excinfo:
         ingest.load_dataset(tmp_path)
-    message = str(excinfo.value)
-    assert "route r1" in message
-    assert repr(stop_id) in message
-    assert repr(field) in message
+    shown = None if value == "missing" else value  # a missing field reads as null
+    assert str(excinfo.value) == f"route r1: stop {stop_id}: {field} {shown!r} is not a number"
 
 
 def test_reserved_zone_id_names_route_and_stop(tmp_path):
@@ -114,7 +113,11 @@ def test_reserved_zone_id_names_route_and_stop(tmp_path):
     {"r1": "route"},
     {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": []}},
     {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": "a"}},
-], ids=["top-list", "body-list", "body-text", "stops-list", "stops-text"])
+    {"r1": {"depot": 5.5, "stops": {}}},
+    {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {"a": [0.1, 0.1]}}},
+    {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {"a": "Z1"}}},
+], ids=["top-list", "body-list", "body-text", "stops-list", "stops-text", "depot-number",
+        "stop-list", "stop-text"])
 def test_non_object_route_or_stops_names_route(tmp_path, routes):
     write_fixture(tmp_path, routes)
     match = "routes.json" if isinstance(routes, list) else "route r1: .*JSON object"
@@ -171,10 +174,10 @@ HUGE = 10 ** 400  # parses as a Python int that float() cannot hold
     (None, _r1_matrix(a_depot=-5), "route r1: travel time a->depot is -5.0"),
     (None, _r1_matrix(b_b=float("nan")), "route r1: travel time b->b is nan"),
     (None, _r1_matrix(b_b=3), "route r1: nonzero diagonal at b"),
-    (95, None, "route r1: stop a: lat 95.0 out of [-90, 90]"),
+    (95, None, "route r1: stop a: lat 95 out of [-90, 90]"),
     (None, _r1_matrix(a_b=HUGE),
      "route r1: travel time matrix has a malformed or non-numeric entry"),
-    (HUGE, None, "route r1: stop 'a' has a missing or non-numeric 'lat'"),
+    (HUGE, None, "route r1: stop a: lat 100000000000000000...0000000000000000000 out of [-90, 90]"),
 ], ids=["negative", "nan", "nonzero-diagonal", "lat-95", "huge-travel-time", "huge-lat"])
 def test_travel_time_and_coordinate_errors_name_route(tmp_path, lat, matrix, message):
     routes = json.loads(json.dumps(TWO_ROUTES))
@@ -208,7 +211,7 @@ def test_every_bad_route_is_named_in_route_id_order(tmp_path):
     with pytest.raises(ValidationError) as excinfo:
         ingest.load_dataset(tmp_path)
     assert str(excinfo.value) == (
-        "route r1: missing depot entry; route r3: stop 'd' has a missing or non-numeric 'lat'"
+        "route r1: missing depot entry; route r3: stop d: lat '2.1' is not a number"
     )
 
 
@@ -360,10 +363,10 @@ STOP = {"lat": 0.5, "lng": 0.5, "zone_id": "Z1"}  # an object in the stop form
            "route zone_id: route body must be a JSON object, got str"),
     ({"r1": STOP}, "route r1: missing depot entry"),
     ({"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": STOP}},
-     "route r1: stop 'lat' has a missing or non-numeric 'lat'"),
+     "route r1: stop 'lat' must be a JSON object, got float"),
     ({"r1": {"depot": STOP, "stops": {"a": STOP}}}, None),
     ({"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {"a": {**STOP, "zone_id": STOP}}}},
-     "route r1: stop 'a' has a non-string 'zone_id' {'lat': 0.5, 'lng': 0.5, 'zone_id': 'Z1'}"),
+     "route r1: stop a: zone id {'lat': 0.5, 'lng': 0.5, 'zone_id': 'Z1'} is not a string"),
 ], ids=["top-level", "route-body", "stops", "depot", "zone-id"])
 def test_objects_in_stop_form_out_of_stop_place_load_as_plain_json(tmp_path, routes, message):
     # Each message is the one the file gives when every object decodes to a dict.
@@ -499,6 +502,16 @@ def test_load_peak_memory_for_training_is_the_text_not_the_stops(tmp_path):
     assert peak < 3.3 * size, (peak, size)
 
 
+def test_a_decoded_stop_takes_a_stops_size():
+    # The Stop built from a decoded stop reuses the tuple's freed block only
+    # if both are one size. A (lat, lng, zone_id) 3-tuple takes the stop ids'
+    # size instead: on perfbench's seed-42 train-heavy split, the blocks it
+    # left free raised train's peak RSS from 55.5 to 60.3 MB, which the
+    # tracemalloc guards above do not see.
+    decoded = core.stop_form()([("lat", 0.5), ("lng", 0.5), ("zone_id", "Z1")])
+    assert sys.getsizeof(decoded) == sys.getsizeof(Stop("a", 0.5, 0.5, "Z1"))
+
+
 @pytest.mark.parametrize("name", ("routes.json",) + ingest.OPTIONAL_FILES)
 def test_duplicate_key_in_a_dataset_file_names_file_and_key(tmp_path, name):
     write_fixture(tmp_path, TWO_ROUTES, actuals={"r1": {"depot": 0, "a": 1, "b": 2}},
@@ -532,8 +545,7 @@ def test_non_string_zone_id_names_route_stop_and_field(tmp_path, zone):
     write_fixture(tmp_path, routes)
     with pytest.raises(ValidationError) as excinfo:
         ingest.load_dataset(tmp_path)
-    message = str(excinfo.value)
-    assert "route r1" in message and "'a'" in message and "'zone_id'" in message
+    assert str(excinfo.value) == f"route r1: stop a: zone id {zone!r} is not a string"
 
 
 @pytest.mark.parametrize("quality", ["high", "HIGH", "", 1, None],
@@ -806,6 +818,21 @@ def test_roundtrip_byte_stable(tmp_path):
     for name in ("routes.json", "actual_sequences.json", "travel_times.json", "quality.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert json.loads((out1 / "travel_times.json").read_text()) == travel
+
+
+def test_int_coordinates_load_and_write_back_as_ints(tmp_path):
+    # Route takes an int coordinate as it is, so the file keeps its form.
+    routes = json.loads(json.dumps(TWO_ROUTES))
+    routes["r1"]["stops"]["a"]["lat"] = 47
+    routes["r1"]["depot"]["lng"] = -3
+    write_fixture(tmp_path, routes)
+    ds = ingest.load_dataset(tmp_path)
+    assert repr(ds.routes["r1"].stops["a"].lat) == "47"
+    assert repr(ds.routes["r1"].depot.lng) == "-3"
+    ingest.write_dataset(ds, tmp_path / "out")
+    written = json.loads((tmp_path / "out" / "routes.json").read_text())
+    assert repr(written["r1"]["stops"]["a"]["lat"]) == "47"
+    assert repr(written["r1"]["depot"]["lng"]) == "-3"
 
 
 def _stdlib_files(dataset):
