@@ -63,7 +63,9 @@ class TravelTimeMatrix:
     """Dense asymmetric travel times in seconds over an ordered stop-id list.
 
     `t` is stored as a read-only float64 array; row i and column j belong
-    to ids[i] and ids[j]. Any square nesting of numbers is accepted.
+    to ids[i] and ids[j]. The ids are unique, and each entry of a row given
+    as a list or tuple is an int or a float (not a bool). load_dataset
+    leaves these checks to TravelTimeMatrix.
     """
 
     ids: Tuple[str, ...]
@@ -71,11 +73,22 @@ class TravelTimeMatrix:
 
     def __post_init__(self):
         n = len(self.ids)
+        if len(set(self.ids)) < n:
+            repeated = Counter(self.ids).most_common(1)[0][0]
+            raise ValidationError(f"travel time matrix has the id {repeated!r} twice")
+        for a, row in zip(self.ids, self.t if isinstance(self.t, (list, tuple)) else ()):
+            if isinstance(row, (list, tuple)):  # a numpy array converts as numpy does
+                for b, value in zip(self.ids, row):
+                    if type(value) not in (int, float):  # a bool is an int; float() takes "7"
+                        raise ValidationError(f"travel time matrix has a non-numeric entry "
+                                              f"{a!r} -> {b!r}: {value!r}")
         try:
             t = np.array(self.t, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
-                f"travel time matrix over {n} ids has a ragged or non-numeric row"
+                "travel time matrix has a malformed or non-numeric entry"
+                if isinstance(exc, OverflowError)  # an int too large for a float
+                else f"travel time matrix over {n} ids has a ragged or non-numeric row"
             ) from None
         if n == 0 and t.size == 0:
             t = t.reshape(0, 0)

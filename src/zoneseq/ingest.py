@@ -11,15 +11,16 @@ datasets:
   quality.json           route_id -> "High"|"Medium"|"Low", optional.
 
 The depot is stored under the reserved stop id "depot". Only the shape of
-routes.json is checked here; `core.Route` checks each stop's fields and
-imputes a missing zone id, when the route is built.
+routes.json and travel_times.json is checked here: when the route is built,
+`core.Route` checks each stop's fields and imputes a missing zone id, and
+`core.TravelTimeMatrix` checks each travel time.
 
 `read_json` decodes each file with its form. A stop of routes.json as
 `write_dataset` writes it becomes a (None, lat, lng, zone_id) tuple, equal
 zone ids sharing one str; any other object is the dict json.load gives.
-Each row of travel_times.json becomes a float64 array, and `load_dataset`
-copies a route's rows into its `core.TravelTimeMatrix`, one read-only
-float64 array. No stop or row is ever a dict of Python objects, and each
+Each row of travel_times.json becomes a float64 array, and
+`core.TravelTimeMatrix` copies a route's rows into one read-only float64
+array. No stop or row is ever a dict of Python objects, and each
 route's raw JSON is dropped once its `Route` is built. The largest thing
 a load holds at once is then the text of the largest file it reads, as
 bytes and then as str, with the decoded routes.json.
@@ -33,12 +34,13 @@ from __future__ import annotations
 
 import json
 import logging
+import reprlib
 import time
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -150,6 +152,16 @@ def _object(raw, what) -> dict:
     return raw
 
 
+def _field(value, depth=reprlib.aRepr.maxlevel):
+    """A stop field as json.load gives it, only as deep as Route's reprlib.repr message shows."""
+    value = plain(value)
+    if depth and type(value) is list:
+        return [_field(v, depth - 1) for v in value]
+    if depth and type(value) is dict:
+        return {key: _field(v, depth - 1) for key, v in value.items()}
+    return value
+
+
 def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
     """Build one route from its JSON; load_dataset prefixes errors with the route.
 
@@ -162,7 +174,7 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
     if body.get("depot") is None:
         raise ValidationError("missing depot entry")
     depot = _object(body["depot"], f"stop {DEPOT_STOP_ID!r}")
-    stops = {DEPOT_STOP_ID: Stop(DEPOT_STOP_ID, plain(depot.get("lat")), plain(depot.get("lng")))}
+    stops = {DEPOT_STOP_ID: Stop(DEPOT_STOP_ID, _field(depot.get("lat")), _field(depot.get("lng")))}
     for sid, s in _object(body.get("stops", {}), "'stops'").items():
         if sid == DEPOT_STOP_ID:
             raise ValidationError(f"stop id {DEPOT_STOP_ID!r} is reserved")
@@ -170,8 +182,8 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
             stops[sid] = Stop(sid, s[1], s[2], s[3])
         else:
             s = _object(s, f"stop {sid!r}")
-            stops[sid] = Stop(sid, plain(s.get("lat")), plain(s.get("lng")),
-                              plain(s.get("zone_id")))
+            stops[sid] = Stop(sid, _field(s.get("lat")), _field(s.get("lng")),
+                              _field(s.get("zone_id")))
 
     actual = None
     if actual_raw is not None:
@@ -200,60 +212,33 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
 def _travel_time_matrix(raw, stops) -> TravelTimeMatrix:
     """A route's TravelTimeMatrix from its travel_times.json value.
 
-    When every row is a TravelTimeRow over exactly the matrix's ids, the
-    rows are copied into one array: as they are when in id order, as
-    write_dataset writes them, and by key otherwise. Any other value is
-    checked as the dict of dicts json.load gives, so each fault gets the
-    same message either way.
+    Only the shape is checked here, row by row in id order: each row is an
+    object with a key for every row, its other keys being stops, and
+    TravelTimeMatrix checks the entries. A row with its keys in id order,
+    as write_dataset writes it, is handed over as its TravelTimeRow array,
+    any other row as the values json.load gives, in id order.
     """
     raw = _object(raw, "travel time matrix")
     ids = tuple(sorted(raw))
-    t = _row_array(ids, [raw[a] for a in ids])
-    if t is not None:
-        return TravelTimeMatrix(ids=ids, t=t)
-    raw = {a: plain(row) for a, row in raw.items()}
-    try:
-        entries = list(chain.from_iterable(map(raw[a].__getitem__, ids) for a in ids))
-        if not set(map(type, entries)) <= {int, float}:  # float() takes true and "7"
-            at = next(i for i, v in enumerate(entries) if type(v) not in (int, float))
-            a, b = ids[at // len(ids)], ids[at % len(ids)]
-            raise ValidationError(
-                f"travel time matrix has a non-numeric entry {a!r} -> {b!r}: {entries[at]!r}"
-            )
-        t = np.array(entries, dtype=np.float64)
-    except KeyError as exc:
-        raise ValidationError(
-            f"travel time matrix is not square, missing entry for {exc.args[0]!r}"
-        )
-    except (AttributeError, TypeError, OverflowError):
-        raise ValidationError(
-            "travel time matrix has a malformed or non-numeric entry"
-        ) from None
+    rows = []
     for a in ids:
-        if len(raw[a]) > len(ids):  # it holds every id, so a key more
-            extra = sorted(set(raw[a]).difference(ids, stops))
-            if extra:
-                raise ValidationError(f"travel time row {a!r} has a non-stop key {extra[0]!r}")
-    return TravelTimeMatrix(ids=ids, t=t.reshape(len(ids), len(ids)))
-
-
-def _row_array(ids, rows) -> Optional[np.ndarray]:
-    """The rows as one n x n array if each is a TravelTimeRow over exactly `ids`, else None."""
-    t = np.empty((len(ids), len(ids)))
-    column = None
-    for i, row in enumerate(rows):
-        if type(row) is not TravelTimeRow or len(row.keys) != len(ids):
-            return None
-        if row.keys == ids:
-            t[i] = row.values
+        row = raw[a]
+        if type(row) is TravelTimeRow and row.keys == ids:
+            rows.append(row.values)
             continue
-        if column is None:
-            column = {sid: j for j, sid in enumerate(ids)}
-        try:  # the keys are unique, so n of them in `ids` are all of `ids`
-            t[i, [column[sid] for sid in row.keys]] = row.values
-        except KeyError:
-            return None
-    return t
+        row = plain(row)
+        if not isinstance(row, dict):
+            raise ValidationError("travel time matrix has a malformed or non-numeric entry")
+        missing = [b for b in ids if b not in row]
+        if missing:
+            raise ValidationError(
+                f"travel time matrix is not square, missing entry for {missing[0]!r}"
+            )
+        extra = sorted(set(row).difference(ids, stops))
+        if extra:
+            raise ValidationError(f"travel time row {a!r} has a non-stop key {extra[0]!r}")
+        rows.append([row[b] for b in ids])
+    return TravelTimeMatrix(ids=ids, t=rows)
 
 
 def write_dataset(dataset: Dataset, dir_path) -> None:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -14,6 +15,7 @@ from zoneseq.core import (
     haversine_matrix,
     representative_node,
 )
+from zoneseq import ingest
 from zoneseq.ingest import zsgt
 from conftest import make_route
 
@@ -257,6 +259,38 @@ def test_travel_time_matrix_checks_match_row_loop_fuzz():
             with pytest.raises(ValidationError) as excinfo:
                 TravelTimeMatrix(ids=ids, t=rows)
             assert str(excinfo.value) == expected
+
+
+@pytest.mark.parametrize("entry, message", [
+    (True, "travel time matrix has a non-numeric entry 'a' -> 'b': True"),
+    ("7", "travel time matrix has a non-numeric entry 'a' -> 'b': '7'"),
+    (None, "travel time matrix has a non-numeric entry 'a' -> 'b': None"),
+    ([5], "travel time matrix has a non-numeric entry 'a' -> 'b': [5]"),
+    (10 ** 400, "travel time matrix has a malformed or non-numeric entry"),
+], ids=["true", "numeric-text", "null", "list", "huge-int"])
+def test_travel_time_matrix_takes_only_int_and_float_entries(tmp_path, entry, message):
+    ids = ("a", "b", "depot")
+    rows = [[0, entry, 5], [5, 0, 5], [5, 5, 0]]
+    with pytest.raises(ValidationError) as excinfo:
+        TravelTimeMatrix(ids=ids, t=rows)
+    assert str(excinfo.value) == message
+    # The same entry in travel_times.json fails the load with the same message.
+    stops = {"a": {"lat": 0.1, "lng": 0.1, "zone_id": "Z1"},
+             "b": {"lat": 0.2, "lng": 0.2, "zone_id": "Z2"}}
+    (tmp_path / "routes.json").write_text(
+        json.dumps({"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": stops}}))
+    (tmp_path / "travel_times.json").write_text(
+        json.dumps({"r1": {x: dict(zip(ids, row)) for x, row in zip(ids, rows)}}))
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == "route r1: " + message
+
+
+def test_travel_time_matrix_rejects_a_repeated_id():
+    # A Route compares only the id sets, and stop_cost would read a's last row.
+    with pytest.raises(ValidationError) as excinfo:
+        TravelTimeMatrix(ids=("a", "depot", "a"), t=[[0, 1, 0], [1, 0, 7], [9, 3, 0]])
+    assert str(excinfo.value) == "travel time matrix has the id 'a' twice"
 
 
 def test_travel_time_matrix_is_read_only_and_compares_by_value():

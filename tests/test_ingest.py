@@ -367,7 +367,11 @@ STOP = {"lat": 0.5, "lng": 0.5, "zone_id": "Z1"}  # an object in the stop form
     ({"r1": {"depot": STOP, "stops": {"a": STOP}}}, None),
     ({"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {"a": {**STOP, "zone_id": STOP}}}},
      "route r1: stop a: zone id {'lat': 0.5, 'lng': 0.5, 'zone_id': 'Z1'} is not a string"),
-], ids=["top-level", "route-body", "stops", "depot", "zone-id"])
+    ({"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {"a": {**STOP, "lat": [STOP]}}}},
+     "route r1: stop a: lat [{'lat': 0.5, 'lng': 0.5, 'zone_id': 'Z1'}] is not a number"),
+    ({"r1": {"depot": {"lat": {"x": STOP}, "lng": 0.0}, "stops": {"a": STOP}}},
+     "route r1: stop depot: lat {'x': {'lat': 0.5, 'lng': 0.5, 'zone_id': 'Z1'}} is not a number"),
+], ids=["top-level", "route-body", "stops", "depot", "zone-id", "in-a-list", "in-an-object"])
 def test_objects_in_stop_form_out_of_stop_place_load_as_plain_json(tmp_path, routes, message):
     # Each message is the one the file gives when every object decodes to a dict.
     write_fixture(tmp_path, routes)
@@ -378,6 +382,17 @@ def test_objects_in_stop_form_out_of_stop_place_load_as_plain_json(tmp_path, rou
     with pytest.raises(ValidationError) as excinfo:
         ingest.load_dataset(tmp_path)
     assert str(excinfo.value) == message
+
+
+def test_a_stop_field_nested_nearly_too_deep_to_decode_fails_as_a_validation_error(tmp_path):
+    # Route's message shows six levels of it; undoing the stop form in every
+    # level would pass the recursion limit.
+    nested = "[" * 800 + "0" + "]" * 800
+    (tmp_path / "routes.json").write_text(
+        json.dumps(TWO_ROUTES).replace('"lat": 0.1,', f'"lat": {nested},', 1))
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.load_dataset(tmp_path)
+    assert str(excinfo.value) == "route r1: stop a: lat [[[[[[[...]]]]]]] is not a number"
 
 
 ROUTE_FUZZ_VALUES = [0, 1, 2.5, -1, 95.0, HUGE, True, False, None, "", "Z1", "7", [], {},
