@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import reprlib
 import statistics
@@ -63,9 +64,8 @@ class TravelTimeMatrix:
     """Dense asymmetric travel times in seconds over an ordered stop-id list.
 
     `t` is stored as a read-only float64 array; row i and column j belong
-    to ids[i] and ids[j]. The ids are unique, and each entry of a row given
-    as a list or tuple is an int or a float (not a bool). load_dataset
-    leaves these checks to TravelTimeMatrix.
+    to ids[i] and ids[j]. The ids are unique. Each entry of a list or tuple
+    row is a real number, not a bool; an array converts as numpy does.
     """
 
     ids: Tuple[str, ...]
@@ -74,14 +74,14 @@ class TravelTimeMatrix:
     def __post_init__(self):
         n = len(self.ids)
         if len(set(self.ids)) < n:
-            repeated = Counter(self.ids).most_common(1)[0][0]
-            raise ValidationError(f"travel time matrix has the id {repeated!r} twice")
+            repeated = next(i for k, i in enumerate(self.ids) if i in self.ids[:k])
+            raise ValidationError(f"travel time matrix has the id {repeated!r} more than once")
         for a, row in zip(self.ids, self.t if isinstance(self.t, (list, tuple)) else ()):
-            if isinstance(row, (list, tuple)):  # a numpy array converts as numpy does
-                for b, value in zip(self.ids, row):
-                    if type(value) not in (int, float):  # a bool is an int; float() takes "7"
-                        raise ValidationError(f"travel time matrix has a non-numeric entry "
-                                              f"{a!r} -> {b!r}: {value!r}")
+            for b, value in zip(self.ids, row if isinstance(row, (list, tuple)) else ()):
+                # A numpy scalar is a real number; a bool is an int; float() takes "7".
+                if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                    raise ValidationError(f"travel time matrix has a non-numeric entry "
+                                          f"{a!r} -> {b!r}: {value!r}")
         try:
             t = np.array(self.t, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -188,13 +188,22 @@ def stop_form() -> Callable[[list], Optional[tuple]]:
     return stop
 
 
-def plain(value):
-    """`value` as json.load gives it: a read_json form's TravelTimeRow or stop tuple as its dict."""
+def plain(value, depth=0):
+    """`value` as json.load gives it, read_json's forms undone `depth` lists or dicts deep."""
     if type(value) is TravelTimeRow:
-        return value.plain()
-    if type(value) is tuple:  # stop_form's, as JSON decodes to no other tuple
-        return dict(zip(("lat", "lng", "zone_id"), value[1:]))
+        value = value.plain()
+    elif type(value) is tuple and len(value) == 4 and value[0] is None:  # stop_form's
+        value = dict(zip(("lat", "lng", "zone_id"), value[1:]))
+    if depth and type(value) is list:
+        return [plain(v, depth - 1) for v in value]
+    if depth and type(value) is dict:
+        return {key: plain(v, depth - 1) for key, v in value.items()}
     return value
+
+
+def _quote(value) -> str:
+    """reprlib.repr of `value` as json.load gives it, for a message."""
+    return reprlib.repr(plain(value, reprlib.aRepr.maxlevel))
 
 
 @dataclass(frozen=True)
@@ -240,10 +249,10 @@ class Route:
                 for name, value in (("lat", stop.lat), ("lng", stop.lng)):
                     if type(value) not in (int, float):  # a bool is an int
                         raise ValidationError(
-                            f"stop {sid}: {name} {reprlib.repr(value)} is not a number")
+                            f"stop {sid}: {name} {_quote(value)} is not a number")
                 if type(stop.zone_id) not in (str, type(None)):
                     raise ValidationError(
-                        f"stop {sid}: zone id {reprlib.repr(stop.zone_id)} is not a string")
+                        f"stop {sid}: zone id {_quote(stop.zone_id)} is not a string")
         for sid, stop in self.stops.items():
             if sid != stop.id:
                 raise ValidationError(f"route {self.route_id}: key {sid} != stop id {stop.id}")

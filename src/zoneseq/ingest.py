@@ -11,16 +11,16 @@ datasets:
   quality.json           route_id -> "High"|"Medium"|"Low", optional.
 
 The depot is stored under the reserved stop id "depot". Only the shape of
-routes.json and travel_times.json is checked here: when the route is built,
-`core.Route` checks each stop's fields and imputes a missing zone id, and
-`core.TravelTimeMatrix` checks each travel time.
+routes.json and travel_times.json is checked here; `core.Route` checks each
+stop's fields and imputes a missing zone id, and `core.TravelTimeMatrix`
+checks each travel time.
 
 `read_json` decodes each file with its form. A stop of routes.json as
 `write_dataset` writes it becomes a (None, lat, lng, zone_id) tuple, equal
 zone ids sharing one str; any other object is the dict json.load gives.
-Each row of travel_times.json becomes a float64 array, and
-`core.TravelTimeMatrix` copies a route's rows into one read-only float64
-array. No stop or row is ever a dict of Python objects, and each
+Each row of travel_times.json becomes a float64 array, and a route's rows
+are copied into its `core.TravelTimeMatrix`, one read-only float64 array.
+No stop or row is ever a dict of Python objects, and each
 route's raw JSON is dropped once its `Route` is built. The largest thing
 a load holds at once is then the text of the largest file it reads, as
 bytes and then as str, with the decoded routes.json.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import logging
-import reprlib
 import time
 from dataclasses import dataclass
 from itertools import groupby
@@ -152,29 +151,19 @@ def _object(raw, what) -> dict:
     return raw
 
 
-def _field(value, depth=reprlib.aRepr.maxlevel):
-    """A stop field as json.load gives it, only as deep as Route's reprlib.repr message shows."""
-    value = plain(value)
-    if depth and type(value) is list:
-        return [_field(v, depth - 1) for v in value]
-    if depth and type(value) is dict:
-        return {key: _field(v, depth - 1) for key, v in value.items()}
-    return value
-
-
 def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
     """Build one route from its JSON; load_dataset prefixes errors with the route.
 
     Only the shape is checked here: the body, its `stops`, each stop and the
     depot must be objects, the depot given and its id no other stop's. Each
-    stop is one Stop of the values json.load gives (the depot's zone id is
-    not read), and Route checks their types and ranges.
+    stop is one Stop of the values read (the depot's zone id is not read),
+    and Route checks their types and ranges.
     """
     body = _object(body, "route body")
     if body.get("depot") is None:
         raise ValidationError("missing depot entry")
     depot = _object(body["depot"], f"stop {DEPOT_STOP_ID!r}")
-    stops = {DEPOT_STOP_ID: Stop(DEPOT_STOP_ID, _field(depot.get("lat")), _field(depot.get("lng")))}
+    stops = {DEPOT_STOP_ID: Stop(DEPOT_STOP_ID, depot.get("lat"), depot.get("lng"))}
     for sid, s in _object(body.get("stops", {}), "'stops'").items():
         if sid == DEPOT_STOP_ID:
             raise ValidationError(f"stop id {DEPOT_STOP_ID!r} is reserved")
@@ -182,8 +171,7 @@ def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
             stops[sid] = Stop(sid, s[1], s[2], s[3])
         else:
             s = _object(s, f"stop {sid!r}")
-            stops[sid] = Stop(sid, _field(s.get("lat")), _field(s.get("lng")),
-                              _field(s.get("zone_id")))
+            stops[sid] = Stop(sid, s.get("lat"), s.get("lng"), s.get("zone_id"))
 
     actual = None
     if actual_raw is not None:
@@ -213,27 +201,30 @@ def _travel_time_matrix(raw, stops) -> TravelTimeMatrix:
     """A route's TravelTimeMatrix from its travel_times.json value.
 
     Only the shape is checked here, row by row in id order: each row is an
-    object with a key for every row, its other keys being stops, and
-    TravelTimeMatrix checks the entries. A row with its keys in id order,
-    as write_dataset writes it, is handed over as its TravelTimeRow array,
-    any other row as the values json.load gives, in id order.
+    object with a key for every row, its other keys being stops. A row with
+    exactly the ids as keys goes to TravelTimeMatrix as its TravelTimeRow
+    array, put in id order, and any other row as the values json.load gives.
     """
     raw = _object(raw, "travel time matrix")
     ids = tuple(sorted(raw))
+    column = {b: j for j, b in enumerate(ids)}
     rows = []
     for a in ids:
         row = raw[a]
         if type(row) is TravelTimeRow and row.keys == ids:
             rows.append(row.values)
             continue
+        # A row's keys are unique, so a set of them equal to the ids is the ids reordered.
+        if type(row) is TravelTimeRow and column.keys() == set(row.keys):
+            rows.append(np.empty(len(ids)))
+            rows[-1][np.fromiter(map(column.get, row.keys), np.intp, len(ids))] = row.values
+            continue
         row = plain(row)
         if not isinstance(row, dict):
             raise ValidationError("travel time matrix has a malformed or non-numeric entry")
-        missing = [b for b in ids if b not in row]
-        if missing:
-            raise ValidationError(
-                f"travel time matrix is not square, missing entry for {missing[0]!r}"
-            )
+        absent = next((b for b in ids if b not in row), None)
+        if absent is not None:
+            raise ValidationError(f"travel time matrix is not square, missing entry for {absent!r}")
         extra = sorted(set(row).difference(ids, stops))
         if extra:
             raise ValidationError(f"travel time row {a!r} has a non-stop key {extra[0]!r}")

@@ -96,6 +96,13 @@ def test_route_rejects_the_stop_fields_load_dataset_rejects(stop, message):
     assert make_route(stops=[("b", 0, -1, None), ("c", 0.5, 1, "Z1")]).stops["b"].zone_id == "Z1"
 
 
+def test_route_quotes_a_tuple_field_as_given():
+    # Only read_json's stop form, (None, lat, lng, zone_id), is quoted as its object.
+    with pytest.raises(ValidationError) as excinfo:
+        make_route(stops=[("b", 0.0, 0.0, "Z1"), ("a", (0.1, 0.2), 0.1, "Z1")])
+    assert str(excinfo.value) == "stop a: lat (0.1, 0.2) is not a number"
+
+
 def test_route_rejects_the_sentinel_zone_id():
     with pytest.raises(ValidationError, match=r"^stop s: zone id 'stz' is reserved$"):
         make_route(stops=[("s", 0.0, 0.0, "stz")])
@@ -286,11 +293,23 @@ def test_travel_time_matrix_takes_only_int_and_float_entries(tmp_path, entry, me
     assert str(excinfo.value) == "route r1: " + message
 
 
+def test_travel_time_matrix_takes_numpy_scalar_entries():
+    rows = [[np.float64(0), np.int64(5)], [np.float32(2.5), 0]]
+    assert TravelTimeMatrix(ids=("a", "b"), t=rows).t.tolist() == [[0, 5], [2.5, 0]]
+    with pytest.raises(ValidationError) as excinfo:
+        TravelTimeMatrix(ids=("a", "b"), t=[[0, np.True_], [1, 0]])
+    assert str(excinfo.value) == "travel time matrix has a non-numeric entry 'a' -> 'b': np.True_"
+
+
 def test_travel_time_matrix_rejects_a_repeated_id():
     # A Route compares only the id sets, and stop_cost would read a's last row.
     with pytest.raises(ValidationError) as excinfo:
         TravelTimeMatrix(ids=("a", "depot", "a"), t=[[0, 1, 0], [1, 0, 7], [9, 3, 0]])
-    assert str(excinfo.value) == "travel time matrix has the id 'a' twice"
+    assert str(excinfo.value) == "travel time matrix has the id 'a' more than once"
+    # The first id seen again is named, not the most repeated one.
+    with pytest.raises(ValidationError) as excinfo:
+        TravelTimeMatrix(ids=("b", "a", "b", "a", "a"), t=np.zeros((5, 5)))
+    assert str(excinfo.value) == "travel time matrix has the id 'b' more than once"
 
 
 def test_travel_time_matrix_is_read_only_and_compares_by_value():

@@ -494,6 +494,28 @@ def test_load_peak_memory_is_the_text_not_the_travel_times(tmp_path):
     assert peak < 2.3 * size, (peak, size)
 
 
+def test_load_peak_memory_is_the_text_for_rows_in_any_key_order(tmp_path):
+    # The file of the test above with each row's keys reversed. Each row put
+    # in id order as its array, the load peaked at 2.03x the file's size, as
+    # for sorted rows; through a dict of floats per row, at 2.16x.
+    cfg = synth.SynthConfig(seed=3, n_train_routes=1, n_eval_routes=1, zones_per_route=[10, 10],
+                            stops_per_zone=[30, 30])
+    _, eval_ds = synth.generate(cfg)
+    ingest.write_dataset(eval_ds, tmp_path)
+    path = tmp_path / "travel_times.json"
+    path.write_text(json.dumps({r: {a: dict(reversed(row.items())) for a, row in m.items()}
+                                for r, m in json.loads(path.read_text()).items()}))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = ingest.load_dataset(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.routes == eval_ds.routes
+    assert peak < 2.1 * size, (peak, size)
+
+
 def test_load_peak_memory_for_training_is_the_text_not_the_stops(tmp_path):
     # 200 training routes of 30 zones of 3 stops, no travel times: 18k
     # stops in a 1.9 MB routes.json. Decoded as a dict per stop, the load
