@@ -59,13 +59,21 @@ class Stop(NamedTuple):
     zone_id: Optional[str] = None
 
 
+def _entries_to_check(x) -> Iterable:
+    """Items to type-check: a list's, tuple's or array's, but no 0-d, integer or float array's."""
+    if isinstance(x, np.ndarray) and (x.dtype.kind in "iuf" or x.ndim == 0):
+        return ()
+    return x if isinstance(x, (list, tuple, np.ndarray)) else ()
+
+
 @dataclass(frozen=True, eq=False)
 class TravelTimeMatrix:
     """Dense asymmetric travel times in seconds over an ordered stop-id list.
 
     `t` is stored as a read-only float64 array; row i and column j belong
-    to ids[i] and ids[j]. The ids are unique. Each entry of a list or tuple
-    row is a real number, not a bool; an array converts as numpy does.
+    to ids[i] and ids[j]. The ids are unique. Each entry is a real number,
+    not a bool: an array (the matrix or a row) of integer or float dtype is
+    taken whole, and any other row is checked entry by entry.
     """
 
     ids: Tuple[str, ...]
@@ -76,10 +84,12 @@ class TravelTimeMatrix:
         if len(set(self.ids)) < n:
             repeated = next(i for k, i in enumerate(self.ids) if i in self.ids[:k])
             raise ValidationError(f"travel time matrix has the id {repeated!r} more than once")
-        for a, row in zip(self.ids, self.t if isinstance(self.t, (list, tuple)) else ()):
-            for b, value in zip(self.ids, row if isinstance(row, (list, tuple)) else ()):
-                # A numpy scalar is a real number; a bool is an int; float() takes "7".
-                if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        for a, row in zip(self.ids, _entries_to_check(self.t)):
+            for b, value in zip(self.ids, _entries_to_check(row)):
+                # A numpy scalar is a real number; a bool is an int, numpy counts
+                # a timedelta as one, and float() takes "7".
+                if (not isinstance(value, numbers.Real)
+                        or isinstance(value, (bool, np.timedelta64))):
                     raise ValidationError(f"travel time matrix has a non-numeric entry "
                                           f"{a!r} -> {b!r}: {value!r}")
         try:

@@ -8,15 +8,16 @@ Tours come from nearest-neighbour construction improved by Or-opt segment
 relocation and direction-preserving 3-opt segment exchange; plain 2-opt is
 avoided because segment reversal changes cost under asymmetric matrices.
 
-Each local-search scan scores all of its candidate moves in one numpy
-evaluation and then applies the move a first-improvement loop would: the
-first segment start i (Or-opt) or cut pair (i, j), by i then j (3-opt),
-whose best gain exceeds the epsilon, at the first slot p or third cut k
-with that gain. After each move the scan restarts from the beginning.
-The passes (Or-opt of 1, 2 and 3 nodes, then 3-opt) each scan until a
-scan fails and take turns until every pass has failed on the current
-tour. A scan depends only on the costs and the tour, so a pass is not run
-again on a tour it has already failed on.
+Each local-search scan (`_or_opt_scan`, `_three_opt_scan`) scores all of
+its candidate moves in one numpy evaluation and applies the one move a
+first-improvement loop would: the first segment start i (Or-opt) or cut
+pair (i, j), by i then j (3-opt), whose best gain exceeds the epsilon, at
+the first slot p or third cut k with that gain. `_improve` is the one
+loop: the passes (Or-opt of 1, 2 and 3 nodes, then 3-opt) take turns,
+each scanning until a scan fails or the move budget is spent, and the
+search stops once every pass has failed on the current tour. A scan
+depends only on the costs and the tour, so a pass is not run again on a
+tour it has already failed on.
 
 An external TSPLIB solver (e.g. a Lin-Kernighan binary) can be plugged in;
 its tours flow through the same rotation/filter post-processing. Each of
@@ -130,7 +131,7 @@ _BLOCK_ELEMENTS = 1 << 18
 
 # Or-opt index grids of tours up to this many nodes are kept for reuse:
 # about 4 MB at most, over every such n and segment length. A longer tour
-# builds its grids for each pass, where they cost little next to its scans.
+# builds its grids for each search, where they cost little next to its scans.
 _GRID_CACHE_NODES = 64
 
 
@@ -157,113 +158,105 @@ def _or_opt_grid(n: int, seg_len: int) -> Tuple[np.ndarray, ...]:
 _cached_or_opt_grid = lru_cache(maxsize=None)(_or_opt_grid)
 
 
-def _or_opt_pass(seg_len: int, cost: np.ndarray, tour: List[int], budget: List[int]) -> int:
-    """Relocate segments of `seg_len` nodes without reversal (asymmetric-safe).
+def _or_opt_scan(seg_len: int, grid: Tuple[np.ndarray, ...], cost: np.ndarray,
+                 tour: List[int]) -> bool:
+    """Relocate a segment of `seg_len` nodes without reversal (asymmetric-safe).
 
-    A scan scores moving the segment that starts at tour position i to after
-    slot p of the rest of the tour, for every (i, p) in one numpy evaluation.
-    It applies the first i whose best gain exceeds _GAIN_EPS, at the first p
-    with that gain, and scans again. Returns the number of scans.
+    Scores moving the segment that starts at tour position i to after slot
+    p of the rest of the tour, for every (i, p) in one numpy evaluation
+    over `grid` (`_or_opt_grid`). Applies the first i whose best gain
+    exceeds _GAIN_EPS, at the first p with that gain; returns whether it moved.
     """
-    n = len(tour)
-    m = n - seg_len  # nodes left outside the segment
-    grid = _cached_or_opt_grid if n <= _GRID_CACHE_NODES else _or_opt_grid
-    starts, pred_at, succ_at, here, after, pred_slot = grid(n, seg_len)
-    scans = 0
-    while budget[0] > 0:
-        scans += 1
-        t = np.asarray(tour)
-        first, last = t[:m + 1], t[seg_len - 1:]
-        pred, succ = t[pred_at], t[succ_at]
-        removed = cost[pred, first] + cost[last, succ] - cost[pred, succ]
-        a, b = t[here], t[after]
-        added = cost[a, first[:, None]] + cost[last[:, None], b] - cost[a, b]
-        gains = removed[:, None] - added
-        gains[starts, pred_slot] = 0.0
-        hits = np.flatnonzero(gains.max(axis=1) > _GAIN_EPS)
-        if not hits.size:
-            break
-        i = int(hits[0])
-        p = int(np.argmax(gains[i]))
-        seg = tour[i:i + seg_len]
-        rest = tour[:i] + tour[i + seg_len:]
-        tour[:] = rest[: p + 1] + seg + rest[p + 1:]
-        budget[0] -= 1
-    return scans
+    m = len(tour) - seg_len  # nodes left outside the segment
+    starts, pred_at, succ_at, here, after, pred_slot = grid
+    t = np.asarray(tour)
+    first, last = t[:m + 1], t[seg_len - 1:]
+    pred, succ = t[pred_at], t[succ_at]
+    removed = cost[pred, first] + cost[last, succ] - cost[pred, succ]
+    a, b = t[here], t[after]
+    added = cost[a, first[:, None]] + cost[last[:, None], b] - cost[a, b]
+    gains = removed[:, None] - added
+    gains[starts, pred_slot] = 0.0
+    hits = np.flatnonzero(gains.max(axis=1) > _GAIN_EPS)
+    if not hits.size:
+        return False
+    i = int(hits[0])
+    p = int(np.argmax(gains[i]))
+    seg = tour[i:i + seg_len]
+    rest = tour[:i] + tour[i + seg_len:]
+    tour[:] = rest[: p + 1] + seg + rest[p + 1:]
+    return True
 
 
-def _three_opt_pass(cost: np.ndarray, tour: List[int], budget: List[int]) -> int:
+def _three_opt_scan(below: np.ndarray, cost: np.ndarray, tour: List[int]) -> bool:
     """Direction-preserving 3-opt: swap the two segments between three cuts.
 
     Cuts after positions i < j < k split the tour into A B C D (D possibly
     empty); reconnection A C B D keeps every segment's direction, so it is
-    valid under asymmetric costs. A scan scores every cut triple in one
-    numpy evaluation (blocks of i for long tours). It applies the first
-    (i, j), by i then j, whose best gain exceeds _GAIN_EPS, at the first k
-    with that gain, and scans again. Needs n >= 3; returns the number of scans.
+    valid under asymmetric costs. Scores every cut triple in one numpy
+    evaluation (blocks of i for long tours). Applies the first (i, j), by i
+    then j, whose best gain exceeds _GAIN_EPS, at the first k with that
+    gain; returns whether it moved. Needs n >= 3 and `below` the
+    (n - 2)-square strictly-below-diagonal mask.
     """
-    n = len(tour)
     # i, j and k each take w values: 0..n-3, 1..n-2 and 2..n-1. Offset that
     # way, both j <= i and k <= j mean "column index below row index".
-    w = n - 2
-    below = np.tri(w, w, -1, dtype=bool)
+    w = len(below)
     rows = max(1, _BLOCK_ELEMENTS // (w * w))
-    succ_at = np.arange(1, n + 1) % n
-    scans = 0
-    while budget[0] > 0:
-        scans += 1
-        t = np.asarray(tour)
-        q = cost[t[:, None], t[succ_at]]  # q[x, y]: tour[x] -> tour[y + 1]
-        arc = q.diagonal()
-        # With a b = tour[i, i+1], c d = tour[j, j+1], e f = tour[k, k+1]:
-        base = q[:w, 1:w + 1] - arc[:w, None] - arc[1:w + 1]  # ad - ab - cd, (i, j)
-        eb = q[2:, :w].T  # (i, k)
-        cf = q[1:w + 1, 2:]  # (j, k)
-        ef = arc[2:]  # (k,)
-        move = None
-        for i0 in range(0, w, rows):
-            g = base[i0:i0 + rows, :, None] + eb[i0:i0 + rows, None, :]
-            g += cf
-            g -= ef
-            np.negative(g, out=g)
-            np.copyto(g, -np.inf, where=below)
-            best = g.max(axis=2)
-            best[below[i0:i0 + rows]] = -np.inf
-            hits = np.flatnonzero(best > _GAIN_EPS)
-            if hits.size:
-                bi, jj = divmod(int(hits[0]), w)
-                move = (i0 + bi, jj + 1, int(np.argmax(g[bi, jj])) + 2)
-                break
-        if move is None:
-            break
-        i, j, k = move
-        tour[:] = tour[: i + 1] + tour[j + 1: k + 1] + tour[i + 1: j + 1] + tour[k + 1:]
-        budget[0] -= 1
-    return scans
+    t = np.asarray(tour)
+    q = cost[t[:, None], np.asarray(tour[1:] + tour[:1])]  # q[x, y]: tour[x] -> tour[y + 1]
+    arc = q.diagonal()
+    # With a b = tour[i, i+1], c d = tour[j, j+1], e f = tour[k, k+1]:
+    base = q[:w, 1:w + 1] - arc[:w, None] - arc[1:w + 1]  # ad - ab - cd, (i, j)
+    eb = q[2:, :w].T  # (i, k)
+    cf = q[1:w + 1, 2:]  # (j, k)
+    ef = arc[2:]  # (k,)
+    for i0 in range(0, w, rows):
+        g = base[i0:i0 + rows, :, None] + eb[i0:i0 + rows, None, :]
+        g += cf
+        g -= ef
+        np.negative(g, out=g)
+        np.copyto(g, -np.inf, where=below)
+        best = g.max(axis=2)
+        best[below[i0:i0 + rows]] = -np.inf
+        hits = np.flatnonzero(best > _GAIN_EPS)
+        if hits.size:
+            bi, jj = divmod(int(hits[0]), w)
+            i, j, k = i0 + bi, jj + 1, int(np.argmax(g[bi, jj])) + 2
+            tour[:] = tour[: i + 1] + tour[j + 1: k + 1] + tour[i + 1: j + 1] + tour[k + 1:]
+            return True
+    return False
 
 
 def _improve(cost: np.ndarray, tour: List[int], budget: List[int]) -> int:
     """Run the passes in turn, from Or-opt of 1, 2, 3 nodes to 3-opt, until none can move.
 
-    Improves `tour` in place and returns the number of scans. Each pass
-    scans until a scan finds no move, so it leaves the tour with a failed
-    scan on it. A scan depends only on (cost, tour): the pass would fail
-    again until another pass moves. So the search stops once every pass has
-    failed on the current tour: the last pass that moved, then each of the
-    others in turn.
+    Improves `tour` in place and returns the number of scans. A pass scans
+    until a scan finds no move, taking one unit of `budget` per move, so
+    it leaves the tour with a failed scan on it. A scan depends only on
+    (cost, tour): the pass would fail again until another pass moves. So
+    the search stops once every pass has failed on the current tour (the
+    last pass that moved, then each of the others in turn), or when the
+    budget is spent.
     """
     n = len(tour)
-    passes = [partial(_or_opt_pass, seg_len) for seg_len in (1, 2, 3) if seg_len < n - 1]
+    grid = _cached_or_opt_grid if n <= _GRID_CACHE_NODES else _or_opt_grid
+    passes = [partial(_or_opt_scan, seg_len, grid(n, seg_len))
+              for seg_len in (1, 2, 3) if seg_len < n - 1]
     if n >= 3:
-        passes.append(_three_opt_pass)
+        passes.append(partial(_three_opt_scan, np.tri(n - 2, n - 2, -1, dtype=bool)))
     scans = 0
     failed = 0  # passes in a row, the last one run included, that failed on this tour
-    for scan_pass in cycle(passes):
+    for scan in cycle(passes):
         if failed == len(passes) or budget[0] <= 0:
             break
-        left = budget[0]
-        scans += scan_pass(cost, tour, budget)
-        failed = 1 if budget[0] < left else failed + 1
+        failed += 1
+        while budget[0] > 0:
+            scans += 1
+            if not scan(cost, tour):
+                break
+            budget[0] -= 1
+            failed = 1
     return scans
 
 

@@ -301,6 +301,30 @@ def test_travel_time_matrix_takes_numpy_scalar_entries():
     assert str(excinfo.value) == "travel time matrix has a non-numeric entry 'a' -> 'b': np.True_"
 
 
+@pytest.mark.parametrize("t, bad", [
+    (np.array([[0, 7], [1, 0]]), None),
+    (np.array([[0, 7], [1, 0]], dtype=np.uint8), None),
+    ([np.array([0, 7], dtype=np.float32), [1, 0]], None),
+    (np.array([[0, 7.0], [1, 0]], dtype=object), None),
+    (np.array([["0", "7"], ["1", "0"]]), "'a' -> 'a': np.str_('0')"),
+    ([[0, 7], np.array(["1", "0"])], "'b' -> 'a': np.str_('1')"),
+    (np.array([[0, True], [1, 0]], dtype=object), "'a' -> 'b': True"),
+    (np.array([[False, True], [True, False]]), "'a' -> 'a': np.False_"),
+    (np.array([[0, 7 + 0j], [1, 0]]), "'a' -> 'a': np.complex128(0j)"),
+    (np.array([[0, 7], [1, 0]], dtype="timedelta64[m]"), "'a' -> 'a': np.timedelta64(0,'m')"),
+], ids=["int", "uint", "float-row", "object-of-numbers", "str", "str-row", "object-with-true",
+        "bool", "complex", "timedelta"])
+def test_travel_time_matrix_takes_only_integer_and_float_arrays(t, bad):
+    # An object array is checked entry by entry, as a list is; any other
+    # array that is not of integer or float dtype fails on its first entry.
+    if bad is None:
+        assert TravelTimeMatrix(ids=("a", "b"), t=t).t.tolist() == [[0, 7], [1, 0]]
+    else:
+        with pytest.raises(ValidationError) as excinfo:
+            TravelTimeMatrix(ids=("a", "b"), t=t)
+        assert str(excinfo.value) == "travel time matrix has a non-numeric entry " + bad
+
+
 def test_travel_time_matrix_rejects_a_repeated_id():
     # A Route compares only the id sets, and stop_cost would read a's last row.
     with pytest.raises(ValidationError) as excinfo:

@@ -324,7 +324,10 @@ def _mutate(travel, rng):
     elif op == 3 and isinstance(obj[key], dict):
         obj[key] = dict(reversed(obj[key].items()))
     elif type(obj[key]) is int:
-        obj[key] = float(obj[key])
+        try:
+            obj[key] = float(obj[key])
+        except OverflowError:  # no float holds it (HUGE): it stays an int
+            pass
 
 
 def test_travel_time_rows_load_as_plain_json_does_fuzz(tmp_path, monkeypatch):

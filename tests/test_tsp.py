@@ -27,6 +27,7 @@ from conftest import (
     make_route,
     oracle_build_instance,
     oracle_improve,
+    oracle_three_opt_pass,
     still_running,
 )
 
@@ -272,6 +273,28 @@ def test_local_search_matches_loop_oracle_fuzz(monkeypatch):
             got = list(tour)
             tsp._improve(cost, got, got_budget)
             assert (got, got_budget) == (want, want_budget), (case, n, start, budget)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("block", [1, 7, 100, tsp._BLOCK_ELEMENTS])
+def test_three_opt_scan_takes_the_oracle_move_fuzz(monkeypatch, block):
+    # One scan against one move of the loop oracle, on random tours and on
+    # tours the oracle search has made locally optimal, where neither moves.
+    monkeypatch.setattr(tsp, "_BLOCK_ELEMENTS", block)
+    rng = random.Random(13)
+    moved_flags = set()
+    for case in range(300):
+        n = rng.randint(3, 20)
+        cost = fuzz_cost(rng, n, case)
+        tour = rng.sample(range(n), n)
+        if case // 4 % 2:  # half the cases of each cost family
+            oracle_improve(cost, tour, [50 * n])
+        want, got = list(tour), list(tour)
+        moved = oracle_three_opt_pass(cost, want, [1])
+        below = np.tri(n - 2, n - 2, -1, dtype=bool)
+        assert (tsp._three_opt_scan(below, cost, got), got) == (moved, want), (case, tour)
+        moved_flags.add(moved)
+    assert moved_flags == {True, False}
 
 
 def oracle_solve_counts(cost, start_index):
