@@ -140,8 +140,7 @@ def _train(dataset, model_path, settings, include_low):
     return model, len(corpus), elapsed
 
 
-def cmd_train(args) -> int:
-    settings = _load_settings(args)
+def cmd_train(args, settings) -> int:
     dataset = ingest.load_dataset(args.dataset, costs=False)
     _, n, elapsed = _train(dataset, args.model, settings, args.include_low)
     print(f"trained on {n} zone sequences in {elapsed:.2f}s -> {args.model}")
@@ -261,8 +260,7 @@ def _submission_json(submission: Dict[str, StopSequence]) -> dict:
     return {rid: list(seq.ids) for rid, seq in submission.items()}
 
 
-def cmd_sequence(args) -> int:
-    settings = _load_settings(args)
+def cmd_sequence(args, settings) -> int:
     dataset = ingest.load_dataset(args.dataset)
     model = ppm.PpmModel.load(args.model)
     submission, timings = _sequence_routes(
@@ -291,8 +289,7 @@ def load_submission(path) -> Dict[str, StopSequence]:
     return check_each(sorted(raw), sequence)
 
 
-def cmd_evaluate(args) -> int:
-    _load_settings(args)
+def cmd_evaluate(args, settings) -> int:
     dataset = ingest.load_dataset(args.dataset)
     submissions = load_submission(args.submission)
     report = scorer.dataset_score(dataset, submissions)
@@ -310,8 +307,7 @@ def _synth_config(path) -> synth.SynthConfig:
     return _as_config(synth.SynthConfig, **raw)
 
 
-def cmd_synth(args) -> int:
-    _load_settings(args)
+def cmd_synth(args, settings) -> int:
     cfg = _synth_config(args.synth_config)
     train_ds, eval_ds = synth.generate(cfg)
     out = Path(args.out)
@@ -333,12 +329,17 @@ def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, fl
     out_dir = Path(out_dir)
     train_ds = ingest.load_dataset(dataset_dir / "train", costs=False)
     eval_ds = ingest.load_dataset(dataset_dir / "eval")
+    # Taken before anything is written, so an eval route without an actual is named at once.
+    oracle = check_each(
+        [rid for rid, route in sorted(eval_ds.routes.items()) if route.delivery_stops()],
+        lambda rid: ingest.zsgt(eval_ds.routes[rid]),
+    )
     model, _, _ = _train(train_ds, out_dir / "model.zppm", settings, include_low)
 
     zone_orders = {
         "method": _rollout_zone_order(model),
         "alphabetical": _alphabetical_zone_order,
-        "zsgt_oracle": ingest.zsgt,
+        "zsgt_oracle": lambda route: oracle[route.route_id],
     }
     scores = {}
     for kind, zone_order in zone_orders.items():
@@ -350,8 +351,7 @@ def run_bench(dataset_dir, out_dir, settings, include_low=False) -> Dict[str, fl
     return scores
 
 
-def cmd_bench(args) -> int:
-    settings = _load_settings(args)
+def cmd_bench(args, settings) -> int:
     scores = run_bench(args.dataset, args.out, settings, include_low=args.include_low)
     print(f"{'variant':<14} {'mean score':>12}")
     for kind in ("zsgt_oracle", "method", "alphabetical"):
@@ -417,7 +417,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     previous = _handle_stop_signals(_exit_on_signal)
     try:
-        return args.func(args)
+        return args.func(args, _load_settings(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -238,6 +238,7 @@ class Route:
     id on a tie). Every coordinate is an int or a float (not a bool), every
     zone id a str or None, and `quality` is None or one of QUALITIES. This
     is the one check of a stop's fields; load_dataset passes them as read.
+    Every message it raises starts with "route <route_id>: ".
     """
 
     route_id: str
@@ -258,21 +259,23 @@ class Route:
             for sid, stop in self.stops.items():
                 for name, value in (("lat", stop.lat), ("lng", stop.lng)):
                     if type(value) not in (int, float):  # a bool is an int
-                        raise ValidationError(
-                            f"stop {sid}: {name} {_quote(value)} is not a number")
+                        raise ValidationError(f"route {self.route_id}: stop {sid}: "
+                                              f"{name} {_quote(value)} is not a number")
                 if type(stop.zone_id) not in (str, type(None)):
-                    raise ValidationError(
-                        f"stop {sid}: zone id {_quote(stop.zone_id)} is not a string")
+                    raise ValidationError(f"route {self.route_id}: stop {sid}: "
+                                          f"zone id {_quote(stop.zone_id)} is not a string")
         for sid, stop in self.stops.items():
             if sid != stop.id:
                 raise ValidationError(f"route {self.route_id}: key {sid} != stop id {stop.id}")
             if not -90.0 <= stop.lat <= 90.0:
-                raise ValidationError(f"stop {sid}: lat {reprlib.repr(stop.lat)} out of [-90, 90]")
+                raise ValidationError(f"route {self.route_id}: stop {sid}: "
+                                      f"lat {reprlib.repr(stop.lat)} out of [-90, 90]")
             if not -180.0 <= stop.lng <= 180.0:
-                raise ValidationError(
-                    f"stop {sid}: lng {reprlib.repr(stop.lng)} out of [-180, 180]")
+                raise ValidationError(f"route {self.route_id}: stop {sid}: "
+                                      f"lng {reprlib.repr(stop.lng)} out of [-180, 180]")
             if stop.zone_id == DEPOT_ZONE:
-                raise ValidationError(f"stop {sid}: zone id {DEPOT_ZONE!r} is reserved")
+                raise ValidationError(
+                    f"route {self.route_id}: stop {sid}: zone id {DEPOT_ZONE!r} is reserved")
         if self.actual is not None:
             if set(self.actual.ids) != set(self.stops):
                 raise ValidationError(

@@ -109,22 +109,9 @@ def load_dataset(dir_path, costs: bool = True) -> Dataset:
             raise ValidationError(f"dataset file {dir_path / name} has unknown route {unknown[0]}")
     actuals, matrices, qualities = optional
 
-    def build(route_id) -> Route:
-        try:
-            return _build_route(
-                route_id,
-                raw_routes.pop(route_id),
-                actuals.pop(route_id, None),
-                matrices.pop(route_id, None),
-                qualities.pop(route_id, None),
-            )
-        except ValidationError as exc:
-            prefix = f"route {route_id}: "
-            if str(exc).startswith(prefix):  # Route names it already
-                raise
-            raise ValidationError(prefix + str(exc)) from None
-
-    routes = check_each(sorted(raw_routes), build)
+    routes = check_each(sorted(raw_routes), lambda route_id: _build_route(
+        route_id, raw_routes.pop(route_id), actuals.pop(route_id, None),
+        matrices.pop(route_id, None), qualities.pop(route_id, None)))
     log.debug("loaded %d routes, %d travel-time entries", len(routes),
               sum(r.travel_times.t.size for r in routes.values() if r.travel_times is not None))
     return Dataset(routes=routes)
@@ -152,41 +139,46 @@ def _object(raw, what) -> dict:
 
 
 def _build_route(route_id, body, actual_raw, matrix_raw, quality_raw) -> Route:
-    """Build one route from its JSON; load_dataset prefixes errors with the route.
+    """Build one route from its JSON; every error names the route first.
 
     Only the shape is checked here: the body, its `stops`, each stop and the
     depot must be objects, the depot given and its id no other stop's. Each
     stop is one Stop of the values read (the depot's zone id is not read),
-    and Route checks their types and ranges.
+    and Route checks their types and ranges, naming the route; the errors
+    of the shape checks and of the travel times are named here.
     """
-    body = _object(body, "route body")
-    if body.get("depot") is None:
-        raise ValidationError("missing depot entry")
-    depot = _object(body["depot"], f"stop {DEPOT_STOP_ID!r}")
-    stops = {DEPOT_STOP_ID: Stop(DEPOT_STOP_ID, depot.get("lat"), depot.get("lng"))}
-    for sid, s in _object(body.get("stops", {}), "'stops'").items():
-        if sid == DEPOT_STOP_ID:
-            raise ValidationError(f"stop id {DEPOT_STOP_ID!r} is reserved")
-        if type(s) is tuple:  # stop_form's (None, lat, lng, zone_id)
-            stops[sid] = Stop(sid, s[1], s[2], s[3])
-        else:
-            s = _object(s, f"stop {sid!r}")
-            stops[sid] = Stop(sid, s.get("lat"), s.get("lng"), s.get("zone_id"))
+    try:
+        body = _object(body, "route body")
+        if body.get("depot") is None:
+            raise ValidationError("missing depot entry")
+        depot = _object(body["depot"], f"stop {DEPOT_STOP_ID!r}")
+        stops = {DEPOT_STOP_ID: Stop(DEPOT_STOP_ID, depot.get("lat"), depot.get("lng"))}
+        for sid, s in _object(body.get("stops", {}), "'stops'").items():
+            if sid == DEPOT_STOP_ID:
+                raise ValidationError(f"stop id {DEPOT_STOP_ID!r} is reserved")
+            if type(s) is tuple:  # stop_form's (None, lat, lng, zone_id)
+                stops[sid] = Stop(sid, s[1], s[2], s[3])
+            else:
+                s = _object(s, f"stop {sid!r}")
+                stops[sid] = Stop(sid, s.get("lat"), s.get("lng"), s.get("zone_id"))
 
-    actual = None
-    if actual_raw is not None:
-        positions = _object(actual_raw, "actual sequence")
-        for sid, pos in positions.items():
-            if type(pos) is not int:  # true == 1 and 2.0 == 2 would pass the check below
-                raise ValidationError(
-                    f"actual sequence position of stop {sid!r} is not an integer: {pos!r}"
-                )
-        ids = tuple(sorted(positions, key=positions.__getitem__))
-        if sorted(positions.values()) != list(range(len(positions))):
-            raise ValidationError("actual sequence positions are not 0..n-1")
-        actual = StopSequence(route_id=route_id, ids=ids)
+        actual = None
+        if actual_raw is not None:
+            positions = _object(actual_raw, "actual sequence")
+            for sid, pos in positions.items():
+                if type(pos) is not int:  # true == 1 and 2.0 == 2 would pass the check below
+                    raise ValidationError(
+                        f"actual sequence position of stop {sid!r} is not an integer: {pos!r}"
+                    )
+            ids = tuple(sorted(positions, key=positions.__getitem__))
+            if sorted(positions.values()) != list(range(len(positions))):
+                raise ValidationError("actual sequence positions are not 0..n-1")
+            # A JSON object's keys are unique, so StopSequence raises nothing.
+            actual = StopSequence(route_id=route_id, ids=ids)
 
-    matrix = None if matrix_raw is None else _travel_time_matrix(matrix_raw, stops)
+        matrix = None if matrix_raw is None else _travel_time_matrix(matrix_raw, stops)
+    except ValidationError as exc:
+        raise ValidationError(f"route {route_id}: {exc}") from None
 
     return Route(
         route_id=route_id,

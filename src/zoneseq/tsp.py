@@ -433,4 +433,6 @@ def solve_atsp_external(instance: ZoneTspInstance, solver_path: str) -> List[int
             raise
         if status != 0:
             raise OSError(f"external solver {solver_path} exited with status {status}")
+        if not tour_file.exists():
+            raise OSError(f"external solver {solver_path} wrote no tour file")
         return parse_tsplib_tour(tour_file.read_bytes(), instance.n)

@@ -564,6 +564,24 @@ def test_train_and_bench_name_the_low_routes_of_an_all_low_split(tmp_path, capsy
     assert main(argv + ["--include-low"]) == 0
 
 
+def test_bench_names_every_eval_route_without_an_actual_and_writes_nothing(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    _one_route_dataset(data / "train")
+    _one_route_dataset(data / "eval")
+    stop = {"lat": 0.1, "lng": 0.1, "zone_id": "Z1"}
+    (data / "eval" / "routes.json").write_text(json.dumps({
+        "r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {"a": stop}},
+        "r2": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {"a": stop}},
+        "r3": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {}},  # nothing to order or score
+        "r4": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {"a": stop}},
+    }))
+    assert main(["bench", "--dataset", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: route r2: no actual sequence; route r4: no actual sequence\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "bench"])
 def test_train_and_bench_name_the_routes_without_delivery_stops(tmp_path, capsys, caplog,
                                                                 command):
@@ -698,19 +716,20 @@ def test_bad_synth_config_exits_3_naming_key(tmp_path, capsys, config, key):
 
 def test_failing_external_solver_exits_2_naming_it(synth_dirs, monkeypatch, capsys):
     tmp_path, data = synth_dirs
-    solver = tmp_path / "failing_solver.sh"
-    solver.write_text("#!/bin/sh\nexit 3\n")
-    solver.chmod(0o755)
     model = tmp_path / "m.zppm"
     assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
-    for cpus in ({0}, {0, 1}):  # in-process, then in a pool of two workers
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        code = main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
-                     "--out", str(tmp_path / "sub.json"), "--external-solver", str(solver)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == f"I/O error: external solver {solver} exited with status 3\n"
-        assert not (tmp_path / "sub.json").exists()
+    for status, fault in ((3, "exited with status 3"), (0, "wrote no tour file")):
+        solver = tmp_path / f"solver_exiting_{status}.sh"
+        solver.write_text(f"#!/bin/sh\nexit {status}\n")
+        solver.chmod(0o755)
+        for cpus in ({0}, {0, 1}):  # in-process, then in a pool of two workers
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            code = main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                         "--out", str(tmp_path / "sub.json"), "--external-solver", str(solver)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"I/O error: external solver {solver} {fault}\n"
+            assert not (tmp_path / "sub.json").exists()
 
 
 def test_external_solver_past_its_time_limit_exits_2_naming_it(synth_dirs, monkeypatch,

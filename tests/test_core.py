@@ -68,9 +68,10 @@ def test_distance_unknown_stop_names_id():
 
 
 def test_coordinates_validated():
-    with pytest.raises(ValidationError, match=r"^stop s: lat 91.0 out of \[-90, 90\]$"):
+    with pytest.raises(ValidationError, match=r"^route r1: stop s: lat 91.0 out of \[-90, 90\]$"):
         make_route(stops=[("s", 91.0, 0.0, "Z")])
-    with pytest.raises(ValidationError, match=r"^stop depot: lng -181.0 out of \[-180, 180\]$"):
+    with pytest.raises(ValidationError,
+                       match=r"^route r1: stop depot: lng -181.0 out of \[-180, 180\]$"):
         make_route(stops=[("s", 0.0, 0.0, "Z")], depot=(0.0, -181.0))
 
 
@@ -81,30 +82,54 @@ def test_route_requires_the_depot_id():
 
 
 @pytest.mark.parametrize("stop, message", [
-    (("a", True, 0.1, "Z1"), "stop a: lat True is not a number"),
-    (("a", 0.1, "0.2", "Z1"), "stop a: lng '0.2' is not a number"),
-    (("a", 0.1, None, "Z1"), "stop a: lng None is not a number"),
-    (("a", 0.1, 0.2, 5), "stop a: zone id 5 is not a string"),
-    (("a", 0.1, 0.2, ["Z1"]), "stop a: zone id ['Z1'] is not a string"),
+    (("a", True, 0.1, "Z1"), "route r1: stop a: lat True is not a number"),
+    (("a", 0.1, "0.2", "Z1"), "route r1: stop a: lng '0.2' is not a number"),
+    (("a", 0.1, None, "Z1"), "route r1: stop a: lng None is not a number"),
+    (("a", 0.1, 0.2, 5), "route r1: stop a: zone id 5 is not a string"),
+    (("a", 0.1, 0.2, ["Z1"]), "route r1: stop a: zone id ['Z1'] is not a string"),
 ], ids=["bool-lat", "text-lng", "null-lng", "int-zone", "list-zone"])
 def test_route_rejects_the_stop_fields_load_dataset_rejects(stop, message):
     with pytest.raises(ValidationError) as excinfo:
         make_route(stops=[("b", 0.0, 0.0, "Z1"), stop])
     assert str(excinfo.value) == message
-    with pytest.raises(ValidationError, match=r"^stop depot: lat False is not a number$"):
+    with pytest.raises(ValidationError, match=r"^route r1: stop depot: lat False is not a number$"):
         make_route(stops=[("b", 0.0, 0.0, "Z1")], depot=(False, 0.0))
     assert make_route(stops=[("b", 0, -1, None), ("c", 0.5, 1, "Z1")]).stops["b"].zone_id == "Z1"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lat", True),
+    ("lng", "0.2"),
+    ("lng", None),
+    ("zone_id", 5),
+    ("zone_id", ["Z1"]),
+    ("lat", 95),
+    ("lng", -181.0),
+    ("zone_id", "stz"),
+    ("lat", [{"lat": 0.5, "lng": 0.5, "zone_id": "Z1"}]),
+], ids=["bool-lat", "text-lng", "null-lng", "int-zone", "list-zone", "lat-95", "lng-181",
+        "sentinel-zone", "nested-stop"])
+def test_route_raises_the_message_load_dataset_gives(tmp_path, field, value):
+    fields = {"lat": 0.1, "lng": 0.2, "zone_id": "Z1", field: value}
+    (tmp_path / "routes.json").write_text(json.dumps(
+        {"r1": {"depot": {"lat": 0.0, "lng": 0.0}, "stops": {"a": fields}}}))
+    with pytest.raises(ValidationError) as on_disk:
+        ingest.load_dataset(tmp_path)
+    with pytest.raises(ValidationError) as through_api:
+        Route(route_id="r1", stops={"depot": Stop("depot", 0.0, 0.0), "a": Stop("a", **fields)})
+    assert str(through_api.value) == str(on_disk.value)
+    assert str(on_disk.value).startswith(f"route r1: stop a: {field.replace('_', ' ')} ")
 
 
 def test_route_quotes_a_tuple_field_as_given():
     # Only read_json's stop form, (None, lat, lng, zone_id), is quoted as its object.
     with pytest.raises(ValidationError) as excinfo:
         make_route(stops=[("b", 0.0, 0.0, "Z1"), ("a", (0.1, 0.2), 0.1, "Z1")])
-    assert str(excinfo.value) == "stop a: lat (0.1, 0.2) is not a number"
+    assert str(excinfo.value) == "route r1: stop a: lat (0.1, 0.2) is not a number"
 
 
 def test_route_rejects_the_sentinel_zone_id():
-    with pytest.raises(ValidationError, match=r"^stop s: zone id 'stz' is reserved$"):
+    with pytest.raises(ValidationError, match=r"^route r1: stop s: zone id 'stz' is reserved$"):
         make_route(stops=[("s", 0.0, 0.0, "stz")])
 
 
