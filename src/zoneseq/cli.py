@@ -5,14 +5,18 @@ reads: `train` order and weights, `sequence` external_solver, `bench` all
 three. A setting resolves as CLI flag > ZSEQ_* environment variable > JSON
 config file (--config) > built-in default. The synthetic generator's seed
 is the --synth-config key `seed` (default 42). Exit codes: 0 success,
-1 validation, 2 I/O, 3 configuration. A JSON input that is malformed, not
-UTF-8, too deep or not an object exits 1 naming the file, or 3 for
---config and --synth-config. Every output is written atomically.
+1 validation, 2 I/O, 3 configuration, 4 a pool worker died. A JSON input
+that is malformed, not UTF-8, too deep or not an object exits 1 naming the
+file, or 3 for --config and --synth-config. Every output is written
+atomically.
 
 `sequence` and `bench` sequence routes in a pool of forked processes, one
 per CPU in the process's affinity mask and at most one per route; with one
 CPU or one route they run in-process. `taskset -c 0 zoneseq sequence ...`
-runs them in-process. The outputs are the same either way.
+runs them in-process. The outputs are the same either way. A worker that
+dies, as one the OOM killer ends does, fails the command with exit 4,
+naming every route that was running or not yet done; the submission being
+sequenced, and its report, are not written.
 
 A ^C (SIGINT) or a SIGTERM ends a command as an exit with status 130 or
 143 (128 + the signal) and no traceback: temporary files are removed, an
@@ -38,9 +42,15 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
+EXIT_WORKER = 4
+
 
 class ConfigError(ValueError):
     pass
+
+
+class WorkerDied(RuntimeError):
+    """A pool worker process ended before it returned the result of every route."""
 
 
 def _as_config(fn, *args, **kwargs):
@@ -221,8 +231,9 @@ def _sequence_routes(dataset, zone_order, external_solver) -> tuple:
     process when that is 1. Workers inherit the dataset and `zone_order`
     (with its model) through fork, so only route ids and results are
     pickled. Results are read in route-id order: a failure raises the error
-    of the first failing route, as a loop over the routes would. Returns the
-    submission {route_id: StopSequence} and {route_id: (zone_ms, stop_ms)}.
+    of the first failing route, as a loop over the routes would, and a dead
+    worker one WorkerDied naming the routes left without a result. Returns
+    the submission {route_id: StopSequence} and {route_id: (zone_ms, stop_ms)}.
     """
     rids = sorted(dataset.routes)
 
@@ -235,7 +246,8 @@ def _sequence_routes(dataset, zone_order, external_solver) -> tuple:
     else:
         # Imported here, as they add about 10 ms to the start-up of every command.
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
 
         # Under fork the initializer's arguments are inherited, not pickled.
         # On an error, leaving the block cancels the routes not yet started and
@@ -245,12 +257,22 @@ def _sequence_routes(dataset, zone_order, external_solver) -> tuple:
         # SIGTERM too, which fails its running route and every later one.
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, fork, _start_worker, (job,)) as pool:
+            futures = [pool.submit(_run_worker_job, rid) for rid in rids]
             try:
-                results = list(pool.map(_run_worker_job, rids))
+                results = [future.result() for future in futures]
+            except BrokenProcessPool:
+                wait(futures)  # a broken pool fails every route it has not finished
+                lost = [rid for rid, future in zip(rids, futures)
+                        if isinstance(future.exception(), BrokenProcessPool)]
+                raise WorkerDied(f"a pool worker died; routes not sequenced: "
+                                 f"{', '.join(lost)}") from None
             except SystemExit:
                 for worker in multiprocessing.active_children():
                     worker.terminate()
                 raise
+            finally:  # cancel the routes not yet started; leaving the block waits for the rest
+                for future in futures:
+                    future.cancel()
     submission = {rid: stops for rid, stops, _ in results}
     timings = {rid: ms for rid, _, ms in results}
     return submission, timings
@@ -427,6 +449,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except WorkerDied as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)

@@ -7,6 +7,7 @@ every output is written by `write_file`.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import numbers
@@ -17,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -407,6 +408,10 @@ def haversine_matrix(points, targets=None) -> np.ndarray:
     return out + out.T
 
 
+# How much read_json reads from a file at a time: bytes, then as many characters at most.
+_READ_SIZE = 1 << 18
+
+
 def read_json(path, what: str, form: Optional[Callable[[list], object]] = None) -> dict:
     """The JSON object in the file at `path`, called `what` in errors.
 
@@ -418,39 +423,124 @@ def read_json(path, what: str, form: Optional[Callable[[list], object]] = None) 
     travel_times.json, a fresh `stop_form()` for routes.json. It is handed
     the (key, value) pairs of every object before any dict is built, and
     what it returns, unless None, stands for the object; every other object
-    is a dict, checked for a key twice. So a travel-time row is one float64
-    array and a stop one tuple, not a dict of Python objects, and the file's
-    text, held as bytes and then as str while it decodes, is the largest
-    thing a read holds. The top level is a dict as always; a caller gives
-    any other value that may hold a form to `plain` before reading it.
+    is a dict, checked for a key twice, whose keys are shared with equal
+    keys of the file's other dicts. So a travel-time row is one float64
+    array and a stop one tuple, not a dict of Python objects. The top level
+    is a dict as always; a caller gives any other value that may hold a
+    form to `plain` before reading it.
+
+    The top-level object is decoded one member at a time (`_members`), so a
+    read holds the text of a few members, never the whole file unless one
+    member is most of it. A file that fails there is decoded whole, as
+    json.load decodes it, and that decode alone makes the message: its
+    line, column and char count over the whole file, a UTF-8 fault anywhere
+    comes before a JSON fault, and a key twice at the top level comes after
+    a later syntax error.
     """
+    keys: Dict[str, str] = {}
 
     def unique_keys(pairs):
         decoded = form(pairs) if form is not None else None
         if decoded is not None:
             return decoded
-        obj = dict(pairs)
+        # One str per key text in the file: the decoder shares them only within a member.
+        obj = {keys.setdefault(k, k): v for k, v in pairs}
         if len(obj) < len(pairs):
             key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
             raise ValidationError(f"{what} {path} has the key {key!r} twice")
         return obj
 
-    with open(path, "r", encoding="utf-8") as f:
+    decoder = json.JSONDecoder(object_pairs_hook=unique_keys)
+    with open(path, "rb") as f:
+        raw = {}
         try:
-            raw = plain(json.load(f, object_pairs_hook=unique_keys))
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
-        except ValidationError:  # unique_keys found a key twice
-            raise
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
-        except RecursionError:
-            raise ValidationError(f"{what} {path} nests too deeply to decode") from None
+            for key, value in _members(f, decoder):
+                if key in raw:
+                    raise ValueError("a top-level key twice")
+                raw[key] = value
+        except (ValueError, RecursionError):  # a ValidationError and UnicodeDecodeError too
+            raw = None
+    if raw is None:  # outside the except, which holds the buffer through its traceback
+        with open(path, "r", encoding="utf-8") as f:
+            try:
+                raw = plain(json.load(f, object_pairs_hook=unique_keys))
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
+            except ValidationError:  # unique_keys found a key twice
+                raise
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+                raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
+            except RecursionError:
+                raise ValidationError(f"{what} {path} nests too deeply to decode") from None
     if not isinstance(raw, dict):
         raise ValidationError(
             f"{what} {path} must hold a JSON object, got {type(raw).__name__}"
         )
     return raw
+
+
+def _members(f, decoder: json.JSONDecoder) -> Iterator[Tuple[str, object]]:
+    """Each (key, value) of the JSON object in the binary file `f`, in file order.
+
+    A member is decoded from a text buffer refilled from the file: its key
+    by `scanstring` and its value by `decoder.raw_decode`, the C scanner
+    json.load uses. Before each member the buffer is refilled to hold at
+    least twice the largest member so far, and a member it cuts short is
+    decoded again over a buffer twice as long, so a member fails only once
+    the buffer reaches the end of the file. A number the buffer cuts is
+    decoded short, but the rest of its digits then fail as the next member.
+    Wherever the file is not one JSON object this raises a ValueError or
+    RecursionError, whose message is not json.load's.
+    """
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    skip = json.decoder.WHITESPACE.match
+    buf, start, eof, ahead, largest, opening = "", 0, False, _READ_SIZE, 0, "{"
+    while True:
+        if len(buf) - start < ahead and not eof:
+            # Join the pieces once, and hold no other copy of the buffer meanwhile.
+            pieces, buf = [buf[start:]], None
+            held, start = len(pieces[0]), 0
+            while held < ahead and not eof:
+                data = f.read(_READ_SIZE)
+                eof = len(data) < _READ_SIZE
+                pieces.append(decode(data, eof))
+                held += len(pieces[-1])
+            data = None
+            buf = "".join(pieces)
+            del pieces
+        try:
+            pos = skip(buf, start).end()
+            if opening == "," and buf.startswith("}", pos):
+                break
+            if not buf.startswith(opening, pos):
+                raise ValueError(f"expected {opening!r}")
+            pos = skip(buf, pos + 1).end()
+            if opening == "{" and buf.startswith("}", pos):
+                break
+            if not buf.startswith('"', pos):
+                raise ValueError("expected a key")
+            key, pos = json.decoder.scanstring(buf, pos + 1)
+            pos = skip(buf, pos).end()
+            if not buf.startswith(":", pos):
+                raise ValueError("expected ':'")
+            value, pos = decoder.raw_decode(buf, skip(buf, pos + 1).end())
+        except (ValueError, RecursionError):
+            if eof:
+                raise
+            ahead = 2 * (len(buf) - start)
+            continue
+        yield key, value
+        largest = max(largest, pos - start)
+        start, opening, ahead = pos, ",", max(_READ_SIZE, 2 * largest)
+    # Only whitespace may follow the object.
+    pos = skip(buf, pos + 1).end()
+    while pos == len(buf) and not eof:
+        data = f.read(_READ_SIZE)
+        eof = len(data) < _READ_SIZE
+        buf = decode(data, eof)
+        pos = skip(buf).end()
+    if pos < len(buf):
+        raise ValueError("extra data")
 
 
 def write_file(path, chunks: Iterable, text: bool = False) -> None:

@@ -1,7 +1,8 @@
 """Dataset loading and writing, and ground-truth zone sequence extraction.
 
-Directory layout (JSON, UTF-8), field-compatible with the public Challenge
-datasets:
+Directory layout (JSON, UTF-8). It is this package's own: its fields
+follow the public Challenge datasets as described, but no reader here has
+been checked against those files.
 
   routes.json            route_id -> {"depot": {"lat","lng"},
                                       "stops": {stop_id: {"lat","lng","zone_id"}}}
@@ -21,9 +22,10 @@ zone ids sharing one str; any other object is the dict json.load gives.
 Each row of travel_times.json becomes a float64 array, and a route's rows
 are copied into its `core.TravelTimeMatrix`, one read-only float64 array.
 No stop or row is ever a dict of Python objects, and each
-route's raw JSON is dropped once its `Route` is built. The largest thing
-a load holds at once is then the text of the largest file it reads, as
-bytes and then as str, with the decoded routes.json.
+route's raw JSON is dropped once its `Route` is built. `read_json` decodes
+a file one route at a time, so a load holds the decoded files and the text
+of a few routes, not a whole file's text. The decoded travel times, a
+little over half the size of their text, set its peak.
 
 `write_dataset` writes each file with the bytes json.dump(sort_keys=True,
 indent=1) gives, streamed one route at a time and formatted straight from

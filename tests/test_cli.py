@@ -838,6 +838,36 @@ def test_failure_names_the_first_failing_route_in_route_id_order(
     assert multiprocessing.active_children() == []
 
 
+def test_a_dead_worker_exits_4_naming_the_routes_it_left_undone(tmp_path, monkeypatch, capsys):
+    # Three routes on two workers: the worker given the first route kills
+    # itself, as the OOM killer would, while the other is still on the
+    # second route and the third waits.
+    data = _synth(tmp_path, n_eval_routes=3)
+    model = tmp_path / "m.zppm"
+    assert main(["train", "--dataset", str(data / "train"), "--model", str(model)]) == 0
+    rids = sorted(json.loads((data / "eval" / "routes.json").read_text()))
+    sequence_stops = tsp.sequence_stops
+
+    def die_on_first(route, zone_order, external_solver=None):
+        if route.route_id == rids[0]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(5)  # the broken pool ends this worker first
+        return sequence_stops(route, zone_order, external_solver=external_solver)
+
+    monkeypatch.setattr(tsp, "sequence_stops", die_on_first)  # forked workers inherit it
+    _cpus(monkeypatch, {0, 1})
+    out = tmp_path / "sub.json"
+    start = time.monotonic()
+    code = main(["sequence", "--dataset", str(data / "eval"), "--model", str(model),
+                 "--out", str(out)])
+    assert code == cli.EXIT_WORKER == 4
+    assert capsys.readouterr().err == (
+        f"worker error: a pool worker died; routes not sequenced: {', '.join(rids)}\n")
+    assert time.monotonic() - start < 5
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
 def test_sigterm_stops_the_workers_and_their_solvers(tmp_path, signum):
     # Three routes on two workers, so one route waits for a worker.

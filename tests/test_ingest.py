@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import random
@@ -540,6 +541,137 @@ def test_load_peak_memory_for_training_is_the_text_not_the_stops(tmp_path):
         tracemalloc.stop()
     assert loaded.routes == train.routes
     assert peak < 3.3 * size, (peak, size)
+
+
+@pytest.mark.parametrize("n_routes", [16, 48])
+def test_read_peak_follows_the_largest_route_not_the_file(tmp_path, n_routes):
+    # What a read of travel_times.json holds beyond the rows it returns is
+    # the text of a few routes: 3.9x the largest route's at 16 routes (a
+    # 2.7 MB file) and 3.7x at 48 (8.1 MB). Decoded whole, it was the file's
+    # text as bytes and then as str: 20.4x and 57.6x.
+    cfg = synth.SynthConfig(seed=3, n_train_routes=1, n_eval_routes=n_routes,
+                            zones_per_route=[6, 6], stops_per_zone=[10, 14])
+    _, eval_ds = synth.generate(cfg)
+    ingest.write_dataset(eval_ds, tmp_path)
+    path = tmp_path / "travel_times.json"
+    largest = max(len(json.dumps(m, indent=1)) for m in json.loads(path.read_text()).values())
+    tracemalloc.start()
+    try:
+        rows = core.read_json(path, "dataset file", form=core.travel_time_row)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == n_routes
+    assert peak - held < 6 * largest, (peak - held, largest)
+
+
+def test_repeated_stop_ids_share_one_string_across_routes(tmp_path):
+    # Decoded whole, json.load shares the str of each key text across the
+    # file; decoded route by route, read_json must share them itself, as a
+    # str per stop id and route would take train-heavy's peak from 55 to 67 MB.
+    cfg = synth.SynthConfig(seed=3, n_train_routes=1, n_eval_routes=3, zones_per_route=[3, 3],
+                            stops_per_zone=[2, 3])
+    _, eval_ds = synth.generate(cfg)
+    ingest.write_dataset(eval_ds, tmp_path)
+    routes = list(ingest.load_dataset(tmp_path).routes.values())
+    shared = 0
+    for one, other in itertools.combinations(routes, 2):
+        for field in (lambda r: r.stops, lambda r: r.actual.ids, lambda r: r.travel_times.ids):
+            ids = {sid: sid for sid in field(one)}
+            for sid in field(other):
+                if sid in ids:
+                    assert sid is ids[sid], sid
+                    shared += 1
+        for sid, stop in one.stops.items():
+            assert stop.id is sid
+    assert shared > 3 * len(routes)
+
+
+def _members_text(n, size=130):
+    """The text of a JSON object of `n` members of about `size` characters each."""
+    pad = "x" * (size - 30)
+    return "{\n" + ",\n".join(f' "r{i:05d}": {{"a": {i}, "b": "{pad}"}}' for i in range(n)) + "\n}"
+
+
+def _message_of_a_whole_decode(path, what):
+    """read_json's message for `path`, made as json.load decodes a whole file."""
+    class Twice(Exception):
+        pass
+
+    def unique(pairs):
+        keys = [k for k, _ in pairs]
+        twice = next((k for k in keys if keys.count(k) > 1), None)
+        if twice is not None:
+            raise Twice(twice)
+        return dict(pairs)
+
+    try:
+        with open(path, encoding="utf-8") as f:
+            value = json.load(f, object_pairs_hook=unique)
+    except UnicodeDecodeError as exc:
+        return f"{what} {path} is not UTF-8 text ({exc.reason})"
+    except Twice as exc:
+        return f"{what} {path} has the key {exc.args[0]!r} twice"
+    except ValueError as exc:
+        return f"{what} {path} is not valid JSON: {exc}"
+    return None if isinstance(value, dict) else (
+        f"{what} {path} must hold a JSON object, got {type(value).__name__}")
+
+
+BIG = _members_text(4000)  # 0.5 MB: every fault below lies past the first read
+LATE = BIG.index('"r03900"')
+FAULTS_PAST_THE_FIRST_READ = {
+    "late-syntax-error": BIG[:LATE] + BIG[LATE:].replace(":", "", 1),
+    "late-syntax-error-crlf": (BIG[:LATE] + BIG[LATE:].replace(":", "", 1)).replace("\n", "\r\n"),
+    "late-unterminated-string": BIG[:-20],
+    "late-duplicate-in-a-member": BIG[:LATE] + BIG[LATE:].replace('"b"', '"a"', 1),
+    "not-utf8-after-a-json-fault": (BIG[:LATE] + BIG[LATE:].replace(":", "", 1)).encode()[:-40]
+    + b"\xff" + BIG.encode()[-39:],
+    "a-cut-character-at-the-end": BIG.encode() + "\u00e9".encode()[:1],
+    "repeated-top-key-then-a-syntax-error": BIG.replace('"r03000"', '"r00001"', 1)[:-2] + ",}",
+    "repeated-top-key": BIG.replace('"r03000"', '"r00001"', 1),
+    "trailing-data": BIG + " x",
+    "trailing-data-past-whitespace": BIG + " " * 300_000 + "]",
+    "a-second-object": BIG + BIG,
+    "trailing-comma": BIG[:-2] + ",\n}",
+    "empty": "",
+    "whitespace-only": " \n" * 200_000,
+    "a-list": "[" + ", ".join(["1"] * 100_000) + "]",
+    "a-list-then-a-syntax-error": "[" + ", ".join(["1"] * 100_000) + ",]",
+    "one-member-larger-than-the-read": '{"a": ' + BIG + ', "b": [1, 2,]}',
+}
+
+
+@pytest.mark.parametrize("name", list(FAULTS_PAST_THE_FIRST_READ))
+def test_read_json_faults_past_the_first_read_give_the_whole_file_message(tmp_path, name):
+    path = tmp_path / "routes.json"
+    text = FAULTS_PAST_THE_FIRST_READ[name]
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    message = _message_of_a_whole_decode(path, "dataset file")
+    assert message is not None
+    with pytest.raises(ValidationError) as excinfo:
+        core.read_json(path, "dataset file")
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    BIG,
+    BIG.replace("\n", "\r\n  \t"),
+    '{"a": ' + BIG + ', "b": ' + BIG + "}",  # members larger than any read
+    "{}", " {\n}\n", "{" + " " * 300_000 + "}" + " " * 300_000,
+    BIG.replace('"b"', '"\u00e9\u20ac\U0001f600"').replace("x", "\u00e9"),  # cut in a character
+    BIG.replace('"a": ', '"a": 1.5e3, "n": ').replace(", \"b\"", ", \"c\": [true, null, NaN]"
+                                                       ", \"b\""),
+    '{"n": ' + "1" * 1000 + ', "s": "\\u00e9\\ud83d\\ude00"}',
+    '{"n": 1.' + "0" * 300_000 + "5e5}",  # a number the first read cuts
+], ids=["sorted", "crlf", "large-members", "empty", "empty-spaced", "blank-padded",
+        "multibyte", "numbers-and-constants", "escapes", "a-long-number"])
+def test_read_json_gives_what_json_load_gives(tmp_path, text):
+    path = tmp_path / "routes.json"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = json.loads(text)
+    read = core.read_json(path, "dataset file")
+    assert read == expected and list(read) == list(expected)
 
 
 def test_a_decoded_stop_takes_a_stops_size():
